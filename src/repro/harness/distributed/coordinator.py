@@ -90,7 +90,12 @@ class _FabricRun:
     #: chunk id -> lease deadline (event-loop clock).
     leases: dict[int, float] = field(default_factory=dict)
     ever_registered: bool = False
+    #: True once leasing may start (see ``_fleet_ready``).
+    fleet_ready: bool = False
     workerless_since: float = 0.0
+    #: Set when a worker registers, a chunk settles, or a chunk is
+    #: re-queued: the serve loop dispatches on it instead of on its tick.
+    wake: asyncio.Event = field(default_factory=asyncio.Event)
     send_tasks: set["asyncio.Task[None]"] = field(default_factory=set)
     handler_tasks: set["asyncio.Task[None]"] = field(default_factory=set)
 
@@ -238,14 +243,23 @@ class DistributedBackend(ExecutionBackend):
             while run.unsettled:
                 now = loop.time()
                 self._reap_losses(run, now)
-                self._dispatch(run, loop)
+                run.fleet_ready = run.fleet_ready or self._fleet_ready(
+                    run, procs, now, start
+                )
+                if run.fleet_ready:
+                    self._dispatch(run, loop)
                 if (
                     run.unsettled
                     and not run.workers
                     and self._should_degrade(run, procs, now, start)
                 ):
                     break
-                await asyncio.sleep(self._tick_s)
+                # Events dispatch at once; the tick only paces liveness.
+                run.wake.clear()
+                try:
+                    await asyncio.wait_for(run.wake.wait(), self._tick_s)
+                except asyncio.TimeoutError:
+                    pass
             await self._shutdown_workers(run)
         finally:
             # Closed worker connections EOF their handlers; give them a
@@ -292,6 +306,7 @@ class DistributedBackend(ExecutionBackend):
             )
             run.workers[worker_id] = state
             run.ever_registered = True
+            run.wake.set()
             self.stats["registrations"] += 1
             self._log(
                 f"worker {worker_id} registered "
@@ -338,6 +353,29 @@ class DistributedBackend(ExecutionBackend):
                 raise
             except Exception:
                 pass
+
+    def _fleet_ready(
+        self,
+        run: _FabricRun,
+        procs: list["subprocess.Popen[bytes]"],
+        now: float,
+        start: float,
+    ) -> bool:
+        """True once every spawned worker has registered, or cannot.
+
+        The first lease waits for the loopback fleet to assemble: an idle
+        worker gets its next chunk at once, so with points of tens of
+        milliseconds the first worker up could drain a small sweep
+        before its siblings finish starting, and they would have been
+        spawned for nothing. A spawned worker exiting, or
+        ``register_grace_s`` passing, ends the wait. External workers
+        (``spawn_workers=0``) are leased to as they arrive.
+        """
+        return (
+            len(run.workers) >= self.spawn_workers
+            or any(proc.poll() is not None for proc in procs)
+            or now - start > self.register_grace_s
+        )
 
     def _dispatch(
         self, run: _FabricRun, loop: asyncio.AbstractEventLoop
@@ -405,6 +443,7 @@ class DistributedBackend(ExecutionBackend):
         if state.chunk_id == chunk_id:
             state.chunk_id = None
         run.leases.pop(chunk_id, None)
+        run.wake.set()
         if run.settled[chunk_id]:
             # The chunk was stolen and the thief won; deterministic
             # results make either copy equally correct.
@@ -490,6 +529,7 @@ class DistributedBackend(ExecutionBackend):
         """Put a chunk back on the queue, recording a recovered incident."""
         chunk = run.chunks[chunk_id]
         run.pending.append(chunk_id)
+        run.wake.set()
         run.report.record(
             PointFailure(
                 fingerprint=chunk.configs[0].fingerprint(),

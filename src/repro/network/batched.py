@@ -66,10 +66,13 @@ cannot express (mixed compatibility keys, the network sanitizer) falls
 back to it, and :class:`~repro.harness.backends.BatchedBackend` evicts a
 failing batch wholesale and retries each member scalar.
 
-numpy is the only dependency and it is optional at import time: importing
-this module without numpy succeeds, and :func:`require_numpy` raises a
-clear, actionable error before any sweep work starts (never a raw
-``ImportError`` mid-sweep).
+numpy is the only dependency and it is imported lazily: importing this
+module never loads numpy, so the CLI, scalar sweeps and fabric workers
+start without it. :func:`require_numpy` performs the import when a
+:class:`BatchedEngine` or :class:`~repro.harness.backends.BatchedBackend`
+is built, and raises a clear, actionable error before any sweep work
+starts when numpy is missing or too old (never a raw ``ImportError``
+mid-sweep).
 """
 
 from __future__ import annotations
@@ -85,11 +88,6 @@ from ..metrics.latency import LatencyCollector
 from ..power.accounting import derive_report
 from .simulator import SimulationResult, Simulator
 from .snapshot import fast_clone, state_digest
-
-try:  # pragma: no cover - exercised via require_numpy tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
 
 #: Oldest numpy release the kernel is tested against (``np.take(out=)``
 #: and the ``out=`` ufunc forms the hot lane relies on are all ancient;
@@ -123,22 +121,28 @@ def require_numpy():
     missing or antique numpy fails *before* the sweep starts, with the
     remedy in the message, instead of surfacing as a raw ``ImportError``
     (or an ``AttributeError`` from an old numpy) mid-sweep.
+
+    The import happens here, not at module load, so code paths that never
+    run the batched kernel (the CLI, scalar sweeps, fabric workers) do not
+    pay for loading numpy.
     """
-    if _np is None:
+    try:
+        import numpy as np
+    except ImportError:
         raise ConfigError(
             "the batched sweep kernel (repro.network.batched) requires "
             f"numpy >= {MIN_NUMPY[0]}.{MIN_NUMPY[1]}, which is not "
             "installed; install it, or rerun with the scalar kernel "
             "(--kernel scalar, the default)"
-        )
-    version = _version_tuple(getattr(_np, "__version__", "0"))
+        ) from None
+    version = _version_tuple(getattr(np, "__version__", "0"))
     if version < MIN_NUMPY:
         raise ConfigError(
             f"the batched sweep kernel requires numpy >= "
-            f"{MIN_NUMPY[0]}.{MIN_NUMPY[1]}, found {_np.__version__}; "
+            f"{MIN_NUMPY[0]}.{MIN_NUMPY[1]}, found {np.__version__}; "
             "upgrade numpy or rerun with --kernel scalar"
         )
-    return _np
+    return np
 
 
 def compatibility_key(config: SimulationConfig) -> str:

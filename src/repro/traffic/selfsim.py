@@ -18,12 +18,20 @@ absolute values.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import WorkloadError
 
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that use it, so importing the
+# traffic package (which every simulation does) never loads it.
+
 
 def _as_series(counts) -> np.ndarray:
+    import numpy as np
+
     series = np.asarray(counts, dtype=float)
     if series.ndim != 1 or series.size < 32:
         raise WorkloadError("need a 1-D series of at least 32 samples")
@@ -33,6 +41,8 @@ def _as_series(counts) -> np.ndarray:
 
 
 def _log_block_sizes(n: int, minimum: int = 8, points: int = 12) -> np.ndarray:
+    import numpy as np
+
     sizes = np.unique(
         np.logspace(np.log10(minimum), np.log10(n // 4), points).astype(int)
     )
@@ -41,6 +51,8 @@ def _log_block_sizes(n: int, minimum: int = 8, points: int = 12) -> np.ndarray:
 
 def hurst_rs(counts) -> float:
     """Rescaled-range (R/S) estimate of the Hurst exponent."""
+    import numpy as np
+
     series = _as_series(counts)
     n = series.size
     sizes = _log_block_sizes(n)
@@ -74,6 +86,8 @@ def hurst_variance_time(counts) -> float:
     variance like ``m^(2H-2)``; the slope of the log-log variance-vs-m line
     gives ``H = 1 + slope/2``.
     """
+    import numpy as np
+
     series = _as_series(counts)
     n = series.size
     sizes = _log_block_sizes(n, minimum=2)

@@ -11,7 +11,11 @@ drift between the two kernels fails loudly.
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -185,29 +189,56 @@ class TestEngineSurface:
 
 
 class TestNumpyGate:
+    """require_numpy imports numpy on demand, so the gate is exercised by
+    shadowing ``sys.modules["numpy"]``: ``None`` makes the import fail,
+    a stand-in object makes it return an antique release."""
+
     def test_missing_numpy_is_a_config_error(self, monkeypatch):
-        monkeypatch.setattr(batched, "_np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ConfigError, match="--kernel scalar"):
             require_numpy()
 
     def test_old_numpy_is_a_config_error(self, monkeypatch):
-        monkeypatch.setattr(
-            batched, "_np", types.SimpleNamespace(__version__="1.8.0")
+        monkeypatch.setitem(
+            sys.modules, "numpy", types.SimpleNamespace(__version__="1.8.0")
         )
         with pytest.raises(ConfigError, match="1.8.0"):
             require_numpy()
 
     def test_engine_construction_checks_numpy(self, monkeypatch):
-        monkeypatch.setattr(batched, "_np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ConfigError, match="numpy"):
             BatchedEngine([reference_config("none", radix=3)])
 
     def test_backend_construction_checks_numpy(self, monkeypatch):
         from repro.harness.backends import BatchedBackend
 
-        monkeypatch.setattr(batched, "_np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)
         with pytest.raises(ConfigError, match="numpy"):
             BatchedBackend()
+
+    def test_scalar_entry_points_do_not_import_numpy(self):
+        """The CLI, scalar sweeps and fabric workers start without numpy;
+        only building the batched kernel loads it."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        existing = os.environ.get("PYTHONPATH")
+        env = {
+            **os.environ,
+            "PYTHONPATH": src + (os.pathsep + existing if existing else ""),
+        }
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.harness.sweep, "
+            "repro.harness.distributed.worker\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
         "text,expected",

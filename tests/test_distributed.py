@@ -142,6 +142,37 @@ class TestDistributedBackend:
         assert backend.stats["dispatches"] == len(configs)
         assert backend.stats["host_losses"] == 0
 
+    def test_idle_worker_is_dispatched_without_waiting_for_a_tick(self):
+        """A settle wakes the serve loop: the next chunk goes out within an
+        event-loop turn, not on the liveness tick (default timing here)."""
+        configs = _configs(*(0.1 + 0.05 * i for i in range(8)))
+        threads: list = []
+        backend = DistributedBackend(on_listening=_attach_threads(1, threads))
+        settle, dispatch = backend._settle, backend._dispatch
+        settles: list[float] = []
+        dispatches: list[float] = []
+
+        def stamped_settle(run, state, message):
+            settle(run, state, message)
+            settles.append(asyncio.get_running_loop().time())
+
+        def stamped_dispatch(run, loop):
+            before = backend.stats["dispatches"]
+            dispatch(run, loop)
+            if backend.stats["dispatches"] > before:
+                dispatches.append(loop.time())
+
+        backend._settle = stamped_settle
+        backend._dispatch = stamped_dispatch
+        results, report = backend.run(configs)
+        _join_all(threads)
+        assert report.ok and all(r is not None for r in results)
+        assert len(settles) == len(dispatches) == len(configs)
+        gaps = [
+            min(d for d in dispatches if d >= s) - s for s in settles[:-1]
+        ]
+        assert max(gaps) < backend._tick_s / 4, gaps
+
     def test_empty_batch(self):
         results, report = DistributedBackend(register_grace_s=0.1).run([])
         assert results == [] and report.ok
