@@ -156,7 +156,7 @@ def time_singleton_paired(
     before the singleton loop systematically biases the ratio. Pairing
     the two runs per config and alternating which goes first cancels the
     drift, the same reasoning as bench_step_throughput's in-process
-    ``legacy_scan`` A/B. Returns
+    ``speedup_vs_no_ff`` ratio. Returns
     ``(scalar_wall_s, batched_wall_s, classes, splits, merges)`` from
     the repeat with the best batched wall.
     """
@@ -437,8 +437,8 @@ def check_regression(
     absolute configs/sec: both kernels run in the same process, so the
     ratio cancels the CPU-frequency drift that moves absolute wall
     clock by tens of percent between CI runs on this host (the same
-    reasoning as bench_step_throughput's in-process ``legacy_scan``
-    A/B). A genuine batched-kernel regression still moves the ratio;
+    reasoning as bench_step_throughput's in-process ``speedup_vs_no_ff``
+    ratio). A genuine batched-kernel regression still moves the ratio;
     a slow host day moves numerator and denominator together. Scalar
     absolute throughput is printed for context but gated by
     bench_step_throughput, whose scenarios exist for that purpose.

@@ -15,8 +15,8 @@ in ~0.016 s / ~0.0004 s (~29x and ~180x faster); the benchmark asserts a
 loose 10x bound so scheduler noise cannot flake it.
 """
 
+from repro.analysis.sanitizer import NetworkSanitizer
 from repro.config import NetworkConfig, SimulationConfig, WorkloadConfig
-from repro.network.debug import audit
 from repro.network.simulator import Simulator
 
 from .common import run_once
@@ -51,8 +51,9 @@ def test_flits_in_network_is_counter_based(benchmark):
 
     total = run_once(benchmark, poll)
     assert total == CALLS * simulator.flits_in_network()
-    # Counters must agree with a full bucket walk (audit re-derives them).
-    audit(simulator)
+    # Counters must agree with a full bucket walk (the sanitizer's
+    # event-counters rule re-derives them).
+    assert NetworkSanitizer(simulator, raise_on_violation=False).check_now() == []
     # 10k calls took 0.482 s on the bucket-walking monolith; allow 10x
     # headroom over the measured 0.017 s counter time.
     assert benchmark.stats["mean"] < 0.482 / 10

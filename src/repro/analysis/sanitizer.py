@@ -19,9 +19,10 @@ The family (one checker per invariant group):
 
 * :class:`ConservationSanitizer` — per (channel, VC):
   ``credits held + flits in flight + downstream buffer occupancy +
-  credits in flight == buffer depth``; network-wide: ``flits offered ==
-  source-side + buffered + in flight + ejected`` (nothing is ever
-  dropped).
+  credits in flight == buffer depth``; per input port: occupancy tracker
+  == flits buffered; network-wide: ``flits offered == source-side +
+  buffered + in flight + ejected`` (nothing is ever dropped) and the
+  outstanding-event counters equal the pending events.
 * :class:`VCAllocationSanitizer` — VC allocation state-machine legality:
   every non-free downstream VC is claimed by exactly one upstream input
   VC, claims are mutually exclusive, credit counters stay within
@@ -29,9 +30,9 @@ The family (one checker per invariant group):
 * :class:`DVSTransitionSanitizer` — DVS levels stay inside the V/F
   table, move at most one step per cycle (the paper's adjacent-level
   transition sequencing), voltage and frequency levels never diverge by
-  more than one step, the ``locked`` fast-path mirror agrees with the
-  state machine phase, and a link in frequency transition transmits
-  nothing.
+  more than one step and agree on a settled link, the ``locked``
+  fast-path mirror agrees with the state machine phase, and a link in
+  frequency transition transmits nothing.
 * :class:`TrafficContractSanitizer` — ``next_injection_cycle`` is
   side-effect-free and deterministic (the fast-forward contract): calling
   it twice returns the same horizon, never in the past, and periodically
@@ -39,7 +40,9 @@ The family (one checker per invariant group):
   token is unchanged across the call.
 
 :class:`NetworkSanitizer` bundles the family: construct it over an engine
-and call :meth:`~NetworkSanitizer.attach`. Enable from the outside with
+and call :meth:`~NetworkSanitizer.attach`, or call
+:meth:`~NetworkSanitizer.check_now` for a one-shot deep check of the
+current state (attached or not). Enable from the outside with
 ``Simulator(config, sanitize=True)``, the CLI's ``--sanitize`` flag, or
 ``REPRO_SANITIZE=1`` (picked up by :func:`repro.harness.runner.run_simulation`,
 so sweep worker processes inherit it).
@@ -201,8 +204,9 @@ class SanitizerObserver(Observer):
 class ConservationSanitizer(SanitizerObserver):
     """Credit-loop and flit conservation, re-derived from scratch each check.
 
-    Both invariants share one walk over the kernel's pending-event
-    buckets, so they live in a single checker.
+    Both laws share one walk over the kernel's pending-event buckets; the
+    input ports' occupancy trackers and the outstanding-event counters
+    ride the same walk, so all four live in a single checker.
     """
 
     rule = "conservation"
@@ -210,10 +214,10 @@ class ConservationSanitizer(SanitizerObserver):
     def __init__(self, engine: "SimulationEngine", **kwargs: object) -> None:
         super().__init__(engine, **kwargs)  # type: ignore[arg-type]
         #: Per-channel (credits list, full-credit template, downstream
-        #: buffer lists, spec) resolved once: the kernel mutates these
-        #: containers in place, so holding them skips the per-check
+        #: buffer lists, occupancy tracker, spec) resolved once: the kernel
+        #: mutates these in place, so holding them skips the per-check
         #: attribute chases. An idle channel (all credits home, buffers
-        #: empty, no events) short-circuits on two list compares.
+        #: and tracker empty, no events) short-circuits on two list compares.
         self._channel_cache: list[tuple] | None = None
 
     def _channels(self) -> list[tuple]:
@@ -225,7 +229,8 @@ class ConservationSanitizer(SanitizerObserver):
             upstream = engine.routers[spec.src_node].credit_states[spec.src_port]
             if upstream is None:  # pragma: no cover - wiring guard
                 continue
-            downstream_vcs = engine.routers[spec.dst_node].in_vcs[spec.dst_port]
+            downstream = engine.routers[spec.dst_node]
+            downstream_vcs = downstream.in_vcs[spec.dst_port]
             cache.append((
                 upstream.credits,
                 [upstream.capacity_per_vc] * vcs_per_port,
@@ -233,6 +238,7 @@ class ConservationSanitizer(SanitizerObserver):
                     downstream_vcs[vc].buffer.flits
                     for vc in range(vcs_per_port)
                 ),
+                downstream.occupancy[spec.dst_port],
                 spec,
                 upstream,
                 (spec.dst_node, spec.dst_port),
@@ -255,6 +261,16 @@ class ConservationSanitizer(SanitizerObserver):
             elif kind == EVENT_CREDIT:
                 key = (event[1], event[2], event[3])
                 credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
+        # drain() reads these counters instead of walking the queue.
+        counted = (engine._pending_transport, engine._pending_arrivals)
+        walked = (arrival_total + sum(credits_in_flight.values()), arrival_total)
+        if counted != walked:
+            self._violation(
+                f"outstanding-event counters (transport, arrivals) {counted} "
+                f"!= {walked} events pending in the queue",
+                rule="event-counters",
+                cycle=now,
+            )
 
         vcs_per_port = engine.config.network.vcs_per_port
         vc_range = range(vcs_per_port)
@@ -269,18 +285,21 @@ class ConservationSanitizer(SanitizerObserver):
         cache = self._channel_cache
         if cache is None:
             cache = self._channels()
-        for credits, full, buffers, spec, upstream, dst_key, src_key in cache:
+        for credits, full, buffers, tracker, spec, upstream, dst_key, src_key in cache:
             if (
                 credits == full
                 and not any(buffers)
+                and not tracker.occupied
                 and dst_key not in touched
                 and src_key not in touched
             ):
                 continue
+            held = 0
             for vc in vc_range:
                 outstanding = upstream.capacity_per_vc - credits[vc]
                 in_flight = arrivals.get((spec.dst_node, spec.dst_port, vc), 0)
                 buffered = len(buffers[vc])
+                held += buffered
                 returning = credits_in_flight.get(
                     (spec.src_node, spec.src_port, vc), 0
                 )
@@ -299,6 +318,16 @@ class ConservationSanitizer(SanitizerObserver):
                         vc=vc,
                         channel=spec.channel_id,
                     )
+            if tracker.occupied != held:
+                self._violation(
+                    f"occupancy tracker counts {tracker.occupied} flits, the "
+                    f"port's VC buffers hold {held}",
+                    rule="occupancy",
+                    cycle=now,
+                    node=spec.dst_node,
+                    port=spec.dst_port,
+                    channel=spec.channel_id,
+                )
 
         offered_flits = 0
         source_side = 0
@@ -617,6 +646,13 @@ class DVSTransitionSanitizer(SanitizerObserver):
                 cycle=now,
                 channel=channel_id,
             )
+        if phase is ChannelPhase.STEADY and level == target and voltage != level:
+            self._violation(
+                f"steady channel at frequency level {level} sits at voltage "
+                f"level {voltage}; a settled link runs at its own level",
+                cycle=now,
+                channel=channel_id,
+            )
         if locked != in_lock:
             self._violation(
                 f"locked mirror ({locked}) disagrees with phase "
@@ -817,6 +853,27 @@ class NetworkSanitizer(Observer):
             raise SimulationError("sanitizer is not attached")
         self.engine.bus.detach(self)
         self._attached = False
+
+    def check_now(self) -> list[SanitizerViolation]:
+        """Deep-check every invariant at ``engine.now``; return what broke.
+
+        Runs each checker's full sweep through the lifecycle-mark path,
+        attached or not, so it can follow any white-box drive of the
+        kernel. Returns the violations this call found (with
+        ``raise_on_violation`` the first one raises instead). Checking
+        reads state only: the simulation continues bit-identically.
+        """
+        if not self._attached:
+            # Unobserved cycles since any earlier call: drop the DVS
+            # checker's step history rather than compare against it.
+            self._dvs._setup()
+        before = [len(checker.violations) for checker in self.checkers]
+        self.on_mark("check_now", self.engine.now)
+        return [
+            violation
+            for checker, seen in zip(self.checkers, before, strict=True)
+            for violation in checker.violations[seen:]
+        ]
 
     def __iter__(self) -> Iterator[SanitizerObserver]:
         return iter(self.checkers)

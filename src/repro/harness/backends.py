@@ -4,9 +4,9 @@ Every sweep in the harness reduces to the same shape of work: a list of
 (picklable, frozen) :class:`~repro.config.SimulationConfig` objects, each
 run through :func:`~repro.harness.runner.run_simulation`, results wanted
 in input order. An :class:`ExecutionBackend` owns exactly that mapping;
-:mod:`repro.harness.sweep` and :mod:`repro.harness.parallel` both build
-their points on top of it instead of each carrying its own execution
-logic.
+:mod:`repro.harness.sweep` builds its points on top of it instead of
+carrying its own execution logic; pass ``backend=make_backend(n)`` to any
+sweep to run it across *n* processes.
 
 Determinism: a simulation is fully described by its config, so
 :class:`SerialBackend` and :class:`ProcessPoolBackend` produce

@@ -59,9 +59,7 @@ free where the workload allows, without changing a single simulated bit
 Steady-state stepping allocates ~zero objects: event records are 5-slot
 lists drawn from a free list and recycled after dispatch, and
 :class:`~repro.network.packet.Flit` objects are pooled (released on
-ejection, reacquired at injection). Setting :attr:`legacy_scan` restores
-the PR-3 kernel shape — dict-bucket events, full router scan, no pooling —
-for in-process A/B benchmarks.
+ejection, reacquired at injection).
 
 The kernel additionally maintains outstanding-event counters (transport
 events, arrivals, and source-queue packets), updated at
@@ -110,10 +108,8 @@ class SimulationEngine:
         #: Allow quiescence skipping (bit-identical either way; set False
         #: to force cycle-by-cycle stepping, e.g. for A/B benchmarks).
         self.fast_forward = fast_forward
-        self._legacy_scan = False
         # Per-cycle constants, prebound so step() skips the config
-        # attribute chains (kept in sync by the legacy_scan setter).
-        self._dispatch_fn = self._dispatch
+        # attribute chains.
         self._flits_per_packet = config.network.flits_per_packet
         self._history_window = config.dvs.history_window
         #: Diagnostics: cycles and spans elided by quiescence skipping.
@@ -257,59 +253,6 @@ class SimulationEngine:
 
             self.sanitizer = NetworkSanitizer(self).attach()
 
-    # ------------------------------------------------------------------
-    # Kernel variants (benchmark A/B)
-    # ------------------------------------------------------------------
-
-    @property
-    def legacy_scan(self) -> bool:
-        """Benchmark escape hatch: emulate the PR-3 kernel shape.
-
-        When True the kernel scans all N routers every cycle, keeps every
-        event in the spill dict (one bucket per cycle, exactly the old
-        bucket map), and disables event-record and flit pooling — the
-        in-process baseline for the calendar-queue/pooling speedups.
-        """
-        return self._legacy_scan
-
-    @legacy_scan.setter
-    def legacy_scan(self, value: bool) -> None:
-        self._legacy_scan = bool(value)
-        legacy = self._legacy_scan
-        self._dispatch_fn = self._dispatch_legacy if legacy else self._dispatch
-        event_pool = None if legacy else self._event_pool
-        flit_pool = None if legacy else self._flit_pool
-        for router in self.routers:
-            router.event_pool = event_pool
-            router.flit_pool = flit_pool
-            if legacy:
-                router.bind_fast_queue(None, 0, None)
-            else:
-                router.bind_fast_queue(self._ring, self._ring_mask, self._counters)
-            # The legacy pipeline fills buffers without maintaining the
-            # occupied-VC list; rebuild it on every toggle.
-            router.resync_occupancy()
-        if not legacy:
-            # Events scheduled while legacy was set are plain tuples; the
-            # modern dispatch assumes every record is a pooled 5-slot
-            # list, so convert stragglers up front.
-            spill = self._spill
-            for cycle in sorted(spill):
-                self._listify_records(spill[cycle])
-            for bucket in self._ring:
-                if bucket:
-                    self._listify_records(bucket)
-
-    @staticmethod
-    def _listify_records(bucket: list) -> None:
-        """Convert tuple event records in *bucket* to 5-slot lists."""
-        for i, event in enumerate(bucket):
-            if type(event) is not list:
-                record = list(event)
-                while len(record) < 5:
-                    record.append(None)
-                bucket[i] = record
-
     # Outstanding-event counters (see _counters above). Read-only:
     # schedule/dispatch and fast-queue-bound routers mutate the list.
 
@@ -344,7 +287,7 @@ class SimulationEngine:
             counters[0] += 1
             if kind == EVENT_ARRIVAL:
                 counters[1] += 1
-        if cycle - now <= self._ring_mask and not self._legacy_scan:
+        if cycle - now <= self._ring_mask:
             self._ring[cycle & self._ring_mask].append(event)
             counters[2] += 1
         else:
@@ -358,8 +301,6 @@ class SimulationEngine:
 
     def _phase_event(self, channel: DVSChannel):
         """A fresh or recycled event record for a DVS phase boundary."""
-        if self._legacy_scan:
-            return (EVENT_PHASE, channel)
         pool = self._event_pool
         if pool:
             record = pool.pop()
@@ -439,10 +380,9 @@ class SimulationEngine:
         flit is only launched against a positive credit, credits mirror
         downstream slots exactly, and every credit return matches one
         departed flit), and the opt-in network sanitizer re-verifies both
-        invariants end to end. Every record here is a pooled 5-slot list
-        (the ``legacy_scan`` toggle converts stragglers), recycled in the
-        same pass; the outstanding-event counters are settled once per
-        bucket rather than per event.
+        invariants end to end. Every record here is a pooled 5-slot list,
+        recycled in the same pass; the outstanding-event counters are
+        settled once per bucket rather than per event.
         """
         routers = self.routers
         active_flags = self._active_flags
@@ -495,39 +435,6 @@ class SimulationEngine:
         counters[0] -= len(events) - phases
         counters[1] -= arrivals
 
-    def _dispatch_legacy(self, events: list, now: int) -> None:
-        """The PR-3 dispatch loop: one event-handler method call per
-        event, exactly as the seed kernel paid for it (the in-process A/B
-        baseline — do not optimize)."""
-        routers = self.routers
-        active_flags = self._active_flags
-        active_list = self._active_list
-        counters = self._counters
-        transition_hooks = self.bus.transition_hooks
-        for event in events:
-            kind = event[0]
-            if kind == EVENT_ARRIVAL:
-                counters[0] -= 1
-                counters[1] -= 1
-                node = event[1]
-                routers[node].on_arrival(event[2], event[3], event[4], now)
-                if not active_flags[node]:
-                    active_flags[node] = 1
-                    insort(active_list, node)
-            elif kind == EVENT_CREDIT:
-                counters[0] -= 1
-                routers[event[1]].on_credit(event[2], event[3], event[4])
-            else:  # EVENT_PHASE
-                channel = event[1]
-                ramps_before = channel.transition_count
-                next_cycle = channel.on_phase_end(now)
-                if next_cycle is not None:
-                    self.schedule(next_cycle, self._phase_event(channel))
-                if transition_hooks:
-                    self._emit_transition(channel, now, "phase_end")
-                    if channel.transition_count > ramps_before:
-                        self._emit_transition(channel, now, "ramp_start")
-
     def step(self) -> None:  # repro-hot
         """Advance the simulation by one router cycle."""
         now = self.now
@@ -538,19 +445,18 @@ class SimulationEngine:
         # necessarily scheduled earlier (from a smaller ``now``) than
         # ring-resident ones, so spill-first equals the old single-bucket
         # insertion order.
-        dispatch = self._dispatch_fn
         if now == self._spill_min:
             spill = self._spill
             events = spill.pop(now)
             self._spill_min = min(spill) if spill else _NEVER
-            dispatch(events, now)
+            self._dispatch(events, now)
         ring_bucket = self._ring[now & self._ring_mask]
         if ring_bucket:
             # Recycled records re-enter the ring only at future slots
             # (schedule targets are strictly after now), so clearing the
             # bucket after dispatch cannot drop a reused record.
             self._counters[2] -= len(ring_bucket)
-            dispatch(ring_bucket, now)
+            self._dispatch(ring_bucket, now)
             del ring_bucket[:]
 
         pairs = self.traffic.injections(now)
@@ -595,24 +501,7 @@ class SimulationEngine:
                 observer.on_cycle(now)
 
         active_list = self._active_list
-        if self._legacy_scan:
-            # PR-3 behavior for A/B benchmarks: probe all N routers with
-            # the seed's inline emptiness predicate and run the legacy
-            # router pipeline, then resynchronize the scheduler state
-            # (order is identical — both scans step non-idle routers in
-            # ascending node order).
-            for router in routers:
-                if router.total_buffered or router.inj_flits or router.inj_queue:
-                    router.step_legacy(now)
-            active_flags = self._active_flags
-            del active_list[:]
-            for node, router in enumerate(routers):
-                if router.total_buffered or router.inj_flits or router.inj_queue:
-                    active_flags[node] = 1
-                    active_list.append(node)
-                else:
-                    active_flags[node] = 0
-        elif active_list:
+        if active_list:
             # No router is *added* during this loop (arrivals and offers
             # happened in the phases above) and only the router being
             # stepped can become idle, so compacting in place preserves
@@ -664,16 +553,15 @@ class SimulationEngine:
         routers = self.routers
         bus = self.bus
 
-        dispatch = self._dispatch_fn
         if now == self._spill_min:
             spill = self._spill
             events = spill.pop(now)
             self._spill_min = min(spill) if spill else _NEVER
-            dispatch(events, now)
+            self._dispatch(events, now)
         ring_bucket = self._ring[now & self._ring_mask]
         if ring_bucket:
             self._counters[2] -= len(ring_bucket)
-            dispatch(ring_bucket, now)
+            self._dispatch(ring_bucket, now)
             del ring_bucket[:]
 
         pairs = self.traffic.injections(now)
@@ -724,19 +612,7 @@ class SimulationEngine:
                 observer.on_cycle(now)
 
         active_list = self._active_list
-        if self._legacy_scan:
-            for router in routers:
-                if router.total_buffered or router.inj_flits or router.inj_queue:
-                    router.step_legacy(now)
-            active_flags = self._active_flags
-            del active_list[:]
-            for node, router in enumerate(routers):
-                if router.total_buffered or router.inj_flits or router.inj_queue:
-                    active_flags[node] = 1
-                    active_list.append(node)
-                else:
-                    active_flags[node] = 0
-        elif active_list:
+        if active_list:
             active_flags = self._active_flags
             count = len(active_list)
             write = 0

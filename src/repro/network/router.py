@@ -30,8 +30,8 @@ to allocate nothing in steady state:
 * event records are reusable 5-slot lists drawn from the kernel's shared
   free list (``event_pool``), and ejected flits return to a shared
   ``flit_pool`` for reuse at injection. Both pools are optional — without
-  them (standalone routers, ``legacy_scan`` A/B runs) fresh objects are
-  allocated, with bit-identical behavior.
+  them (standalone routers) fresh objects are allocated, with bit-identical
+  behavior.
 
 Flow-control invariants that the old code enforced through
 :class:`~repro.network.flowcontrol.CreditState` method calls on this path
@@ -77,7 +77,7 @@ EVENT_ARRIVAL = 0
 EVENT_CREDIT = 1
 EVENT_PHASE = 2
 
-ScheduleFn = Callable[[int, tuple], None]
+ScheduleFn = Callable[[int, list], None]
 #: The kernel-facing ejection seam: called with (packet, now) on tail eject.
 PacketSink = Callable[[Packet, int], None]
 
@@ -157,7 +157,7 @@ class Router:
         self.injected_sink = injected_sink if injected_sink is not None else _noop
         self.credit_delay = credit_delay
         #: Shared free lists owned by the kernel; None = allocate fresh
-        #: objects (standalone routers, legacy_scan A/B runs).
+        #: objects (standalone routers).
         self.event_pool = event_pool
         self.flit_pool = flit_pool
         # Direct view of the kernel's near-horizon calendar ring (see
@@ -315,7 +315,7 @@ class Router:
         ``ring[cycle & mask]`` and bumps the kernel's shared outstanding
         counters ``[transport, arrivals, ring_count]`` — bit-identical to
         calling ``schedule()``, minus 2 Python calls per launch. Pass
-        ``ring=None`` to unbind (standalone routers, ``legacy_scan``).
+        ``ring=None`` to unbind (standalone routers never bind).
         """
         self._fast_ring = ring
         self._fast_mask = mask
@@ -348,7 +348,7 @@ class Router:
         return queued + len(self.inj_flits) - self.inj_pos
 
     # ------------------------------------------------------------------
-    # Event handlers (called by the simulator dispatch loop)
+    # Event handlers (the reference bodies the kernel's dispatch loop inlines)
     # ------------------------------------------------------------------
 
     def on_arrival(self, port: int, vc: int, flit: Flit, now: int) -> None:  # repro-hot
@@ -372,22 +372,6 @@ class Router:
         if tracker is not None:
             tracker.on_enqueue(now)
         self.total_buffered += 1
-
-    def resync_occupancy(self) -> None:
-        """Rebuild the occupied-VC list from the buffers.
-
-        Needed after stepping outside the incremental bookkeeping — the
-        kernel calls this when ``legacy_scan`` toggles, since the legacy
-        pipeline fills buffers without maintaining the list.
-        """
-        occ = self._occ_list
-        del occ[:]
-        for vcstate in self._vc_scan:
-            if vcstate.flits:
-                vcstate.in_occ = True
-                occ.append(vcstate.rid)
-            else:
-                vcstate.in_occ = False
 
     def on_credit(self, out_port: int, vc: int, is_tail: bool) -> None:  # repro-hot
         """A credit returned from the downstream router.
@@ -596,7 +580,7 @@ class Router:
             counters = self._fast_counters
             for best in grants:
                 out_port = best.out_port
-                # -- switch traversal (keep in sync with step_legacy) --
+                # -- switch traversal --
                 flit = best.flits.popleft()
                 self.total_buffered -= 1
                 tracker = best.tracker
@@ -852,191 +836,3 @@ class Router:
             # An ejected flit is referenced by nothing: its arrival event
             # already dispatched and observers only see the packet.
             flit_pool.append(flit)
-
-    # ------------------------------------------------------------------
-    # Legacy (PR-3) per-cycle pipeline — the in-process A/B baseline
-    # ------------------------------------------------------------------
-    #
-    # step_legacy and its helpers reproduce the pre-calendar-queue router
-    # verbatim: per-cycle request dicts, checked CreditState/VCBuffer
-    # method calls, tuple event records, fresh Flit lists from
-    # Packet.make_flits. The kernel runs them when ``legacy_scan`` is set,
-    # so ``benchmarks/bench_step_throughput.py`` measures the rewrite
-    # against the real PR-3 cost model in the same process, and
-    # ``tests/test_fast_forward.py`` golden-compares the two pipelines as
-    # a differential oracle. Do not optimize this code.
-
-    def step_legacy(self, now: int) -> None:
-        """One router cycle, exactly as the PR-3 kernel executed it."""
-        vcs_per_port = self.vcs_per_port
-        requests: dict[int, list[int]] | None = None
-
-        for vcstate in self._vc_scan:
-            buf = vcstate.buffer.flits
-            if not buf:
-                continue
-            p = vcstate.in_port
-            v = vcstate.in_vc
-            out_port = vcstate.out_port
-            if out_port == UNROUTED:
-                head = buf[0]
-                if not head.is_head:
-                    raise SimulationError(
-                        f"body flit at head of unrouted VC at node {self.node}"
-                    )
-                packet = head.packet
-                if packet.dst == self.node:
-                    vcstate.out_port = self.local_port
-                    vcstate.out_vc = 0
-                    out_port = self.local_port
-                else:
-                    out_port = self._route_and_allocate(vcstate, packet)
-                    if out_port == UNROUTED:
-                        continue  # retry next cycle
-            if out_port == self.local_port:
-                self._eject_legacy(p, v, vcstate, now)
-                continue
-            # Switch-allocation request: needs a credit and a willing wire.
-            credit_state = self.credit_states[out_port]
-            if credit_state.credits[vcstate.out_vc] <= 0:
-                continue
-            dvs = self.channels[out_port].dvs
-            if dvs.locked or dvs.busy_until >= now + 1:
-                if dvs.sleeping:
-                    dvs.sleep_demand = True
-                continue
-            if requests is None:
-                requests = {}
-            rid = p * vcs_per_port + v
-            bucket = requests.get(out_port)
-            if bucket is None:
-                requests[out_port] = [rid]
-            else:
-                bucket.append(rid)
-
-        if requests:
-            granted_inputs = 0
-            for out_port, rids in requests.items():
-                winner = self._arbitrate(out_port, rids, granted_inputs, vcs_per_port)
-                if winner < 0:
-                    continue
-                granted_inputs |= 1 << (winner // vcs_per_port)
-                self._launch_legacy(
-                    out_port, winner // vcs_per_port, winner % vcs_per_port, now
-                )
-
-        if self.inj_flits or self.inj_queue:
-            self._inject_legacy(now)
-
-    def _arbitrate(
-        self, out_port: int, rids: list[int], granted_inputs: int, vcs_per_port: int
-    ) -> int:
-        """Rotating-priority grant among *rids*, skipping granted inputs."""
-        arbiter = self.sa_arbiters[out_port]
-        head = arbiter.priority_head
-        size = arbiter.size
-        best = -1
-        best_key = size
-        for rid in rids:
-            if granted_inputs and (granted_inputs >> (rid // vcs_per_port)) & 1:
-                continue
-            key = (rid - head) % size
-            if key < best_key:
-                best_key = key
-                best = rid
-        if best >= 0:
-            arbiter.advance_past(best)
-        return best
-
-    def _launch_legacy(self, out_port: int, p: int, v: int, now: int) -> None:
-        """Winner of switch allocation: move the flit onto the channel."""
-        vcstate = self.in_vcs[p][v]
-        flit = vcstate.buffer.dequeue()
-        self.total_buffered -= 1
-        tracker = self.occupancy[p]
-        if tracker is not None:
-            tracker.on_dequeue(now)
-        if self.age_hooks:
-            hooks = self.age_hooks.get(p)
-            if hooks:
-                age = now - flit.buffer_arrival_cycle
-                for hook in hooks:
-                    hook(age)
-        target = self.credit_targets[p]
-        if target is not None:
-            self.schedule(
-                now + self.credit_delay,
-                (EVENT_CREDIT, target[0], target[1], v, flit.is_tail),
-            )
-        credit_state = self.credit_states[out_port]
-        credit_state.consume(vcstate.out_vc)
-        channel = self.channels[out_port]
-        arrival = channel.send(now)
-        spec = channel.spec
-        self.schedule(
-            arrival, (EVENT_ARRIVAL, spec.dst_node, spec.dst_port, vcstate.out_vc, flit)
-        )
-        self.flits_launched += 1
-        if flit.is_head:
-            packet = flit.packet
-            dim = out_port >> 1
-            vc_class = packet.vc_class if packet.last_dim == dim else 0
-            packet.vc_class = self.routing.next_vc_class(self.node, out_port, vc_class)
-            packet.last_dim = dim
-        if flit.is_tail:
-            credit_state.release_vc(vcstate.out_vc)
-            vcstate.reset_route()
-
-    def _eject_legacy(self, p: int, v: int, vcstate: InputVC, now: int) -> None:
-        """Immediate ejection: one flit per VC per cycle at the destination."""
-        flit = vcstate.buffer.dequeue()
-        self.total_buffered -= 1
-        tracker = self.occupancy[p]
-        if tracker is not None:
-            tracker.on_dequeue(now)
-        if self.age_hooks:
-            hooks = self.age_hooks.get(p)
-            if hooks:
-                age = now - flit.buffer_arrival_cycle
-                for hook in hooks:
-                    hook(age)
-        target = self.credit_targets[p]
-        if target is not None:
-            self.schedule(
-                now + self.credit_delay,
-                (EVENT_CREDIT, target[0], target[1], v, flit.is_tail),
-            )
-        self.flits_ejected += 1
-        if flit.is_tail:
-            vcstate.reset_route()
-            packet = flit.packet
-            packet.ejected_cycle = now
-            self.packets_ejected += 1
-            self.packet_sink(packet, now)
-
-    def _inject_legacy(self, now: int) -> None:
-        """Move up to one flit from the source queue into the local port."""
-        if not self.inj_flits:
-            packet = self.inj_queue[0]
-            best = -1
-            best_free = 0
-            for v, vcstate in enumerate(self.in_vcs[self.local_port]):
-                free = vcstate.buffer.free_slots
-                if free > best_free:
-                    best = v
-                    best_free = free
-            if best < 0:
-                return
-            self.inj_queue.popleft()
-            self.inj_flits = packet.make_flits()
-            self.inj_pos = 0
-            self.inj_vc = best
-        vcstate = self.in_vcs[self.local_port][self.inj_vc]
-        if not vcstate.buffer.is_full:
-            vcstate.buffer.enqueue(self.inj_flits[self.inj_pos], now)
-            self.total_buffered += 1
-            self.inj_pos += 1
-            if self.inj_pos >= len(self.inj_flits):
-                self.inj_flits = []
-                self.inj_pos = 0
-                self.injected_sink()

@@ -43,10 +43,10 @@ implements the explicit protocol instead:
 
 Both functions refuse structures they cannot prove they handle:
 :func:`fast_clone` falls back to ``copy.deepcopy`` for instrumented
-engines (sanitizer, probes, series observer, extra bus observers,
-``legacy_scan``), and raises :class:`~repro.errors.SimulationError` if the
-engine carries an attribute this walk does not know — so a future engine
-field fails loudly here instead of silently desynchronizing clones.
+engines (sanitizer, probes, series observer, extra bus observers), and
+raises :class:`~repro.errors.SimulationError` if the engine carries an
+attribute this walk does not know — so a future engine field fails loudly
+here instead of silently desynchronizing clones.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ _EXPECTED_ATTRS = frozenset(
         "config",
         "bus",
         "fast_forward",
-        "_legacy_scan",
-        "_dispatch_fn",
         "_flits_per_packet",
         "_history_window",
         "idle_cycles_skipped",
@@ -128,7 +126,7 @@ def _check_inventory(sim: Simulator) -> None:
 
 def _needs_deepcopy(sim: Simulator) -> bool:
     """Whether *sim* carries instrumentation outside the fast-clone walk."""
-    if sim.sanitizer is not None or sim._legacy_scan:
+    if sim.sanitizer is not None:
         return True
     if sim.probes or sim._series_observer is not None:
         return True
@@ -372,14 +370,12 @@ def fast_clone(sim: Simulator) -> Simulator:
     clone.topology = sim.topology
     clone.routing = sim.routing
     clone.fast_forward = sim.fast_forward
-    clone._legacy_scan = False
     clone._flits_per_packet = sim._flits_per_packet
     clone._history_window = sim._history_window
     clone.series_window = sim.series_window
     clone.sanitizer = None
     clone.probes = []
     clone._series_observer = None
-    clone._dispatch_fn = clone._dispatch
 
     # Scalar engine state.
     clone.now = sim.now

@@ -14,7 +14,6 @@ from repro.harness.backends import (
     default_backend,
     make_backend,
 )
-from repro.harness.parallel import parallel_rate_sweep
 from repro.harness.resilience import RetryPolicy
 from repro.harness.sweep import SweepPoint, rate_sweep
 
@@ -75,8 +74,8 @@ class TestBackendEquivalence:
 
     def test_explicit_chunksize_reaches_parallel_wrappers(self):
         config = small_config(rate=0.2, warmup=200, measure=600)
-        points = parallel_rate_sweep(
-            config, (0.2, 0.3), processes=2, chunksize=1
+        points = rate_sweep(
+            config, (0.2, 0.3), backend=make_backend(2, chunksize=1)
         )
         serial = rate_sweep(config, (0.2, 0.3), backend=SerialBackend())
         assert points == serial

@@ -1,33 +1,41 @@
-"""The simulator state auditor, and the simulator audited under load.
+"""One-shot deep checks, and the simulator deep-checked under load.
 
-Running :func:`repro.network.debug.audit` at random points of randomized
-simulations turns the whole simulator into a property under test: credit
-conservation, occupancy consistency, VC ownership and channel state must
-hold at every cycle of every workload.
+Running :meth:`repro.analysis.sanitizer.NetworkSanitizer.check_now` at
+random points of randomized simulations turns the whole simulator into a
+property under test: credit conservation, occupancy consistency, VC
+ownership and channel state must hold at every cycle of every workload.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.debug import audit
+from repro.analysis.sanitizer import NetworkSanitizer
 from repro.network.simulator import Simulator
 
 from .conftest import small_config
+
+
+def check_now(simulator):
+    """Every violation a fresh, unattached sanitizer finds right now."""
+    return NetworkSanitizer(simulator, raise_on_violation=False).check_now()
+
+
+def broken_rules(simulator):
+    return {violation.rule for violation in check_now(simulator)}
 
 
 class TestAuditCatchesCorruption:
     def test_clean_simulator_passes(self, mesh3_config):
         simulator = Simulator(mesh3_config)
         simulator.run_cycles(500)
-        assert audit(simulator) == []
+        assert check_now(simulator) == []
 
     def test_detects_occupancy_drift(self, mesh3_config):
         simulator = Simulator(mesh3_config)
         simulator.run_cycles(300)
         tracker = simulator.routers[4].occupancy[0]
         tracker.occupied += 1  # corrupt
-        violations = audit(simulator)
-        assert any("occupancy tracker" in v for v in violations)
+        assert "occupancy" in broken_rules(simulator)
 
     def test_detects_credit_drift(self, mesh3_config):
         simulator = Simulator(mesh3_config)
@@ -37,18 +45,18 @@ class TestAuditCatchesCorruption:
             channel.spec.src_port
         ]
         state.credits[0] -= 1  # corrupt
-        assert any("credits" in v for v in audit(simulator))
+        assert "credit-conservation" in broken_rules(simulator)
 
     def test_detects_buffer_count_drift(self, mesh3_config):
         simulator = Simulator(mesh3_config)
         simulator.run_cycles(300)
         simulator.routers[0].total_buffered += 2
-        assert any("total_buffered" in v for v in audit(simulator))
+        assert "flit-conservation" in broken_rules(simulator)
 
     def test_detects_broken_lock_mirror(self, mesh3_config):
         simulator = Simulator(mesh3_config)
         simulator.channels[0].dvs.locked = True  # without entering the phase
-        assert any("out of sync" in v for v in audit(simulator))
+        assert "dvs-transition" in broken_rules(simulator)
 
 
 class TestInvariantsHoldUnderLoad:
@@ -68,7 +76,7 @@ class TestInvariantsHoldUnderLoad:
         simulator = Simulator(config)
         for _ in range(8):
             simulator.run_cycles(250)
-            assert audit(simulator) == []
+            assert check_now(simulator) == []
 
     def test_audit_clean_on_torus(self):
         config = small_config(
@@ -77,7 +85,7 @@ class TestInvariantsHoldUnderLoad:
         simulator = Simulator(config)
         for _ in range(6):
             simulator.run_cycles(250)
-            assert audit(simulator) == []
+            assert check_now(simulator) == []
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -99,6 +107,6 @@ class TestInvariantsHoldUnderLoad:
         )
         simulator = Simulator(config)
         simulator.run_cycles(checkpoint)
-        assert audit(simulator) == []
+        assert check_now(simulator) == []
         simulator.run_cycles(checkpoint)
-        assert audit(simulator) == []
+        assert check_now(simulator) == []

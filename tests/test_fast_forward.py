@@ -159,15 +159,6 @@ class TestEdgeCases:
 
 
 class TestActiveRouterSet:
-    def test_active_set_matches_legacy_full_scan(self):
-        """The dirty-set scheduler visits the same routers in the same
-        order as the old scan over all N routers."""
-        config = small_config(policy="history", rate=0.4, measure=2_000)
-        legacy = Simulator(config, fast_forward=False)
-        legacy.legacy_scan = True
-        modern = Simulator(config, fast_forward=False)
-        assert to_json(legacy.run()) == to_json(modern.run())
-
     def test_active_list_is_exactly_the_nonidle_routers(self):
         config = small_config(rate=0.3)
         simulator = Simulator(config)

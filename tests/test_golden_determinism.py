@@ -9,7 +9,7 @@ drift in event ordering, energy-accrual chunking, or counter bookkeeping
 shows up here as a hard failure.
 
 Also pins the serial-equals-parallel acceptance criterion:
-``parallel_compare_policies(processes=2)`` must equal the serial
+``compare_policies`` on a two-process pool must equal the serial
 ``compare_policies`` point for point.
 
 The energy pins were re-captured when the channel accumulators moved to
@@ -28,7 +28,7 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
-from repro.harness.parallel import parallel_compare_policies
+from repro.harness.backends import make_backend
 from repro.harness.sweep import compare_policies
 from repro.network.simulator import Simulator
 
@@ -122,7 +122,7 @@ class TestGoldenSeries:
 
 
 class TestSerialParallelEquivalence:
-    def test_parallel_compare_policies_matches_serial_point_for_point(self):
+    def test_pooled_comparison_matches_serial(self):
         config = small_config(rate=0.2, warmup=200, measure=800)
         rates = (0.2, 0.5)
         policies = {
@@ -130,8 +130,8 @@ class TestSerialParallelEquivalence:
             "history": DVSControlConfig(policy="history"),
         }
         serial = compare_policies(config, rates, policies)
-        parallel = parallel_compare_policies(
-            config, rates, policies, processes=2
+        parallel = compare_policies(
+            config, rates, policies, backend=make_backend(2)
         )
         assert serial == parallel
 

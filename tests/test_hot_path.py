@@ -1,13 +1,12 @@
 """White-box tests for the saturated hot path's scheduling structures.
 
 Covers the calendar-queue ring/spill split, event-record and flit pool
-recycling, the ``legacy_scan`` A/B toggle's state resynchronization, and
-the routers' direct (fast-queue) binding to the kernel's calendar ring.
-The bit-identity companion tests live in ``test_fast_forward.py``; here
-the assertions are structural — the right events in the right container,
-the same objects reused rather than reallocated, and exact bookkeeping
-equality between the modern kernel and a run that detoured through the
-legacy shape.
+recycling, and the routers' direct (fast-queue) binding to the kernel's
+calendar ring. The bit-identity companion tests live in
+``test_fast_forward.py``; here the assertions are structural — the right
+events in the right container, the same objects reused rather than
+reallocated, and exact bookkeeping equality between bound and unbound
+routers.
 """
 
 from __future__ import annotations
@@ -121,83 +120,6 @@ class TestPoolRecycling:
         }
         # Flits released at ejection re-entered the network at injection.
         assert released & (buffered | in_flight)
-
-
-class TestLegacyScanToggle:
-    def test_toggle_unbinds_pools_and_fast_queue_then_rebinds(self):
-        simulator = Simulator(small_config(rate=0.5), fast_forward=False)
-        simulator.run_until(300)
-        simulator.legacy_scan = True
-        for router in simulator.routers:
-            assert router.event_pool is None
-            assert router.flit_pool is None
-            assert router._fast_ring is None
-        # Legacy scheduling bypasses the ring: one bucket per cycle in the
-        # spill dict, exactly the old bucket map.
-        node, port, _ = _credit_target(simulator)
-        target = simulator.now + 2
-        slot_before = len(simulator._ring[target & simulator._ring_mask])
-        simulator.schedule(target, (EVENT_CREDIT, node, port, 0, False))
-        assert len(simulator._ring[target & simulator._ring_mask]) == slot_before
-        assert target in simulator._spill
-
-        simulator.legacy_scan = False
-        for router in simulator.routers:
-            assert router.event_pool is simulator._event_pool
-            assert router.flit_pool is simulator._flit_pool
-            assert router._fast_ring is simulator._ring
-            assert router._fast_counters is simulator._counters
-        # Tuple records scheduled while legacy converted to 5-slot lists.
-        for _, event in simulator.iter_scheduled_events():
-            assert type(event) is list
-            assert len(event) == 5
-
-    def test_toggle_resyncs_the_occupied_vc_list(self):
-        simulator = Simulator(small_config(rate=0.6), fast_forward=False)
-        simulator.legacy_scan = True
-        simulator.run_until(400)
-        simulator.legacy_scan = False
-        busy = 0
-        for router in simulator.routers:
-            expected = sorted(
-                vcstate.rid
-                for _, _, vcstate in router.iter_vc_states()
-                if vcstate.flits
-            )
-            assert router._occ_list == expected
-            busy += len(expected)
-            for _, _, vcstate in router.iter_vc_states():
-                assert vcstate.in_occ == bool(vcstate.flits)
-        assert busy > 0  # the run left flits buffered, so the resync did work
-
-    def test_midrun_toggle_matches_a_pure_modern_run(self):
-        """Run the first half under the legacy kernel shape, toggle back,
-        finish under the modern one — every kernel-observable counter must
-        equal a run that never left the modern shape."""
-        config = small_config(policy="history", rate=0.4, measure=1_500)
-        toggled = Simulator(config, fast_forward=False)
-        toggled.legacy_scan = True
-        toggled.run_until(700)
-        toggled.legacy_scan = False
-        toggled.run_until(1_400)
-        pure = Simulator(config, fast_forward=False)
-        pure.run_until(1_400)
-        assert [r.flits_launched for r in toggled.routers] == [
-            r.flits_launched for r in pure.routers
-        ]
-        assert [r.packets_ejected for r in toggled.routers] == [
-            r.packets_ejected for r in pure.routers
-        ]
-        assert toggled._active_list == pure._active_list
-        assert toggled._pending_transport == pure._pending_transport
-        assert toggled.pending_source_packets() == pure.pending_source_packets()
-        assert sorted(
-            (cycle, event[0]) for cycle, event in toggled.iter_scheduled_events()
-        ) == sorted(
-            (cycle, event[0]) for cycle, event in pure.iter_scheduled_events()
-        )
-        for toggled_router, pure_router in zip(toggled.routers, pure.routers, strict=False):
-            assert toggled_router._occ_list == pure_router._occ_list
 
 
 class TestFastQueueBinding:

@@ -130,50 +130,8 @@ class TestViz:
 
 
 class TestParallelSweeps:
-    def test_matches_serial(self):
-        from repro.harness.parallel import parallel_rate_sweep
-        from repro.harness.sweep import rate_sweep
-
-        config = small_config(rate=0.2, measure=1_500)
-        rates = (0.2, 0.6)
-        serial = rate_sweep(config, rates)
-        parallel = parallel_rate_sweep(config, rates, processes=2)
-        for s, p in zip(serial, parallel, strict=False):
-            assert s.mean_latency == p.mean_latency
-            assert s.offered_rate == p.offered_rate
-            assert s.normalized_power == p.normalized_power
-
-    def test_single_process_path(self):
-        from repro.harness.parallel import parallel_rate_sweep
-
-        config = small_config(rate=0.2, measure=1_000)
-        points = parallel_rate_sweep(config, (0.3,), processes=1)
-        assert len(points) == 1
-
-    def test_policy_comparison_shape(self):
-        from repro.config import DVSControlConfig
-        from repro.harness.parallel import parallel_compare_policies
-
-        config = small_config(rate=0.2, measure=1_000)
-        sweeps = parallel_compare_policies(
-            config,
-            (0.2, 0.5),
-            {
-                "none": DVSControlConfig(policy="none"),
-                "history": DVSControlConfig(policy="history"),
-            },
-            processes=2,
-        )
-        assert set(sweeps) == {"none", "history"}
-        assert all(len(points) == 2 for points in sweeps.values())
-
     def test_validation(self):
-        from repro.harness.parallel import parallel_compare_policies
+        from repro.harness.sweep import compare_policies
 
-        config = small_config()
         with pytest.raises(ExperimentError):
-            parallel_compare_policies(config, (0.2,), {}, processes=2)
-        with pytest.raises(ExperimentError):
-            parallel_compare_policies(
-                config, (0.2,), {"a": config.dvs}, processes=0
-            )
+            compare_policies(small_config(), (0.2,), {})

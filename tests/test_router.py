@@ -47,16 +47,11 @@ class Harness:
             )
 
     def place(self, flit, port=None, vc=0):
-        """Enqueue *flit* directly into an input VC, bypassing on_arrival.
-
-        White-box seeding must resynchronize the occupied-VC list the
-        router's step scans (on_arrival/_inject maintain it normally).
-        """
+        """Seed *flit* into an input VC at cycle 0 through on_arrival, which
+        keeps the occupied-VC list the router's step scans in sync."""
         if port is None:
             port = self.topology.local_port
-        self.router.in_vcs[port][vc].buffer.enqueue(flit, 0)
-        self.router.total_buffered += 1
-        self.router.resync_occupancy()
+        self.router.on_arrival(port, vc, flit, 0)
 
 
 class TestIdleAndInjection:

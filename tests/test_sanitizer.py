@@ -19,6 +19,7 @@ from repro.analysis.sanitizer import (
 )
 from repro.cli import main
 from repro.harness.runner import build_simulator
+from repro.harness.serialization import to_json
 from repro.network.simulator import Simulator
 from repro.traffic.base import TrafficSource
 
@@ -104,6 +105,39 @@ class TestMutationKernels:
                         return
         pytest.skip("no VC held at the probed cycle")
 
+    def test_occupancy_tracker_drift_is_caught(self):
+        simulator = Simulator(small_config(rate=0.3))
+        NetworkSanitizer(simulator, check_every=1).attach()
+        simulator.run_until(300)
+        spec = simulator.channels[0].spec
+        simulator.routers[spec.dst_node].occupancy[spec.dst_port].occupied += 1
+        with pytest.raises(SanitizerViolation) as exc:
+            simulator.run_until(310)
+        assert exc.value.rule == "occupancy"
+        assert (exc.value.node, exc.value.port) == (spec.dst_node, spec.dst_port)
+
+    def test_outstanding_event_counter_drift_is_caught(self):
+        simulator = Simulator(small_config(rate=0.3))
+        NetworkSanitizer(simulator, check_every=1).attach()
+        simulator.run_until(300)
+        simulator._counters[0] += 1  # one transport event that never left
+        with pytest.raises(SanitizerViolation) as exc:
+            simulator.run_until(310)
+        assert exc.value.rule == "event-counters"
+
+    def test_steady_channel_off_its_voltage_is_caught(self):
+        simulator = Simulator(small_config(rate=0.3))
+        NetworkSanitizer(simulator, check_every=1).attach()
+        simulator.run_until(300)
+        dvs = simulator.channels[0].dvs
+        assert dvs.is_steady and dvs.level > 0
+        dvs._voltage_level = dvs.level - 1  # settled, yet a step low
+        with pytest.raises(SanitizerViolation) as exc:
+            simulator.run_until(310)
+        assert exc.value.rule == "dvs-transition"
+        assert "steady" in str(exc.value)
+        assert exc.value.channel == simulator.channels[0].spec.channel_id
+
     def test_stateful_next_injection_cycle_is_caught(self):
         class _StatefulPredictor(TrafficSource):
             def injections(self, now):
@@ -140,6 +174,24 @@ class TestCleanRun:
         assert result == baseline  # bit-identical measurement
         # The sanitizer is skip-safe: fast-forward stays fully enabled.
         assert checked.idle_cycles_skipped == plain.idle_cycles_skipped
+
+    @pytest.mark.parametrize("attached", [True, False])
+    def test_check_now_leaves_the_result_bit_identical(self, attached):
+        config = small_config(rate=0.6, policy="history", warmup=300, measure=1200)
+        checked = Simulator(config)
+        sanitizer = NetworkSanitizer(checked, check_every=1)
+        if attached:
+            sanitizer.attach()
+        for target in (40, 170, config.warmup_cycles):
+            checked.run_until(target)
+            assert sanitizer.check_now() == []
+        checked.begin_measurement()
+        for target in (555, 901, config.total_cycles):
+            checked.run_until(target)
+            assert sanitizer.check_now() == []
+        assert sanitizer.checks > 0
+        result = checked.finish()
+        assert to_json(result) == to_json(Simulator(config).run())
 
     def test_collect_mode_accumulates_instead_of_raising(self):
         simulator = Simulator(small_config(rate=0.3))
