@@ -12,10 +12,11 @@ Eight subcommands::
     python -m repro cache-server /path/store    # shared result store
 
 Distributed sweeps: ``repro sweep --backend distributed --workers 4``
-spawns a loopback worker fleet for the run; with ``--workers 0`` the
-coordinator waits for externally started ``repro worker`` processes
-(point them at the coordinator's ``--dist-port``). ``repro
-cache-server`` serves a shared result store other hosts consult via the
+forks a loopback worker fleet from the coordinator for the run (POSIX
+only); with ``--workers 0`` the coordinator waits for externally started
+``repro worker`` processes, the way to add workers on other hosts (point
+them at the coordinator's ``--dist-port``). ``repro cache-server``
+serves a shared result store other hosts consult via the
 ``REPRO_RESULT_STORE`` environment variable.
 
 All heavy lifting lives in the library; the CLI only parses arguments,
@@ -376,9 +377,10 @@ def _add_distributed_options(parser: argparse.ArgumentParser) -> None:
                         help="execution backend: local (default) or the "
                         "fault-tolerant distributed fabric")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="with --backend distributed: spawn N loopback "
-                        "worker processes (0 = serve externally started "
-                        "'repro worker' processes)")
+                        help="with --backend distributed: fork N loopback "
+                        "workers from the coordinator (0 = serve externally "
+                        "started 'repro worker' processes, e.g. on other "
+                        "hosts)")
     parser.add_argument("--dist-host", default="127.0.0.1", metavar="HOST",
                         help="coordinator bind address for --backend distributed")
     parser.add_argument("--dist-port", type=int, default=0, metavar="PORT",

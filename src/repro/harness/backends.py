@@ -664,8 +664,9 @@ def make_backend(
 
     ``backend="distributed"`` selects the fault-tolerant TCP fabric
     (:class:`~repro.harness.distributed.DistributedBackend`): *workers*
-    loopback worker processes are spawned for the run (0 means serve
-    externally started ``repro worker`` processes on *host*:*port*).
+    loopback workers are forked from the coordinator for the run (0
+    means serve externally started ``repro worker`` processes, e.g. on
+    other hosts, on *host*:*port*).
     The distributed fabric ships scalar chunks only — combining it with
     ``kernel="batched"`` is an error rather than a silent downgrade.
     """

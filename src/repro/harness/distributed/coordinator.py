@@ -37,13 +37,15 @@ partitions, stalls, and corrupted frames.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import os
-import subprocess
+import socket
 import sys
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
+from multiprocessing.process import BaseProcess
 from typing import Callable, Iterable, Iterator, Optional
 
 from ...config import SimulationConfig
@@ -58,10 +60,38 @@ from ..resilience import (
     RetryPolicy,
 )
 from .protocol import read_message, write_message
-from .worker import run_worker_chunk
+from .worker import run_worker, run_worker_chunk
 
 #: One worker outcome: the run_chunk per-point shape.
 _Outcome = tuple[Optional[SimulationResult], Optional[PointFailure]]
+
+
+def _forked_worker(
+    listener: socket.socket,
+    host: str,
+    port: int,
+    worker_id: str,
+    heartbeat_s: float,
+    quiet: bool,
+) -> None:
+    """Body of one forked loopback worker: the ``repro worker`` loop.
+
+    The child closes its copy of the coordinator's listener first: a
+    worker orphaned by a dead coordinator would otherwise rejoin into
+    that listener's backlog and hang there instead of giving up after
+    ``max_rejoins``. fd 1 goes to ``/dev/null``, so nothing the worker
+    prints reaches the coordinator's stdout.
+    """
+    listener.close()
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    sys.exit(
+        run_worker(
+            host, port, worker_id=worker_id, heartbeat_s=heartbeat_s,
+            quiet=quiet,
+        )
+    )
 
 
 @dataclass
@@ -103,10 +133,13 @@ class _FabricRun:
 class DistributedBackend(ExecutionBackend):
     """Fans a sweep out to remote ``repro worker`` processes over TCP.
 
-    ``spawn_workers=N`` launches N loopback worker subprocesses for the
-    duration of the run (the zero-setup path behind ``repro sweep
-    --backend distributed --workers N``); with ``spawn_workers=0`` the
-    coordinator only serves externally started workers, which learn the
+    ``spawn_workers=N`` forks N loopback workers from the coordinator
+    for the duration of the run (the zero-setup path behind ``repro
+    sweep --backend distributed --workers N``). They fork before the
+    event loop starts, so each begins with the coordinator's imports
+    and sweep-cache selection, and needs the ``fork`` start method
+    (POSIX). With ``spawn_workers=0`` the coordinator only serves
+    externally started ``repro worker`` processes, which learn the
     bound port from *on_listening* (tests) or the operator (real use).
 
     ``chunksize`` defaults to 1: the finest work-stealing granularity,
@@ -133,6 +166,12 @@ class DistributedBackend(ExecutionBackend):
     ) -> None:
         if spawn_workers < 0:
             raise ExperimentError("spawn_workers cannot be negative")
+        if spawn_workers and "fork" not in multiprocessing.get_all_start_methods():
+            raise ExperimentError(
+                "loopback workers are forked from the coordinator, and this "
+                "platform cannot fork; use --workers 0 and start "
+                "'repro worker' processes yourself"
+            )
         if chunksize < 1:
             raise ExperimentError("chunksize must be positive")
         if heartbeat_s <= 0:
@@ -202,10 +241,23 @@ class DistributedBackend(ExecutionBackend):
             settled=[False] * len(chunks),
             unsettled=len(chunks),
         )
-        procs: list["subprocess.Popen[bytes]"] = []
+        # Bind and fork before the event loop exists: a child forked
+        # inside a running loop would still be inside it.
+        listener = socket.create_server((self.host, self.port))
+        procs: list[BaseProcess] = []
         try:
-            asyncio.run(self._serve(run, procs))
+            host, port = listener.getsockname()[:2]
+            self.bound_port = port
+            self._log(
+                f"coordinator listening on {host}:{port}, "
+                f"{len(chunks)} chunks to place"
+            )
+            self._spawn(listener, procs)
+            if self.on_listening is not None:
+                self.on_listening(host, port)
+            asyncio.run(self._serve(run, listener, procs))
         finally:
+            listener.close()
             self._reap(procs)
         if run.unsettled:
             self._degrade_locally(run)
@@ -221,23 +273,17 @@ class DistributedBackend(ExecutionBackend):
     # -- the asyncio fabric ------------------------------------------------
 
     async def _serve(
-        self, run: _FabricRun, procs: list["subprocess.Popen[bytes]"]
+        self,
+        run: _FabricRun,
+        listener: socket.socket,
+        procs: list[BaseProcess],
     ) -> None:
         """Serve workers until every chunk settles or the fleet is gone."""
         loop = asyncio.get_running_loop()
         server = await asyncio.start_server(
-            partial(self._handle, run), self.host, self.port
-        )
-        host, port = server.sockets[0].getsockname()[:2]
-        self.bound_port = port
-        self._log(
-            f"coordinator listening on {host}:{port}, "
-            f"{len(run.chunks)} chunks to place"
+            partial(self._handle, run), sock=listener
         )
         try:
-            if self.on_listening is not None:
-                self.on_listening(host, port)
-            procs.extend(self._spawn(port))
             start = loop.time()
             run.workerless_since = start
             while run.unsettled:
@@ -357,7 +403,7 @@ class DistributedBackend(ExecutionBackend):
     def _fleet_ready(
         self,
         run: _FabricRun,
-        procs: list["subprocess.Popen[bytes]"],
+        procs: list[BaseProcess],
         now: float,
         start: float,
     ) -> bool:
@@ -373,7 +419,7 @@ class DistributedBackend(ExecutionBackend):
         """
         return (
             len(run.workers) >= self.spawn_workers
-            or any(proc.poll() is not None for proc in procs)
+            or any(proc.exitcode is not None for proc in procs)
             or now - start > self.register_grace_s
         )
 
@@ -461,13 +507,22 @@ class DistributedBackend(ExecutionBackend):
         report: FailureReport,
         cache: Optional[SweepCache],
     ) -> None:
-        """Checkpoint one settled chunk into results, report, and cache."""
+        """Checkpoint one settled chunk into results, report, and cache.
+
+        Points already in this cache directory are not stored again:
+        loopback workers and :meth:`_degrade_locally` wrote (and pushed)
+        them in :func:`run_worker_chunk`; only a remote host's are missing.
+        """
         for (result, failure), config, index in zip(
             outcomes, chunk.configs, chunk.indices, strict=False
         ):
             if failure is not None:
                 report.record(failure)
-            if result is not None and cache is not None:
+            if (
+                result is not None
+                and cache is not None
+                and not cache.contains(config)
+            ):
                 cache.store(config, result)
             results[index] = result
 
@@ -544,7 +599,7 @@ class DistributedBackend(ExecutionBackend):
     def _should_degrade(
         self,
         run: _FabricRun,
-        procs: list["subprocess.Popen[bytes]"],
+        procs: list[BaseProcess],
         now: float,
         start: float,
     ) -> bool:
@@ -555,7 +610,7 @@ class DistributedBackend(ExecutionBackend):
         external workers get ``host_loss_grace_s`` to rejoin after a
         loss (and ``register_grace_s`` to appear at all).
         """
-        spawned_alive = any(proc.poll() is None for proc in procs)
+        spawned_alive = any(proc.exitcode is None for proc in procs)
         if spawned_alive:
             since = start if not run.ever_registered else run.workerless_since
             return now - since > self.register_grace_s
@@ -614,48 +669,43 @@ class DistributedBackend(ExecutionBackend):
             state.writer.close()
         run.workers.clear()
 
-    def _spawn(self, port: int) -> list["subprocess.Popen[bytes]"]:
-        """Launch the loopback worker fleet (``spawn_workers`` strong)."""
-        procs: list["subprocess.Popen[bytes]"] = []
-        if not self.spawn_workers:
-            return procs
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[3])
-        existing = env.get("PYTHONPATH", "")
-        if src_root not in existing.split(os.pathsep):
-            env["PYTHONPATH"] = (
-                src_root + os.pathsep + existing if existing else src_root
-            )
-        for index in range(self.spawn_workers):
-            command = [
-                sys.executable, "-m", "repro", "worker",
-                "--host", self.host,
-                "--port", str(port),
-                "--worker-id", f"spawned-{index}",
-                "--heartbeat", str(self.heartbeat_s),
-            ]
-            if self.progress is None:
-                command.append("--quiet")
-            procs.append(
-                subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
-            )
-        self._log(f"spawned {len(procs)} loopback workers")
-        return procs
+    def _spawn(self, listener: socket.socket, procs: list[BaseProcess]) -> None:
+        """Fork the loopback worker fleet (``spawn_workers`` strong).
 
-    @staticmethod
-    def _reap(procs: list["subprocess.Popen[bytes]"]) -> None:
+        ``multiprocessing``'s fork start flushes the standard streams
+        before forking and leaves the child through ``os._exit``, so no
+        buffered output is duplicated and no caller teardown runs twice.
+        """
+        if not self.spawn_workers:
+            return
+        context = multiprocessing.get_context("fork")
+        port = listener.getsockname()[1]
+        for index in range(self.spawn_workers):
+            proc = context.Process(
+                target=_forked_worker,
+                args=(
+                    listener, self.host, port, f"spawned-{index}",
+                    self.heartbeat_s, self.progress is None,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            procs.append(proc)
+        self._log(f"spawned {len(procs)} loopback workers")
+
+    def _reap(self, procs: list[BaseProcess]) -> None:
+        """Give notified workers one tick to exit, then stop the rest."""
+        deadline = time.monotonic() + self._tick_s
         for proc in procs:
-            if proc.poll() is None:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for proc in procs:
+            if proc.exitcode is None:
                 proc.terminate()
         for proc in procs:
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
+            proc.join(timeout=5)
+            if proc.exitcode is None:
                 proc.kill()
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    pass
+                proc.join(timeout=5)
 
     def _log(self, line: str) -> None:
         if self.progress is not None:

@@ -5,7 +5,11 @@ two verbs::
 
     GET  /entry/<sha256-key>   -> 200 + entry bytes | 404
     PUT  /entry/<sha256-key>   -> 204 (stored atomically)
-    GET  /stats                -> 200 + JSON {"entries": N, "bytes": M}
+    GET  /stats                -> 200 + JSON {"entries": N, "bytes": M,
+                                              "stored": S, "served": G}
+
+``stored`` and ``served`` count the PUTs accepted and the entries
+served since the server started.
 
 Keys are exactly the sweep cache's keys — ``sha256(epoch + "\\n" +
 fingerprint)`` — so the server needs no knowledge of epochs or configs:
@@ -165,7 +169,7 @@ class ResultStoreServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def stats(self) -> dict[str, int]:
-        """Entry count and total bytes currently on disk."""
+        """Entries and bytes on disk, plus PUTs stored and GETs served."""
         entries = 0
         size = 0
         try:
@@ -177,7 +181,12 @@ class ResultStoreServer(ThreadingHTTPServer):
                     pass
         except OSError:
             pass
-        return {"entries": entries, "bytes": size}
+        return {
+            "entries": entries,
+            "bytes": size,
+            "stored": self.stored,
+            "served": self.served,
+        }
 
 
 def serve_result_store(root: str | Path, host: str = "127.0.0.1",

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.config import (
     DVSControlConfig,
     LinkConfig,
@@ -65,6 +69,17 @@ def trace_simulator(
         simulator.topology, config.workload, trace
     )
     return simulator
+
+
+def subprocess_env() -> dict[str, str]:
+    """The current environment, with this checkout's ``src`` importable
+    by a child ``python -m repro ...`` or ``python -c ...``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    existing = os.environ.get("PYTHONPATH")
+    return {
+        **os.environ,
+        "PYTHONPATH": src + (os.pathsep + existing if existing else ""),
+    }
 
 
 @pytest.fixture(autouse=True)

@@ -11,11 +11,9 @@ drift between the two kernels fails loudly.
 from __future__ import annotations
 
 import dataclasses
-import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
@@ -32,7 +30,7 @@ from repro.network.batched import (
 )
 from repro.network.simulator import Simulator
 
-from .conftest import small_config
+from .conftest import small_config, subprocess_env
 
 
 def reference_config(policy: str, **kwargs):
@@ -220,14 +218,6 @@ class TestNumpyGate:
     def test_scalar_entry_points_do_not_import_numpy(self):
         """The CLI, scalar sweeps and fabric workers start without numpy;
         only building the batched kernel loads it."""
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        existing = os.environ.get("PYTHONPATH")
-        env = {
-            **os.environ,
-            "PYTHONPATH": src + (os.pathsep + existing if existing else ""),
-        }
         probe = (
             "import sys\n"
             "import repro.cli, repro.harness.sweep, "
@@ -236,7 +226,8 @@ class TestNumpyGate:
         )
         completed = subprocess.run(
             [sys.executable, "-c", probe],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+            check=True,
         )
         assert completed.stdout.strip() == "[]"
 

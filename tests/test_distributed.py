@@ -3,7 +3,9 @@
 These tests run workers as in-process threads (``run_worker`` is just a
 blocking function around an asyncio client), so every fabric path —
 registration, dispatch, heartbeat loss, lease stealing, corrupt frames,
-degrade-to-local — is exercised without subprocess startup cost. The
+degrade-to-local — is exercised without process startup cost.
+:class:`TestLoopbackFleet` covers what only the forked ``spawn_workers``
+fleet can get wrong: what the children inherit and what they write. The
 chaos acceptance test with real killed worker *processes* lives in
 ``test_distributed_chaos.py``.
 """
@@ -11,12 +13,21 @@ chaos acceptance test with real killed worker *processes* lives in
 from __future__ import annotations
 
 import asyncio
+import json
+import multiprocessing
+import re
 import struct
+import subprocess
+import sys
 import threading
+import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import DistributedError, ExperimentError
+from repro.harness import cache as cache_mod
 from repro.harness.backends import SerialBackend, make_backend
 from repro.harness.cache import SweepCache, set_cache
 from repro.harness.chaos import ChaosPlan, set_plan
@@ -30,7 +41,7 @@ from repro.harness.distributed import (
 )
 from repro.harness.resilience import RetryPolicy
 
-from .conftest import small_config
+from .conftest import small_config, subprocess_env
 
 
 def _configs(*rates: float):
@@ -332,3 +343,86 @@ class TestWorkerEntry:
             "127.0.0.1", 1, max_rejoins=1, rejoin_delay_s=0.01
         )
         assert status == 1
+
+
+class TestLoopbackFleet:
+    """``spawn_workers=N``: workers forked from the coordinator."""
+
+    def test_no_cache_reaches_the_forked_workers(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--no-cache`` is an in-process override, not an environment
+        variable: workers that did not inherit it used to fall back to
+        ``$XDG_CACHE_HOME/repro/sweeps`` and write every point there."""
+        monkeypatch.delenv("REPRO_CACHE")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        sweep = ["sweep", "--rates", "0.2", "--scale", "smoke", "--no-cache"]
+        assert main(sweep) == 0
+        serial = capsys.readouterr().out
+        assert main([*sweep, "--backend", "distributed", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert not list(tmp_path.rglob("*.pkl"))
+
+    def test_forked_workers_write_nothing_to_the_parent_stdout(self):
+        """Buffered parent output is flushed once, before the fork, and
+        the children's fd 1 is ``/dev/null``: the parent's stdout holds
+        exactly what the parent printed."""
+        script = (
+            "from repro.harness.distributed import DistributedBackend\n"
+            "from tests.conftest import small_config\n"
+            "print('marker')\n"
+            "configs = [small_config(rate=r, warmup=100, measure=400)"
+            " for r in (0.2, 0.3)]\n"
+            "results, report = DistributedBackend(spawn_workers=2).run(configs)\n"
+            "assert report.ok and None not in results\n"
+            "print('done')\n"
+        )
+        env = {**subprocess_env(), "REPRO_CACHE": "off"}
+        env.pop("PYTHONUNBUFFERED", None)  # keep 'marker' in the buffer
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=Path(__file__).resolve().parents[1], env=env,
+            capture_output=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr.decode()
+        assert completed.stdout == b"marker\ndone\n"
+
+    def test_each_point_is_put_to_the_shared_store_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A loopback worker has already stored and pushed every point it
+        computed into the coordinator's own cache directory, so settling
+        it must not push the same entry a second time."""
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "cache-server",
+             str(tmp_path / "store"), "--port", "0"],
+            env=subprocess_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            banner = server.stdout.readline().decode()
+            match = re.search(r" at (http://\S+) ", banner)
+            assert match is not None, banner
+            url = match.group(1)
+            monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
+            monkeypatch.setenv("REPRO_RESULT_STORE", url)
+            cache_mod.reset_cache()
+            configs = _configs(0.2, 0.3, 0.4, 0.5)
+            results, report = DistributedBackend(spawn_workers=2).run(configs)
+            assert report.ok and None not in results
+            with urllib.request.urlopen(f"{url}/stats", timeout=10) as reply:
+                stats = json.load(reply)
+            assert stats["stored"] == stats["entries"] == len(configs)
+        finally:
+            cache_mod.reset_cache()
+            server.terminate()
+            server.wait(timeout=10)
+            server.stdout.close()
+
+    def test_spawning_needs_fork(self, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(ExperimentError, match="--workers 0"):
+            DistributedBackend(spawn_workers=2)
+        assert DistributedBackend(spawn_workers=0).spawn_workers == 0

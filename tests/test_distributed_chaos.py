@@ -6,14 +6,18 @@ complete with results bit-identical to a fault-free serial run, report
 every injected fault as a recovered incident, and leave a checkpoint
 cache a follow-up ``--resume`` replays without touching the fabric.
 
-Workers here are genuine ``repro worker`` subprocesses (spawned by the
-coordinator), so the crash fault really does ``os._exit`` a live
+Workers here are real processes, forked by the coordinator from its
+own warm interpreter, so the crash fault really does ``os._exit`` a live
 process and the partition really does sever a TCP connection.
+:class:`TestWorkerCommand` starts ``python -m repro worker`` processes
+instead, the way an operator joins workers on other hosts.
 """
 
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +27,7 @@ from repro.harness.backends import SerialBackend
 from repro.harness.chaos import CHAOS_ENV, ChaosPlan
 from repro.harness.distributed import DistributedBackend
 
-from .conftest import small_config
+from .conftest import small_config, subprocess_env
 
 RATES = (0.2, 0.3, 0.4, 0.5, 0.6)
 
@@ -51,7 +55,7 @@ class TestSpawnedFleet:
         self, tmp_path, monkeypatch
     ):
         """The zero-setup path (``--backend distributed --workers 2``):
-        spawned subprocess workers, shared checkpoint cache, no faults."""
+        forked loopback workers, shared checkpoint cache, no faults."""
         configs = _configs()
         expected, _ = SerialBackend().run(configs)
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
@@ -101,7 +105,7 @@ class TestSpawnedFleet:
         path = plan.write(tmp_path / "plan.json")
         monkeypatch.setenv(CHAOS_ENV, str(path))
         chaos.reset_plan()
-        # Worker subprocesses inherit both variables: the whole fleet
+        # Forked workers inherit both variables: the whole fleet
         # shares one chaos plan and one checkpoint cache.
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "cache"))
         cache_mod.reset_cache()
@@ -126,3 +130,45 @@ class TestSpawnedFleet:
         assert again == expected
         assert report2.ok and not report2.incidents
         assert resumed.stats["chunks"] == 0
+
+
+class TestWorkerCommand:
+    def test_repro_worker_processes_are_bit_identical_to_serial(self):
+        """Two ``python -m repro worker`` processes serve a coordinator
+        that spawns none, and both exit 0 on its shutdown notice."""
+        configs = _configs()
+        expected, _ = SerialBackend().run(configs)
+        procs: list[subprocess.Popen[bytes]] = []
+
+        def start_workers(host: str, port: int) -> None:
+            for _ in range(2):
+                procs.append(
+                    subprocess.Popen(
+                        [sys.executable, "-m", "repro", "worker",
+                         "--host", host, "--port", str(port)],
+                        env=subprocess_env(), stdout=subprocess.DEVNULL,
+                        stderr=subprocess.PIPE,
+                    )
+                )
+            # The coordinator serves once this returns. Both workers must
+            # be in its backlog by then: one that arrived after the sweep
+            # ended would find no coordinator, and exit 1.
+            for proc in procs:
+                for line in proc.stderr:
+                    if b"registered with coordinator" in line:
+                        break
+
+        try:
+            backend = _backend(spawn_workers=0, on_listening=start_workers)
+            results, report = backend.run(configs)
+            for proc in procs:
+                proc.communicate(timeout=30)
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
+        assert results == expected
+        assert report.ok and not report.incidents
+        assert backend.stats["registrations"] == 2
+        assert [proc.returncode for proc in procs] == [0, 0]

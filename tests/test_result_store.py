@@ -42,7 +42,12 @@ class TestServer:
         assert client.get(_key(1)) == b"payload-bytes"
         assert client.errors == 0
         assert (store.served, store.stored) == (1, 1)
-        assert store.stats() == {"entries": 1, "bytes": len(b"payload-bytes")}
+        assert store.stats() == {
+            "entries": 1,
+            "bytes": len(b"payload-bytes"),
+            "stored": 1,
+            "served": 1,
+        }
 
     def test_bad_paths_are_rejected(self, store):
         client = RemoteResultStore(store.url)
