@@ -2,8 +2,8 @@
 
 The paper's Eq.(1)-style accounting mixes quantities whose magnitudes
 overlap numerically but whose dimensions do not: clock cycles, volts,
-hertz, milliwatts, femtojoules (the batched kernel's integer ledgers),
-and joules. A femtojoule count added to a milliwatt figure is a
+hertz, milliwatts, femtojoules (the accountant's integer ledgers), and
+joules. A femtojoule count added to a milliwatt figure is a
 modeling bug that no test may ever sample. This pass infers a dimension
 for every expression it can prove one for and flags:
 
@@ -22,9 +22,9 @@ Dimensions come from two sources, both declared in :mod:`repro.units`:
 
 Inference is deliberately conservative: multiplication, division, and
 anything else that changes dimension yields *unknown*, and unknown
-never triggers a finding. The pass runs over ``repro/core/``,
-``repro/power/``, and ``repro/network/batched.py`` — the modules that
-carry the paper's power/energy arithmetic.
+never triggers a finding. The pass runs over ``repro/core/`` and
+``repro/power/`` — the modules that carry the paper's power/energy
+arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .model import (
 )
 
 #: Files the dimension pass applies to.
-DIMENSION_SCOPE = ("repro/core/", "repro/power/", "repro/network/batched.py")
+DIMENSION_SCOPE = ("repro/core/", "repro/power/")
 
 #: Identifier suffix -> dimension.
 SUFFIX_DIMENSIONS = {

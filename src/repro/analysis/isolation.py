@@ -1,15 +1,14 @@
-"""R11: worker-isolation for the process-pool and batched backends.
+"""R11: worker-isolation for the process-pool and distributed backends.
 
-The sweep harness ships work to pool workers by pickling configs and
-replaying them in a fresh interpreter, and the batched kernel deepcopies
-whole engines at divergence points. Both contracts are invisible to
-per-function lint rules, and both have bitten this repo before (the
-``OnOffSourceSet`` live-generator bug fixed by hand in PR 7). R11 makes
-them machine-checked, in two parts:
+The sweep harness ships work to pool and fabric workers by pickling
+configs and replaying them in a fresh interpreter. That contract is
+invisible to per-function lint rules, and it has bitten this repo before
+(the ``OnOffSourceSet`` live-generator bug, once fixed by hand). R11
+makes it machine-checked, in two parts:
 
 **Global reachability.** Starting from the worker entry points
 (:data:`WORKER_ENTRY_POINTS`: ``run_point``, ``run_chunk``,
-``run_config_batch``), walk the project call graph and flag every
+``run_worker_chunk``), walk the project call graph and flag every
 reachable function that stores a ``global`` or mutates a module-level
 mutable container. A worker that writes process-global state produces
 results that depend on what else ran in that worker — exactly the
@@ -47,9 +46,7 @@ from .model import (
 #: ``run_worker_chunk`` is the distributed fabric's work unit
 #: (:mod:`repro.harness.distributed.worker`) — remote workers must obey
 #: the same isolation contract as pool workers.
-WORKER_ENTRY_POINTS = (
-    "run_point", "run_chunk", "run_config_batch", "run_worker_chunk",
-)
+WORKER_ENTRY_POINTS = ("run_point", "run_chunk", "run_worker_chunk")
 
 #: Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset(

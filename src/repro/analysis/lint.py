@@ -46,13 +46,12 @@ Per-file rules (ported from the original single-file linter):
 ``R6`` hot-path-allocation
     A function marked ``# repro-hot`` (comment on its ``def`` line or the
     line directly above) must not allocate containers, with numpy-aware
-    handling for the batched kernel's vectorized hot lane (``np.zeros``
-    etc. are flagged; ufunc-style calls are flagged unless they write
-    into a preallocated buffer via ``out=``). ``copy.deepcopy`` gets its
-    own flavor: deep-copying an engine in a hot function is O(total
-    state) per call — use the snapshot protocol
-    (:func:`repro.network.snapshot.fast_clone`) instead. Error paths
-    under ``raise`` are exempt.
+    handling for vectorized hot code (``np.zeros`` etc. are flagged;
+    ufunc-style calls are flagged unless they write into a preallocated
+    buffer via ``out=``). ``copy.deepcopy`` gets its own flavor:
+    deep-copying an engine in a hot function is O(total state) per call
+    — copy only the mutable fields instead. Error paths under ``raise``
+    are exempt.
 
 ``R7`` harness-interrupt-safety
     Harness code (``repro/harness/``) must never let a broad handler
@@ -78,12 +77,12 @@ Interprocedural rules (see their modules for the full story):
     Dataflow dimension inference from the ``Quantity`` NewTypes in
     :mod:`repro.units` and the ``*_fj``/``*_mw``/``*_v``/``*_cycles``
     naming conventions; flags cross-dimension ``+``/``-``/comparison and
-    unconverted assignment in ``core/``, ``power/`` and the batched
-    kernel's energy ledgers.
+    unconverted assignment in ``core/`` and ``power/``, where the energy
+    ledgers live.
 
 ``R11`` worker-isolation (:mod:`repro.analysis.isolation`)
     Worker entry points (``run_point``, ``run_chunk``,
-    ``run_config_batch``) must not reach mutable module globals, and
+    ``run_worker_chunk``) must not reach mutable module globals, and
     pickled config/source classes must be picklable by construction (no
     generator-typed fields, no generator instance state, no lambda
     defaults).
@@ -176,9 +175,8 @@ _R6_CONSTRUCTORS = frozenset(
     {"list", "dict", "set", "frozenset", "tuple", "bytearray", "deque",
      "defaultdict", "Counter", "OrderedDict"}
 )
-#: Module aliases whose attribute calls R6 inspects as numpy (the batched
-#: sweep kernel's hot lane is numpy-vectorized; a hidden temporary array
-#: per boundary is the same regression as a per-call list).
+#: Module aliases whose attribute calls R6 inspects as numpy (a hidden
+#: temporary array per call is the same regression as a per-call list).
 _R6_NUMPY_MODULES = frozenset({"np", "numpy"})
 #: numpy calls that always materialize a fresh array.
 _R6_NUMPY_ALLOCATORS = frozenset(
@@ -687,9 +685,8 @@ class Linter:
                 yield Violation(
                     module.display_path, node.lineno, node.col_offset, "R6",
                     f"copy.deepcopy() in # repro-hot function {func_name!r} "
-                    "is O(total state) per call; use the snapshot protocol "
-                    "(repro.network.snapshot.fast_clone) or copy only the "
-                    "mutable fields",
+                    "is O(total state) per call; copy only the mutable "
+                    "fields",
                 )
                 stack.extend(ast.iter_child_nodes(node))
                 continue

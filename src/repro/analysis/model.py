@@ -693,15 +693,35 @@ class ProjectModel:
         head = parts[0]
 
         # <expr>.method — chained receiver; resolve instantiation chains
-        # like ``Engine(cfgs).run()``.
+        # like ``Engine(cfgs).run()``, ``super().method()`` through the
+        # caller's bases, and ``make(cfg).run()`` where ``make`` is a
+        # project function annotated to return a project class.
         if head == "<expr>":
             func = call.node.func
             if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call):
                 receiver = dotted_name(func.value.func)
+                if receiver == "super" and caller.class_name is not None:
+                    owner = module.classes.get(caller.class_name)
+                    for base in owner.bases if owner is not None else ():
+                        found = self._class_method(
+                            base.split(".")[-1], parts[-1], hint=module
+                        )
+                        if found is not None:
+                            return found
+                    return None
                 if receiver is not None:
                     cls = self._local_class_name(module, receiver)
                     if cls is not None:
                         return self._class_method(cls, parts[-1], hint=module)
+                    maker = self.resolve_call(
+                        caller, CallSite(receiver, func.value, call.line, call.col)
+                    )
+                    if maker is not None and maker.node.returns is not None:
+                        returned = dotted_name(maker.node.returns)
+                        if returned is not None:
+                            return self._class_method(
+                                returned.split(".")[-1], parts[-1], hint=maker.module
+                            )
             return None
 
         # self.method() / cls.method() and self.attr.method()

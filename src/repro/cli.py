@@ -143,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--processes", type=int, default=1,
                        help="worker processes for the sweep (1 = serial)")
-    sweep.add_argument("--kernel", choices=("scalar", "batched"), default="scalar",
-                       help="simulation kernel: scalar (default) or batched lockstep sweeps")
     _add_distributed_options(sweep)
     sweep.add_argument("--no-cache", action="store_true",
                        help="ignore the on-disk sweep result cache")
@@ -176,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     pareto.add_argument("--seed", type=int, default=1)
     pareto.add_argument("--processes", type=int, default=1,
                         help="worker processes for the campaign (1 = serial)")
-    pareto.add_argument("--kernel", choices=("scalar", "batched"), default="scalar",
-                        help="simulation kernel: scalar (default) or batched lockstep sweeps")
     _add_distributed_options(pareto)
     pareto.add_argument("--no-cache", action="store_true",
                         help="ignore the on-disk sweep result cache")
@@ -361,11 +357,6 @@ def _parse_rates(raw: str) -> tuple[float, ...]:
     return rates
 
 
-def _kernel_progress(line: str) -> None:
-    """Live divergence reporting for ``--kernel batched`` campaigns."""
-    print(f"[batched] {line}", file=sys.stderr)
-
-
 def _fabric_progress(line: str) -> None:
     """Live fabric events (registrations, losses, steals) on stderr."""
     print(f"[distributed] {line}", file=sys.stderr)
@@ -389,19 +380,11 @@ def _add_distributed_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _campaign_backend(args: argparse.Namespace):
-    kernel = getattr(args, "kernel", "scalar")
     backend = getattr(args, "backend", "local")
-    if backend == "distributed":
-        progress = _fabric_progress
-    elif kernel == "batched":
-        progress = _kernel_progress
-    else:
-        progress = None
     return make_backend(
         args.processes,
         retry=_retry_policy(args),
-        kernel=kernel,
-        progress=progress,
+        progress=_fabric_progress if backend == "distributed" else None,
         backend=backend,
         workers=getattr(args, "workers", 0),
         host=getattr(args, "dist_host", "127.0.0.1"),

@@ -20,8 +20,7 @@ observe the same counter without interference (the increments are
 integer-valued floats, so the subtraction is exact). Busy time instead
 uses the channel's reset-based ``busy_window`` accumulator: a window's
 utilization is then computed from the same float increments whatever the
-channel's earlier history — the base-independence the batched kernel's
-class re-merging relies on (profilers still have the cumulative
+channel's earlier history (profilers still have the cumulative
 ``busy_cycles_total`` alongside it).
 
 The controller is deliberately thin: all prediction state lives in the
@@ -95,9 +94,9 @@ class PortDVSController:
     def close_window(self, now: int) -> DVSAction:
         """Evaluate one history window ending at router cycle *now*."""
         channel = self.channel
-        # Sync energy accrual to the window boundary so every engine —
-        # scalar or batched, whatever it did between boundaries — holds
-        # the channel at the same quantization point here.
+        # Sync energy accrual to the window boundary so the channel sits
+        # at the same quantization point here whether the engine stepped
+        # or fast-forwarded since the last boundary.
         channel.finalize(now)
         busy = channel.busy_window
         channel.busy_window = 0.0

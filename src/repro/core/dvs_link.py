@@ -28,11 +28,10 @@ Energy accumulators are **integer femtojoules**: every accrual converts
 its float joule increment once through
 :func:`repro.units.joules_to_femtojoules` and then adds integers. Integer
 addition is associative, so two channels that accrued the same increments
-in different groupings hold *exactly* equal totals — the property the
-batched sweep kernel's class re-merging relies on (a re-merged member's
-energy is reconstructed as ``survivor_total + integer_offset``, which is
-only exact because no float rounding depends on the accumulation base).
-The float ``*_energy_j`` views remain as derived properties.
+in different groupings hold *exactly* equal totals, and a phase delta
+(total at the end minus total at the start) is exact whatever the total
+was when the phase began. The float ``*_energy_j`` views remain as
+derived properties.
 """
 
 from __future__ import annotations
@@ -201,8 +200,7 @@ class DVSChannel:
         #: Busy time accrued since the owning controller's last window
         #: close (the controller reads and zeroes it). Reset-based rather
         #: than differenced so a window's utilization is computed from the
-        #: same float increments whatever the channel's earlier history —
-        #: the exactness the batched kernel's class re-merging needs.
+        #: same float increments whatever the channel's earlier history.
         self.busy_window = 0.0
         self.flits_sent = 0
         self.transition_count = 0
@@ -332,9 +330,7 @@ class DVSChannel:
 
         True exactly when the channel sits steady at level 0 and the
         post-wake lockout has expired — the acceptance predicate of
-        :meth:`request_sleep`, exposed read-only so coordinators (e.g.
-        the batched sweep kernel) can mirror the decision without
-        mutating channel state.
+        :meth:`request_sleep`, readable without mutating channel state.
         """
         return (
             self._phase is ChannelPhase.STEADY

@@ -37,6 +37,7 @@ disabled entirely via ``REPRO_CACHE=off`` or the CLI's ``--no-cache``.
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -44,13 +45,6 @@ from typing import Iterable, Iterator, Optional, cast
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
-from ..network.batched import (
-    DEFAULT_MAX_BATCH,
-    BatchedEngine,
-    DivergenceOverflow,
-    plan_batches,
-    require_numpy,
-)
 from ..network.simulator import SimulationResult
 from .cache import SweepCache, get_cache
 from .resilience import (
@@ -61,7 +55,7 @@ from .resilience import (
     run_chunk,
     run_point,
 )
-from .runner import _sanitize_from_env, run_simulation
+from .runner import run_simulation
 
 
 class ExecutionBackend:
@@ -130,16 +124,10 @@ class SerialBackend(ExecutionBackend):
 
 @dataclass
 class _Chunk:
-    """One submitted work unit: a slice of configs plus their positions.
-
-    ``allow_fanout`` is cleared on chunks born from a
-    :class:`FanoutRequest` so a diverging batch fans out at most once —
-    the sub-batches run unbudgeted rather than recursing.
-    """
+    """One submitted work unit: a slice of configs plus their positions."""
 
     configs: list[SimulationConfig]
     indices: list[int]
-    allow_fanout: bool = True
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -237,24 +225,20 @@ class ProcessPoolBackend(ExecutionBackend):
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 lost: list[_Chunk] = []
-                followups: list[_Chunk] = []
                 for future in done:
                     self._settle(future, pending.pop(future), results, report,
-                                 cache, lost, followups)
+                                 cache, lost)
                 if not lost:
-                    for chunk in followups:
-                        pending[self._submit(pool, chunk)] = chunk
                     continue
                 # The pool is broken: every other in-flight future dies
                 # with it (already-finished ones still return fine).
                 for future, chunk in list(pending.items()):
-                    self._settle(future, chunk, results, report, cache, lost,
-                                 followups)
+                    self._settle(future, chunk, results, report, cache, lost)
                 pending.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
                 respawns += 1
                 if respawns > self.max_pool_respawns:
-                    for chunk in lost + followups:
+                    for chunk in lost:
                         self._fail_chunk(
                             chunk, report, outcome="worker-crash",
                             attempts=respawns,
@@ -280,8 +264,6 @@ class ProcessPoolBackend(ExecutionBackend):
                         )
                     )
                     pending[self._submit(pool, chunk)] = chunk
-                for chunk in followups:
-                    pending[self._submit(pool, chunk)] = chunk
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
 
@@ -303,8 +285,6 @@ class ProcessPoolBackend(ExecutionBackend):
             results[index] = result
 
     def _submit(self, pool: ProcessPoolExecutor, chunk: _Chunk) -> Future:
-        """Submit one chunk's work; the seam subclasses override to swap
-        the worker function while inheriting the respawn machinery."""
         return pool.submit(run_chunk, chunk.configs, self.retry)
 
     def _settle(
@@ -315,11 +295,10 @@ class ProcessPoolBackend(ExecutionBackend):
         report: FailureReport,
         cache: Optional[SweepCache],
         lost: list[_Chunk],
-        followups: list[_Chunk],
     ) -> None:
         """Fold one finished future into results/report (or mark it lost)."""
         try:
-            payload = future.result()
+            outcomes = future.result()
         except (KeyboardInterrupt, SystemExit):
             raise
         except BrokenProcessPool:
@@ -332,38 +311,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 chunk, report, outcome="executor", attempts=1, error=repr(exc)
             )
             return
-        fanned = self._fan_out(chunk, payload, report)
-        if fanned is not None:
-            followups.extend(fanned)
-            return
-        self._fold(chunk, payload, results, report, cache)
-
-    def _fan_out(
-        self, chunk: _Chunk, payload, report: FailureReport
-    ) -> Optional[list[_Chunk]]:
-        """Turn a :class:`FanoutRequest` payload into follow-up chunks.
-
-        The scalar worker never fans out; :class:`BatchedBackend`
-        overrides this to split diverging batches across the pool.
-        """
-        return None
-
-    def _unpack(self, payload) -> tuple[list, Iterable[PointFailure]]:
-        """Split a worker payload into per-point outcomes plus any
-        chunk-level recovered incidents (none for the scalar worker)."""
-        return payload, ()
+        self._fold(chunk, outcomes, results, report, cache)
 
     def _fold(
         self,
         chunk: _Chunk,
-        payload,
+        outcomes: list,
         results: list[Optional[SimulationResult]],
         report: FailureReport,
         cache: Optional[SweepCache],
     ) -> None:
-        outcomes, incidents = self._unpack(payload)
-        for incident in incidents:
-            report.record(incident)
         if len(outcomes) != len(chunk.configs):
             raise ExperimentError(
                 f"worker returned {len(outcomes)} results for a chunk of "
@@ -404,245 +361,6 @@ class ProcessPoolBackend(ExecutionBackend):
         )
 
 
-@dataclass
-class FanoutRequest:
-    """Worker verdict: this batch diverged past its ``max_classes`` budget.
-
-    ``groups`` holds member-index lists, one per equivalence class at the
-    moment the budget was exceeded. Members of one group were still
-    lockstep-identical then, so re-running each group as its own
-    (unbudgeted) batch preserves most of the sharing the overflowing
-    batch had — and the coordinator can spread the groups across pool
-    workers instead of stepping every class serially in one process.
-    """
-
-    groups: list[list[int]]
-
-
-def run_config_batch(
-    configs: list[SimulationConfig],
-    retry: RetryPolicy,
-    *,
-    max_classes: int | None = None,
-) -> (
-    tuple[
-        list[tuple[Optional[SimulationResult], Optional[PointFailure]]],
-        list[PointFailure],
-        Optional[dict],
-    ]
-    | FanoutRequest
-):
-    """Worker for :class:`BatchedBackend`: one lockstep batch, scalar fallback.
-
-    Returns ``(outcomes, incidents, stats)``: *outcomes* matches
-    :func:`~repro.harness.resilience.run_chunk`'s per-point shape,
-    *incidents* carries batch-level recovered events, and *stats* is the
-    kernel's divergence report (``members``/``classes``/``splits``/
-    ``merges``) or ``None`` when the batch ran scalar. The batch must
-    share a compatibility key (the planner guarantees it). Falls back to
-    the scalar per-point path, which owns the PR-5 retry/timeout/chaos
-    machinery:
-
-    * single-member batches (nothing to amortize);
-    * sanitizer runs (``REPRO_SANITIZE``): the sanitizer instruments one
-      engine, which the copy-on-divergence splits would confuse;
-    * a raising :class:`~repro.network.batched.BatchedEngine`: the whole
-      batch is **evicted** — recorded as a recovered ``batch-evicted``
-      incident — and every member retried scalar, so a poisoned batch
-      degrades to the scalar kernel's semantics instead of losing points.
-
-    With *max_classes* set, a batch that diverges past the budget returns
-    a :class:`FanoutRequest` instead of outcomes (caught **before** the
-    eviction handler — overflow is a scheduling verdict, not a fault);
-    the coordinator re-runs the class-aligned groups as sub-batches.
-
-    Top-level (picklable) so pool workers can import it.
-    """
-    incidents: list[PointFailure] = []
-    if len(configs) > 1 and not _sanitize_from_env():
-        try:
-            engine = BatchedEngine(list(configs), max_classes=max_classes)
-            results = engine.run()
-            stats = {
-                "members": len(configs),
-                "classes": engine.class_count,
-                "splits": engine.splits,
-                "merges": engine.merges,
-            }
-            return [(result, None) for result in results], incidents, stats
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except DivergenceOverflow as exc:
-            return FanoutRequest(groups=exc.groups)
-        except Exception as exc:
-            incidents.append(
-                PointFailure(
-                    fingerprint=configs[0].fingerprint(),
-                    outcome="batch-evicted",
-                    attempts=1,
-                    error=repr(exc),
-                    recovered=True,
-                    points=len(configs),
-                )
-            )
-    outcomes = [
-        run_point(config, retry, runner=run_simulation) for config in configs
-    ]
-    return outcomes, incidents, None
-
-
-class BatchedBackend(ProcessPoolBackend):
-    """Runs sweeps through the batched lockstep kernel
-    (:mod:`repro.network.batched`), scalar semantics preserved.
-
-    Work units are *batches* planned by
-    :func:`~repro.network.batched.plan_batches` — compatible configs
-    grouped up to ``chunksize`` members (default
-    :data:`~repro.network.batched.DEFAULT_MAX_BATCH`) — instead of
-    positional slices. Everything else is inherited from
-    :class:`ProcessPoolBackend`: per-point cache consultation and
-    checkpointing, ``BrokenProcessPool`` respawns, hole-preserving
-    failure reports. ``processes=1`` (the default) runs batches
-    in-process; more processes fan batches out over the pool. Because
-    batch results are bit-identical to scalar runs and batch planning is
-    deterministic, this backend's outputs equal the scalar backends'
-    point for point.
-
-    ``fanout_classes`` budgets divergence per batch: a batch whose class
-    count exceeds it is re-run as class-aligned sub-batches (see
-    :class:`FanoutRequest`), which a multi-process pool steps in
-    parallel. Defaults to ``processes`` when pooled, off (``None``) for
-    in-process runs, where serializing the classes in one engine is
-    strictly cheaper than re-running groups. Fan-out replays the
-    overflowing batch's prefix, so results stay bit-identical either way.
-
-    ``progress`` (a callable taking one line of text) receives a live
-    ``classes=… splits=… merges=…`` line per completed batch; the CLI
-    points it at stderr for ``--kernel batched`` sweeps.
-    """
-
-    def __init__(
-        self,
-        processes: int = 1,
-        *,
-        chunksize: int | None = None,
-        retry: Optional[RetryPolicy] = None,
-        max_pool_respawns: int = 3,
-        fanout_classes: int | None = None,
-        progress=None,
-    ) -> None:
-        require_numpy()
-        super().__init__(
-            processes,
-            chunksize=chunksize,
-            retry=retry,
-            max_pool_respawns=max_pool_respawns,
-        )
-        if fanout_classes is not None and fanout_classes < 1:
-            raise ExperimentError("fanout_classes must be positive")
-        if fanout_classes is None and processes > 1:
-            fanout_classes = processes
-        self.fanout_classes = fanout_classes
-        self.progress = progress
-        self.kernel_stats = {
-            "batches": 0, "classes": 0, "splits": 0, "merges": 0, "fanouts": 0,
-        }
-
-    @property
-    def max_batch(self) -> int:
-        return self.chunksize or DEFAULT_MAX_BATCH
-
-    def _chunks(
-        self, configs: list[SimulationConfig], indices: list[int]
-    ) -> Iterator[_Chunk]:
-        for batch in plan_batches(configs, self.max_batch):
-            yield _Chunk(
-                [configs[i] for i in batch], [indices[i] for i in batch]
-            )
-
-    def _submit(self, pool: ProcessPoolExecutor, chunk: _Chunk) -> Future:
-        max_classes = self.fanout_classes if chunk.allow_fanout else None
-        return pool.submit(
-            run_config_batch, chunk.configs, self.retry,
-            max_classes=max_classes,
-        )
-
-    def _unpack(self, payload) -> tuple[list, Iterable[PointFailure]]:
-        outcomes, incidents, stats = payload
-        if stats is not None:
-            self.kernel_stats["batches"] += 1
-            for key in ("classes", "splits", "merges"):
-                self.kernel_stats[key] += stats[key]
-            if self.progress is not None:
-                self.progress(
-                    f"batch of {stats['members']}: "
-                    f"classes={stats['classes']} splits={stats['splits']} "
-                    f"merges={stats['merges']}"
-                )
-        return outcomes, incidents
-
-    def _fan_out(
-        self, chunk: _Chunk, payload, report: FailureReport
-    ) -> Optional[list[_Chunk]]:
-        if not isinstance(payload, FanoutRequest):
-            return None
-        self.kernel_stats["fanouts"] += 1
-        report.record(
-            PointFailure(
-                fingerprint=chunk.configs[0].fingerprint(),
-                outcome="batch-fanout",
-                attempts=1,
-                error=(
-                    f"batch diverged past {self.fanout_classes} classes; "
-                    f"re-running as {len(payload.groups)} class-aligned "
-                    "sub-batches"
-                ),
-                recovered=True,
-                points=len(chunk.configs),
-            )
-        )
-        if self.progress is not None:
-            self.progress(
-                f"fan-out: {len(chunk.configs)}-member batch split into "
-                f"{len(payload.groups)} sub-batches"
-            )
-        return [
-            _Chunk(
-                [chunk.configs[i] for i in group],
-                [chunk.indices[i] for i in group],
-                allow_fanout=False,
-            )
-            for group in payload.groups
-        ]
-
-    def _run_inline(
-        self,
-        configs: list[SimulationConfig],
-        indices: list[int],
-        results: list[Optional[SimulationResult]],
-        report: FailureReport,
-        cache: Optional[SweepCache],
-    ) -> None:
-        worklist = list(self._chunks(configs, indices))
-        while worklist:
-            chunk = worklist.pop(0)
-            max_classes = self.fanout_classes if chunk.allow_fanout else None
-            payload = run_config_batch(
-                chunk.configs, self.retry, max_classes=max_classes
-            )
-            fanned = self._fan_out(chunk, payload, report)
-            if fanned is not None:
-                worklist.extend(fanned)
-                continue
-            self._fold(chunk, payload, results, report, cache)
-
-    def __repr__(self) -> str:
-        return (
-            f"BatchedBackend(processes={self.processes}, "
-            f"chunksize={self.chunksize})"
-        )
-
-
 def make_backend(
     processes: int | None = None,
     *,
@@ -657,18 +375,15 @@ def make_backend(
 ) -> ExecutionBackend:
     """Backend for *processes* workers (``None``/``0``/``1`` = serial).
 
-    ``kernel="batched"`` selects :class:`BatchedBackend` — the lockstep
-    sweep kernel — at any process count (1 means in-process batches).
-    *progress* is the batched kernel's live divergence reporter; scalar
-    backends have no per-batch stats and ignore it.
-
     ``backend="distributed"`` selects the fault-tolerant TCP fabric
     (:class:`~repro.harness.distributed.DistributedBackend`): *workers*
     loopback workers are forked from the coordinator for the run (0
     means serve externally started ``repro worker`` processes, e.g. on
-    other hosts, on *host*:*port*).
-    The distributed fabric ships scalar chunks only — combining it with
-    ``kernel="batched"`` is an error rather than a silent downgrade.
+    other hosts, on *host*:*port*). *progress* receives the fabric's
+    one-line status reports; the local backends ignore it.
+
+    *kernel* is deprecated: the batched lockstep kernel is gone, and
+    ``kernel="batched"`` warns and builds the scalar backend.
     """
     if processes is not None and processes < 0:
         raise ExperimentError("process count cannot be negative")
@@ -676,16 +391,18 @@ def make_backend(
         raise ExperimentError(
             f"unknown kernel {kernel!r}: expected 'scalar' or 'batched'"
         )
+    if kernel == "batched":
+        warnings.warn(
+            "kernel='batched' is deprecated: the batched kernel was removed "
+            "and the scalar kernel runs instead",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     if backend not in ("local", "distributed"):
         raise ExperimentError(
             f"unknown backend {backend!r}: expected 'local' or 'distributed'"
         )
     if backend == "distributed":
-        if kernel == "batched":
-            raise ExperimentError(
-                "the distributed backend ships scalar chunks; "
-                "--kernel batched is local-only"
-            )
         # Imported lazily: the coordinator imports this module for the
         # chunk machinery, so a top-level import would be circular.
         from .distributed import DistributedBackend
@@ -697,10 +414,6 @@ def make_backend(
             chunksize=chunksize or 1,
             retry=retry,
             progress=progress,
-        )
-    if kernel == "batched":
-        return BatchedBackend(
-            processes or 1, chunksize=chunksize, retry=retry, progress=progress
         )
     if not processes or processes == 1:
         return SerialBackend(retry=retry)

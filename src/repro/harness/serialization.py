@@ -5,15 +5,10 @@ dicts and lists; :func:`to_json` converts them recursively (dataclasses to
 dicts, NaN preserved as the string ``"nan"`` for portability) and
 :func:`write_json` persists them.
 
-This module serializes *results*, not engines. If you need to capture a
-live engine mid-run — checkpointing, forking what-if branches — do not
-pickle or ``copy.deepcopy`` the ``Simulator``: both walk the entire
-object graph (immutable config, topology, route memos and all). The
-snapshot protocol (``repro.network.snapshot``) is the cheap seam:
-``fast_clone`` copies only the live mutable state and shares the
-immutable rest, and ``state_digest`` gives a canonical fingerprint of
-the network state for equality checks — the same pair the batched
-kernel uses for copy-on-divergence splits and class re-merging.
+This module serializes *results*, not engines. Pickling or
+``copy.deepcopy``-ing a live ``Simulator`` walks the entire object graph
+(immutable config, topology, route memos and all); a run is a pure
+function of its config, so re-running the config reproduces it instead.
 """
 
 from __future__ import annotations

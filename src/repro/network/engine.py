@@ -526,110 +526,6 @@ class SimulationEngine:
 
         self.now = now + 1
 
-    # ------------------------------------------------------------------
-    # Boundary-step seams (batched kernel coordination)
-    # ------------------------------------------------------------------
-    #
-    # begin_boundary_step() + finish_boundary_step() together are exactly
-    # one step(): the first half runs event dispatch and traffic
-    # injection, the second half runs the controller window-close loop,
-    # observer hooks, and router stepping. The split exists so a
-    # coordinator (repro.network.batched) can read each controller's
-    # decision inputs *after* this cycle's events have landed but *before*
-    # the windows close — the precise point inside step() where
-    # close_window() computes them. Both bodies are verbatim copies of the
-    # corresponding step() phases; keep all three in sync (step() remains
-    # the reference and the hot path — these seams are only used at
-    # history-window boundaries, a 1-in-H cycle).
-
-    def begin_boundary_step(self) -> None:
-        """First half of :meth:`step`: event dispatch + traffic injection.
-
-        Must be followed by exactly one :meth:`finish_boundary_step`
-        before any other stepping call; ``now`` does not advance until
-        the finish half runs.
-        """
-        now = self.now
-        routers = self.routers
-        bus = self.bus
-
-        if now == self._spill_min:
-            spill = self._spill
-            events = spill.pop(now)
-            self._spill_min = min(spill) if spill else _NEVER
-            self._dispatch(events, now)
-        ring_bucket = self._ring[now & self._ring_mask]
-        if ring_bucket:
-            self._counters[2] -= len(ring_bucket)
-            self._dispatch(ring_bucket, now)
-            del ring_bucket[:]
-
-        pairs = self.traffic.injections(now)
-        if pairs:
-            flits_per_packet = self._flits_per_packet
-            offered_hooks = bus.offered_hooks
-            active_flags = self._active_flags
-            active_list = self._active_list
-            for src, dst in pairs:
-                packet = Packet(src, dst, flits_per_packet, now)
-                routers[src].offer_packet(packet)
-                if not active_flags[src]:
-                    active_flags[src] = 1
-                    insort(active_list, src)
-                self._pending_source += 1
-                if offered_hooks:
-                    for observer in offered_hooks:
-                        observer.on_packet_offered(packet, now)
-
-    def finish_boundary_step(self) -> None:
-        """Second half of :meth:`step`: window close, hooks, router steps."""
-        now = self.now
-        routers = self.routers
-        bus = self.bus
-
-        if now:
-            if self.controllers and now % self._history_window == 0:
-                transition_hooks = bus.transition_hooks
-                for controller in self.controllers:
-                    channel = controller.channel
-                    pending_before = channel.pending_event_cycle
-                    ramps_before = channel.transition_count
-                    controller.close_window(now)
-                    pending_after = channel.pending_event_cycle
-                    if pending_after is not None and pending_after != pending_before:
-                        self.schedule(pending_after, self._phase_event(channel))
-                    if transition_hooks and channel.transition_count > ramps_before:
-                        self._emit_transition(channel, now, "ramp_start")
-            window_hooks = bus.window_hooks
-            if window_hooks:
-                for observer in window_hooks:
-                    if now % observer.window_cycles == 0:
-                        observer.on_window_close(now)
-
-        cycle_hooks = bus.cycle_hooks
-        if cycle_hooks:
-            for observer in cycle_hooks:
-                observer.on_cycle(now)
-
-        active_list = self._active_list
-        if active_list:
-            active_flags = self._active_flags
-            count = len(active_list)
-            write = 0
-            read = 0
-            while read < count:
-                node = active_list[read]
-                read += 1
-                if routers[node].step(now):
-                    active_list[write] = node
-                    write += 1
-                else:
-                    active_flags[node] = 0
-            if write != count:
-                del active_list[write:]
-
-        self.now = now + 1
-
     def run_cycles(self, cycles: int) -> None:
         """Run *cycles* more cycles (fast-forwarding quiescent spans)."""
         self.run_until(self.now + cycles)

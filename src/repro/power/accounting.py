@@ -9,11 +9,10 @@ measurement window and normalizes against the all-channels-at-max
 baseline.
 
 The accountant's internal arithmetic is **integer femtojoules** end to
-end: totals and phase-start snapshots are exact integers, and only
-:func:`derive_report` converts the integer deltas to floats — in one fixed
-operation sequence shared with the batched sweep kernel, so a report
-reconstructed from per-member integer deltas (after class re-merging) is
-bit-identical to the scalar kernel's.
+end: totals and phase-start snapshots are exact integers, so a phase
+delta does not depend on the order channels are summed in, and only
+:func:`derive_report` converts the integer deltas to floats, in one fixed
+operation sequence.
 """
 
 from __future__ import annotations
@@ -68,9 +67,8 @@ def derive_report(
 ) -> PowerReport:
     """Build a :class:`PowerReport` from exact integer phase deltas.
 
-    The single place integer femtojoules become floats. Both the scalar
-    accountant and the batched kernel's re-merge reconstruction call this,
-    so equal integer deltas always yield bit-identical reports.
+    The single place integer femtojoules become floats, so equal integer
+    deltas always yield bit-identical reports.
     """
     duration_s = (end_cycle - start_cycle) / router_clock_hz
     link_power = femtojoules_to_joules(link_delta_fj) / duration_s

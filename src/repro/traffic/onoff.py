@@ -45,10 +45,9 @@ class _RenewalPacketStream:
 
     Each source starts mid-OFF at a random phase so the bank does not
     fire in lockstep at task start. This used to be a generator function,
-    but live generators cannot be deepcopied and the batched sweep
-    kernel's copy-on-divergence splits (:mod:`repro.network.batched`)
-    deepcopy the whole engine, traffic state included — so the stream
-    state lives in plain attributes instead. The RNG draw order is
+    but live generators cannot be pickled or deepcopied (lint R11 flags
+    generator state in traffic classes), so the stream state lives in
+    plain attributes instead. The RNG draw order is
     identical to the old generator's, including performing the initial
     phase draw lazily at the first ``__next__`` (a generator body does
     not run until first resumed), which the golden determinism tests pin.

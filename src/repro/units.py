@@ -33,7 +33,7 @@ Volts = NewType("Volts", float)
 Hertz = NewType("Hertz", float)
 #: Power in milliwatts (the paper's Table 1 unit).
 Milliwatts = NewType("Milliwatts", float)
-#: Integer femtojoules — the batched kernel's exact energy ledger unit.
+#: Integer femtojoules — the exact unit of the per-link energy ledgers.
 Femtojoules = NewType("Femtojoules", int)
 #: Energy in joules.
 Joules = NewType("Joules", float)
@@ -52,8 +52,8 @@ MS = 1.0e-3
 MW = 1.0e-3
 #: Joules in one microjoule.
 UJ = 1.0e-6
-#: Joules in one femtojoule — the integer energy unit of the batched
-#: sweep kernel's per-link ledger (see :mod:`repro.network.batched`).
+#: Joules in one femtojoule — the integer energy unit of the per-link
+#: ledgers (see :class:`~repro.core.dvs_link.DVSChannel`).
 FJ = 1.0e-15
 
 
@@ -105,17 +105,14 @@ def cycles_to_seconds(cycles: float, clock_hz: float) -> float:
 def joules_to_femtojoules(energy_j: float) -> Femtojoules:
     """Convert *energy_j* joules to integer femtojoules (nearest).
 
-    The batched sweep kernel keeps per-link energy in integer femtojoule
-    ledgers so per-config sums are exact (integer addition commutes;
-    float summation does not). One femtojoule resolves the smallest
-    energies in the model by a wide margin — a single link cycle at the
-    lowest power point is ~23,600 fJ — and Python integers cannot
-    overflow. The conversion is faithful for any magnitude this simulator
-    produces: below 2**53 fJ (~9 J) every integer femtojoule count is
-    representable, so the conversion is exact to the half-ulp of the
-    input float, and the kernel's per-link ``int64`` ledger has headroom
-    to ~9223 J per link — three orders of magnitude above a full paper
-    run's total.
+    Each link keeps its energy in integer femtojoule ledgers so sums are
+    exact (integer addition commutes; float summation does not). One
+    femtojoule resolves the smallest energies in the model by a wide
+    margin — a single link cycle at the lowest power point is ~23,600 fJ
+    — and Python integers cannot overflow. The conversion is faithful
+    for any magnitude this simulator produces: below 2**53 fJ (~9 J)
+    every integer femtojoule count is representable, so the conversion
+    is exact to the half-ulp of the input float.
     """
     return Femtojoules(round(energy_j / FJ))
 

@@ -1,7 +1,7 @@
 """R6 (numpy flavor): temporary array allocated in a # repro-hot lane.
 
-The batched sweep kernel's boundary op must write every ufunc result into
-a preallocated scratch buffer (``out=``); an expression like ``a * b``
+A vectorized hot lane must write every ufunc result into a
+preallocated scratch buffer (``out=``); an expression like ``a * b``
 (or an explicit ``np.multiply`` without ``out=``) materializes a hidden
 temporary per call.
 """

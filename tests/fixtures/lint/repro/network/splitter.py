@@ -1,9 +1,8 @@
 """R6 (deepcopy flavor): engine deep-copied inside a # repro-hot split.
 
-Divergence splits sit on the sweep hot path; ``copy.deepcopy`` walks the
-*entire* object graph — immutable config, topology, route memos and all —
-every time a class splits. The snapshot protocol
-(``repro.network.snapshot.fast_clone``) copies only live mutable state.
+A split on the hot path must not ``copy.deepcopy`` the engine: that walks
+the *entire* object graph — immutable config, topology, route memos and
+all — on every call. Copying only the mutable fields is O(live state).
 """
 
 import copy

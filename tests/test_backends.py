@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 import time
 
 import pytest
@@ -17,7 +19,7 @@ from repro.harness.backends import (
 from repro.harness.resilience import RetryPolicy
 from repro.harness.sweep import SweepPoint, rate_sweep
 
-from .conftest import small_config
+from .conftest import small_config, subprocess_env
 
 
 class TestMakeBackend:
@@ -39,6 +41,41 @@ class TestMakeBackend:
     def test_bad_chunksize_rejected(self):
         with pytest.raises(ExperimentError):
             ProcessPoolBackend(2, chunksize=0)
+
+
+class TestMakeBackendKernel:
+    def test_scalar_kernel_is_the_default(self):
+        assert isinstance(make_backend(1), SerialBackend)
+
+    def test_unknown_kernel_rejected(self):
+        with pytest.raises(ExperimentError, match="unknown kernel"):
+            make_backend(1, kernel="vectorized")
+
+    def test_batched_kernel_is_a_deprecated_alias_for_scalar(self):
+        with pytest.warns(DeprecationWarning, match="batched"):
+            pooled = make_backend(2, kernel="batched")
+        assert isinstance(pooled, ProcessPoolBackend)
+        assert repr(pooled) == repr(make_backend(2))
+        with pytest.warns(DeprecationWarning, match="batched"):
+            assert isinstance(make_backend(1, kernel="batched"), SerialBackend)
+
+
+class TestNumpyGate:
+    def test_scalar_entry_points_do_not_import_numpy(self):
+        """The CLI, scalar sweeps and fabric workers start without numpy;
+        only the modules that use it (traffic.selfsim) import it, lazily."""
+        probe = (
+            "import sys\n"
+            "import repro.cli, repro.harness.sweep, "
+            "repro.harness.distributed.worker\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+            check=True,
+        )
+        assert completed.stdout.strip() == "[]"
 
 
 class TestDefaultBackend:

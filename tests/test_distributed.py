@@ -248,8 +248,6 @@ class TestDistributedBackend:
         assert isinstance(backend, DistributedBackend)
         assert backend.spawn_workers == 3
         assert backend.chunksize == 2
-        with pytest.raises(ExperimentError, match="scalar chunks"):
-            make_backend(1, backend="distributed", kernel="batched")
         with pytest.raises(ExperimentError, match="unknown backend"):
             make_backend(1, backend="carrier-pigeon")
 

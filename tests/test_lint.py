@@ -58,6 +58,28 @@ class TestRepoIsClean:
         assert stale == []
         assert len(matched) == len(entries)
 
+    def test_worker_reach_covers_the_scalar_kernel_and_traffic(self):
+        """R11 walks from the worker entry points into the kernel the
+        workers run, not only into the harness around it."""
+        from repro.analysis.isolation import WORKER_ENTRY_POINTS
+
+        linter = Linter()
+        linter.add_paths([REPO_ROOT / "src"])
+        model = linter.model
+        roots = [
+            function.qualname
+            for name in WORKER_ENTRY_POINTS
+            for function in model.functions_named(name)
+        ]
+        reach = model.reachable_from(roots)
+        for qualname in (
+            "repro.network.engine.SimulationEngine.step",
+            "repro.network.simulator.Simulator.run",
+            "repro.core.registry._ensure_builtins",
+            "repro.traffic.tasks.TwoLevelWorkload.__init__",
+        ):
+            assert qualname in reach, qualname
+
     def test_cli_exit_zero_on_clean_tree(self, capsys):
         assert main([str(REPO_ROOT / "src"), "--baseline", str(BASELINE)]) == 0
         out = capsys.readouterr().out
@@ -361,7 +383,7 @@ class TestRuleR6:
         violations = _lint_source(source, "src/repro/network/batched.py")
         assert [v.rule for v in violations] == ["R6"]
         assert "copy.deepcopy()" in violations[0].message
-        assert "fast_clone" in violations[0].message
+        assert "copy only the mutable fields" in violations[0].message
         assert "'split'" in violations[0].message
 
     def test_bare_deepcopy_name_also_flagged(self):
@@ -922,6 +944,49 @@ class TestRuleR11:
             """
         assert _lint_source(source, "src/repro/harness/x.py") == []
 
+    def test_mutation_behind_super_init_flagged(self):
+        source = """
+            _ENGINES = []
+
+            class Engine:
+                def __init__(self, config):
+                    _ENGINES.append(config)
+
+            class Simulator(Engine):
+                def __init__(self, config):
+                    super().__init__(config)
+
+            def run_point(config):
+                return Simulator(config)
+            """
+        violations = _lint_source(source, "src/repro/harness/x.py")
+        assert [v.rule for v in violations] == ["R11"]
+        assert (
+            "repro.harness.x.Simulator.__init__ -> repro.harness.x.Engine.__init__"
+            in violations[0].message
+        )
+
+    def test_mutation_behind_annotated_factory_result_flagged(self):
+        source = """
+            _RUNS = []
+
+            class Simulator:
+                def run(self):
+                    _RUNS.append(self)
+
+            def build(config) -> Simulator:
+                return Simulator()
+
+            def run_point(config):
+                return build(config).run()
+            """
+        violations = _lint_source(source, "src/repro/harness/x.py")
+        assert [v.rule for v in violations] == ["R11"]
+        assert (
+            "repro.harness.x.run_point -> repro.harness.x.Simulator.run"
+            in violations[0].message
+        )
+
     def test_generator_annotated_config_field_flagged(self):
         source = """
             from dataclasses import dataclass
@@ -1018,13 +1083,13 @@ class TestMutationCatches:
     """Seed realistic bugs into *real* repo modules; the lint must bite."""
 
     def test_seeded_fj_plus_mw_addition_caught(self):
-        path = "src/repro/network/batched.py"
+        path = "src/repro/power/accounting.py"
         source = (REPO_ROOT / path).read_text(encoding="utf-8")
-        anchor = "energy[0, j] = dvs.total_energy_fj"
+        anchor = "link_energy_fj += channel.link_energy_fj"
         assert anchor in source, "mutation anchor moved; update the test"
         mutated = source.replace(
             anchor,
-            "energy[0, j] = dvs.total_energy_fj"
+            "link_energy_fj += channel.link_energy_fj"
             " + channel.leak_power_mw",
             1,
         )
@@ -1036,14 +1101,14 @@ class TestMutationCatches:
         assert "femtojoules + milliwatts" in r10[0].message
 
     def test_seeded_global_mutation_in_worker_caught(self):
-        path = "src/repro/harness/backends.py"
+        path = "src/repro/harness/resilience.py"
         source = (REPO_ROOT / path).read_text(encoding="utf-8")
-        anchor = "    incidents: list[PointFailure] = []\n"
+        anchor = "    return [run_point(config, policy) for config in configs]\n"
         assert source.count(anchor) == 1, "mutation anchor moved; update the test"
         mutated = (
             source.replace(
                 anchor,
-                anchor + "    _COMPLETED_BATCHES.append(len(configs))\n",
+                "    _COMPLETED_BATCHES.append(len(configs))\n" + anchor,
                 1,
             )
             + "\n_COMPLETED_BATCHES = []\n"
@@ -1054,7 +1119,7 @@ class TestMutationCatches:
         r11 = [v for v in violations if v.rule == "R11"]
         assert len(r11) == 1
         assert "_COMPLETED_BATCHES" in r11[0].message
-        assert "run_config_batch" in r11[0].message
+        assert "run_chunk" in r11[0].message
 
 
 class TestBaselineWorkflow:

@@ -61,7 +61,7 @@ class TestCyclesToSeconds:
 
 
 class TestFemtojoules:
-    """The integer energy unit of the batched sweep kernel's ledger."""
+    """The integer energy unit of the per-link energy ledgers."""
 
     def test_one_joule(self):
         assert units.joules_to_femtojoules(1.0) == 10**15
@@ -95,8 +95,8 @@ class TestFemtojoules:
         assert back == pytest.approx(energy_j, rel=1e-12, abs=0.5e-15)
 
     def test_paper_run_energies_fit_the_int64_ledger(self):
-        """The batched kernel stores fJ counts in int64: headroom to
-        ~9223 J per link, three orders of magnitude above a real run."""
+        """A real run's fJ counts fit a signed 64-bit integer (~9223 J),
+        with three orders of magnitude to spare."""
         assert units.joules_to_femtojoules(100.0) < 2**63 - 1
         assert units.joules_to_femtojoules(9_000.0) < 2**63 - 1
 
@@ -105,43 +105,6 @@ class TestFemtojoules:
         assert isinstance(huge, int)
         assert huge == pytest.approx(10**21, rel=1e-12)
         assert units.femtojoules_to_joules(huge) == pytest.approx(1.0e6)
-
-
-class TestBatchedEnergyLedger:
-    def test_batched_ledger_equals_scalar_channel_energies(self):
-        """Property: each member row of the batched kernel's integer
-        ledger equals the scalar kernel's per-channel energies, converted
-        channel by channel — so per-member sums are exact, not merely
-        close."""
-        import dataclasses
-
-        from repro.network.batched import BatchedEngine
-        from repro.network.simulator import Simulator
-
-        from .conftest import small_config
-
-        base = small_config(
-            policy="history", rate=0.3, warmup=200, measure=600
-        )
-        configs = [
-            dataclasses.replace(
-                base, dvs=dataclasses.replace(base.dvs, ewma_weight=weight)
-            )
-            for weight in (1.0, 3.0, 7.0)
-        ]
-        engine = BatchedEngine(configs)
-        engine.run()
-        ledger = engine.member_energy_femtojoules()
-        for member, config in enumerate(configs):
-            scalar = Simulator(config)
-            scalar.run()
-            expected = []
-            for channel in scalar.channels:
-                channel.dvs.finalize(scalar.now)
-                expected.append(
-                    units.joules_to_femtojoules(channel.dvs.total_energy_j)
-                )
-            assert list(ledger[member]) == expected
 
 
 class TestBandwidth:
