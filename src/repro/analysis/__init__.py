@@ -11,9 +11,8 @@ silently rotting as the codebase grows (see ``docs/static_analysis.md``):
   determinism taint (:mod:`~repro.analysis.taint`), unit/dimension
   checking (:mod:`~repro.analysis.dimensions`), and worker isolation
   (:mod:`~repro.analysis.isolation`). Known findings live in a committed
-  baseline (:mod:`~repro.analysis.baseline`); repeat runs are served
-  from an incremental cache (:mod:`~repro.analysis.cache`); CI consumes
-  SARIF (:mod:`~repro.analysis.sarif`). Run it as
+  baseline (:mod:`~repro.analysis.baseline`); CI consumes SARIF
+  (:mod:`~repro.analysis.sarif`). Run it as
   ``python -m repro.analysis.lint src tests``.
 * :mod:`repro.analysis.sanitizer` — the **network sanitizer**, an opt-in
   family of instrumentation-bus observers that assert conservation

@@ -105,7 +105,6 @@ Usage::
     python -m repro.analysis.lint src tests              # human output
     python -m repro.analysis.lint --format json src      # machine output
     python -m repro.analysis.lint --format sarif src     # code scanning
-    python -m repro.analysis.lint --cache src tests      # incremental
     python -m repro.analysis.lint --update-baseline src  # refresh baseline
 
 Exit status is 0 when clean (including baseline-matched findings), 1
@@ -124,7 +123,6 @@ from typing import Iterable, Iterator, Sequence
 
 from . import baseline as baseline_io
 from . import dimensions, isolation, sarif, taint
-from .cache import DEFAULT_CACHE, LintCache, file_sha, project_digest
 from .model import (
     NP_RANDOM_SEEDED_OK,
     RANDOM_OK,
@@ -233,7 +231,6 @@ class Linter:
         self.include_fixtures = include_fixtures
         self.model = ProjectModel()
         self._errors: list[str] = []
-        self._shas: dict[str, str] = {}
         #: Names of dataclasses seen anywhere in the file set; fields of a
         #: ``*Config`` dataclass may reference them (R5) because
         #: ``to_json`` serializes nested dataclasses recursively.
@@ -279,7 +276,6 @@ class Linter:
             self._errors.append(f"{path}: syntax error: {exc}")
             return
         self.model.add_module(module)
-        self._shas[path] = file_sha(source.encode("utf-8"))
         self._dataclass_names.update(
             name for name, info in module.classes.items() if info.is_dataclass
         )
@@ -311,15 +307,7 @@ class Linter:
 
     # -- rule driver -----------------------------------------------------
 
-    def run(self, cache: LintCache | None = None) -> list[Violation]:
-        digest = project_digest(self._shas)
-        if cache is not None:
-            cached = cache.project_result(digest)
-            if cached is not None:
-                violations, self.suppressed_counts, self.warnings = cached
-                return violations
-
-        per_file_raw: dict[str, list[Violation]] = {}
+    def run(self) -> list[Violation]:
         violations: list[Violation] = []
         self.suppressed_counts = {}
 
@@ -335,15 +323,8 @@ class Linter:
         for path in sorted(self.model.by_path):
             module = self.model.by_path[path]
             if module.skip_file:
-                per_file_raw[path] = []
                 continue
-            raw = None
-            if cache is not None:
-                raw = cache.file_result(path, self._shas[path])
-            if raw is None:
-                raw = list(self._check_file(module))
-            per_file_raw[path] = raw
-            admit(module, raw)
+            admit(module, self._check_file(module))
 
         for pass_check in (taint.check, dimensions.check, isolation.check):
             for violation in pass_check(self.model):
@@ -353,11 +334,6 @@ class Linter:
                 admit(module, [violation])
 
         violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-        if cache is not None:
-            cache.store(
-                self._shas, per_file_raw, violations,
-                self.suppressed_counts, self.warnings,
-            )
         return violations
 
     def _check_file(self, module: ModuleInfo) -> Iterator[Violation]:
@@ -968,24 +944,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             "justifications of surviving entries) and exit 0"
         ),
     )
-    parser.add_argument(
-        "--cache", metavar="PATH", nargs="?", const=DEFAULT_CACHE, default=None,
-        help=(
-            "enable the incremental result cache at PATH (default when the "
-            f"flag is given without a value: {DEFAULT_CACHE})"
-        ),
-    )
     args = parser.parse_args(argv)
 
     linter = Linter(include_fixtures=args.include_fixtures)
     linter.add_paths(args.paths)
-    cache: LintCache | None = None
-    if args.cache is not None:
-        cache = LintCache(args.cache)
-        cache.load()
-    violations = linter.run(cache)
-    if cache is not None:
-        cache.save()
+    violations = linter.run()
     errors = linter.errors
 
     baseline_path: Path | None = None

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from typing import Callable, Iterable
 
-from .config import DVSControlConfig
+from .config import DVSControlConfig, SimulationConfig
 from .core.hardware import ControllerHardwareModel
 from .core.levels import PAPER_TABLE
 from .core.power_model import PAPER_LINK_POWER
@@ -336,14 +336,26 @@ def _cache_stats_line() -> str | None:
     return None
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        sweep_cache.set_cache(None)
-        try:
-            return _cmd_sweep(args)
-        finally:
-            sweep_cache.reset_cache()
-    return _cmd_sweep(args)
+def _print_resume_preview(configs: Iterable[SimulationConfig]) -> None:
+    """How many of a campaign's points ``--resume`` will replay, on stderr."""
+    checkpointed, total = resume_preview(configs)
+    print(
+        f"resume: {checkpointed}/{total} points already checkpointed, "
+        f"recomputing {total - checkpointed}",
+        file=sys.stderr,
+    )
+
+
+def _campaign_epilogue(report: FailureReport | None) -> int:
+    """Print cache stats and any failure summary; return the exit status."""
+    stats = _cache_stats_line()
+    if stats:
+        print(stats)
+    if report is not None and not report.ok:
+        print()
+        print(report.describe())
+        return 1 if report.failures else 0
+    return 0
 
 
 def _parse_rates(raw: str) -> tuple[float, ...]:
@@ -404,7 +416,7 @@ def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
     return RetryPolicy(**overrides)  # type: ignore[arg-type]
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     rates = _parse_rates(args.rates)
     base = scale.simulation(rates[0], workload_overrides={"seed": args.seed})
@@ -419,13 +431,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         dvs_name: base.with_dvs(dvs_dvs),
     }
     if args.resume:
-        checkpointed, total = resume_preview(
+        _print_resume_preview(
             config.with_rate(rate) for config in named.values() for rate in rates
-        )
-        print(
-            f"resume: {checkpointed}/{total} points already checkpointed, "
-            f"recomputing {total - checkpointed}",
-            file=sys.stderr,
         )
     report = FailureReport() if args.keep_going else None
     sweeps = compare_policies(
@@ -473,27 +480,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print()
         print(summary.describe())
-    stats = _cache_stats_line()
-    if stats:
-        print(stats)
-    if report is not None and not report.ok:
-        print()
-        print(report.describe())
-        return 1 if report.failures else 0
-    return 0
+    return _campaign_epilogue(report)
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        sweep_cache.set_cache(None)
-        try:
-            return _cmd_pareto(args)
-        finally:
-            sweep_cache.reset_cache()
-    return _cmd_pareto(args)
-
-
-def _cmd_pareto(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     rates = _parse_rates(args.rates)
     policies = None
@@ -502,12 +492,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     base = scale.simulation(rates[0], workload_overrides={"seed": args.seed})
     if args.resume:
         _, preview = pareto_configs(base, rates, policies)
-        checkpointed, total = resume_preview(preview)
-        print(
-            f"resume: {checkpointed}/{total} points already checkpointed, "
-            f"recomputing {total - checkpointed}",
-            file=sys.stderr,
-        )
+        _print_resume_preview(preview)
     report = FailureReport() if args.keep_going else None
     points = run_pareto(
         base,
@@ -553,14 +538,7 @@ def _cmd_pareto(args: argparse.Namespace) -> int:
     if args.csv:
         write_pareto_csv(points, args.csv)
         print(f"csv written to {args.csv}")
-    stats = _cache_stats_line()
-    if stats:
-        print(stats)
-    if report is not None and not report.ok:
-        print()
-        print(report.describe())
-        return 1 if report.failures else 0
-    return 0
+    return _campaign_epilogue(report)
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -587,16 +565,6 @@ def cmd_cache_server(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    if args.no_cache:
-        sweep_cache.set_cache(None)
-        try:
-            return _cmd_figure(args)
-        finally:
-            sweep_cache.reset_cache()
-    return _cmd_figure(args)
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     if args.name in SCALE_INDEPENDENT and args.scale is not None:
         print(
@@ -630,11 +598,18 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --no-cache disables the sweep cache for this command only.
+    no_cache = getattr(args, "no_cache", False)
+    if no_cache:
+        sweep_cache.set_cache(None)
     try:
         return args.func(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if no_cache:
+            sweep_cache.reset_cache()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -25,13 +25,17 @@ structured :class:`~repro.errors.SweepExecutionError` when any point is
 lost. The process pool isolates worker crashes: a ``BrokenProcessPool``
 respawns the pool and resubmits only the chunks that died with it.
 
-Both backends consult the sweep result cache (:mod:`repro.harness.cache`)
-before running anything: previously simulated configs are answered from
-disk, only the misses are executed, and fresh results are *checkpointed
-incrementally* — the serial path stores each point as it is computed, the
-pool stores each chunk as it completes — so an interrupted campaign can
-be resumed from the cache. Caching does not change results and is
-disabled entirely via ``REPRO_CACHE=off`` or the CLI's ``--no-cache``.
+One chunk lifecycle serves every backend. :meth:`ExecutionBackend.run`
+answers previously simulated configs from the sweep result cache
+(:mod:`repro.harness.cache`), slices the misses into chunks, and hands
+them to the backend's transport — in-process, a process pool, or the
+distributed fabric. Each transport calls one ``settle`` callback as every
+chunk lands, which records the chunk's failures and *checkpoints* its
+fresh results at once — the serial path stores each point as it is
+computed, the pool and the fabric each chunk as it completes — so an
+interrupted campaign can be resumed from the cache. Caching does not
+change results and is disabled entirely via ``REPRO_CACHE=off`` or the
+CLI's ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -41,12 +45,12 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, cast
+from typing import Callable, Iterable, Optional, Sequence, cast
 
 from ..config import SimulationConfig
 from ..errors import ExperimentError
 from ..network.simulator import SimulationResult
-from .cache import SweepCache, get_cache
+from .cache import get_cache
 from .resilience import (
     DEFAULT_RETRY_POLICY,
     FailureReport,
@@ -57,9 +61,39 @@ from .resilience import (
 )
 from .runner import run_simulation
 
+#: One point as a transport returns it: the run_chunk per-point shape.
+Outcome = tuple[Optional[SimulationResult], Optional[PointFailure]]
+
+
+@dataclass
+class _Chunk:
+    """One submitted work unit: a slice of configs plus their positions."""
+
+    configs: list[SimulationConfig]
+    indices: list[int]
+
+    def incident(self, outcome: str, attempts: int, error: str) -> PointFailure:
+        """A recovered incident covering the whole chunk (it runs again)."""
+        return PointFailure(
+            fingerprint=self.configs[0].fingerprint(),
+            outcome=outcome,
+            attempts=attempts,
+            error=error,
+            recovered=True,
+            points=len(self.configs),
+        )
+
+
+#: What every transport calls as a chunk lands: ``settle(chunk, outcomes)``.
+Settle = Callable[[_Chunk, Sequence[Outcome]], None]
+
 
 class ExecutionBackend:
-    """Maps a batch of simulation configs to results, preserving order."""
+    """Maps a batch of simulation configs to results, preserving order.
+
+    :meth:`run` owns the chunk lifecycle; a backend supplies only its
+    transport, :meth:`_chunk_size` and :meth:`_execute`.
+    """
 
     def run(
         self, configs: Iterable[SimulationConfig]
@@ -70,7 +104,44 @@ class ExecutionBackend:
         :class:`FailureReport` explaining every hole (and every recovered
         incident). Never raises for per-point faults.
         """
-        raise NotImplementedError
+        configs = list(configs)
+        report = FailureReport()
+        cache = get_cache()
+        if cache is None:
+            results: list[Optional[SimulationResult]] = [None] * len(configs)
+            miss_indices, miss_configs = list(range(len(configs))), configs
+        else:
+            results, miss_indices, miss_configs = cache.partition(configs)
+        size = self._chunk_size(len(miss_configs))
+        chunks = [
+            _Chunk(miss_configs[start:start + size], miss_indices[start:start + size])
+            for start in range(0, len(miss_configs), size)
+        ]
+
+        def settle(chunk: _Chunk, outcomes: Sequence[Outcome]) -> None:
+            if len(outcomes) != len(chunk.configs):
+                raise ExperimentError(
+                    f"backend returned {len(outcomes)} results for a chunk of "
+                    f"{len(chunk.configs)} configs"
+                )
+            for (result, failure), config, index in zip(
+                outcomes, chunk.configs, chunk.indices, strict=True
+            ):
+                if failure is not None:
+                    report.record(failure)
+                # A fabric worker sharing this cache directory has already
+                # stored (and pushed) the points it computed.
+                if (
+                    result is not None
+                    and cache is not None
+                    and not cache.contains(config)
+                ):
+                    cache.store(config, result)
+                results[index] = result
+
+        if chunks:
+            self._execute(chunks, settle, report)
+        return results, report
 
     def map_configs(
         self, configs: Iterable[SimulationConfig]
@@ -85,6 +156,36 @@ class ExecutionBackend:
         report.raise_if_failures(total=len(results))
         return cast("list[SimulationResult]", results)
 
+    # -- the transport -----------------------------------------------------
+
+    def _chunk_size(self, misses: int) -> int:
+        """Configs per chunk when *misses* configs need simulating."""
+        raise NotImplementedError
+
+    def _execute(
+        self, chunks: list[_Chunk], settle: Settle, report: FailureReport
+    ) -> None:
+        """Run every chunk, calling *settle* with its outcomes as it lands.
+
+        *report* takes what only the transport sees: recovered chunk
+        incidents (a respawned pool, a re-dispatched chunk) and chunks
+        it gives up on. Per-point failures travel in the outcomes.
+        """
+        raise NotImplementedError
+
+
+def _run_in_process(
+    chunks: list[_Chunk], settle: Settle, retry: RetryPolicy
+) -> None:
+    """The in-process transport: run and settle one chunk at a time."""
+    for chunk in chunks:
+        # run_simulation is resolved through the module global on purpose:
+        # tests monkeypatch repro.harness.backends.run_simulation.
+        settle(
+            chunk,
+            [run_point(config, retry, runner=run_simulation) for config in chunk.configs],
+        )
+
 
 class SerialBackend(ExecutionBackend):
     """Runs the batch in-process, one simulation at a time."""
@@ -92,42 +193,19 @@ class SerialBackend(ExecutionBackend):
     def __init__(self, *, retry: Optional[RetryPolicy] = None) -> None:
         self.retry = DEFAULT_RETRY_POLICY if retry is None else retry
 
-    def run(
-        self, configs: Iterable[SimulationConfig]
-    ) -> tuple[list[Optional[SimulationResult]], FailureReport]:
-        configs = list(configs)
-        report = FailureReport()
-        cache = get_cache()
-        if cache is None:
-            return [self._point(config, report) for config in configs], report
-        results = cache.map_cached(
-            configs,
-            lambda missing: (self._point(config, report) for config in missing),
-        )
-        return results, report
+    def _chunk_size(self, misses: int) -> int:
+        # One point per chunk: each result is checkpointed as it lands.
+        return 1
 
-    def _point(
-        self, config: SimulationConfig, report: FailureReport
-    ) -> Optional[SimulationResult]:
-        # run_simulation is resolved through the module global on purpose:
-        # tests monkeypatch repro.harness.backends.run_simulation.
-        result, failure = run_point(config, self.retry, runner=run_simulation)
-        if failure is not None:
-            report.record(failure)
-        return result
+    def _execute(
+        self, chunks: list[_Chunk], settle: Settle, report: FailureReport
+    ) -> None:
+        _run_in_process(chunks, settle, self.retry)
 
     def __repr__(self) -> str:
         if self.retry is DEFAULT_RETRY_POLICY:
             return "SerialBackend()"
         return f"SerialBackend(retry={self.retry!r})"
-
-
-@dataclass
-class _Chunk:
-    """One submitted work unit: a slice of configs plus their positions."""
-
-    configs: list[SimulationConfig]
-    indices: list[int]
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -167,73 +245,39 @@ class ProcessPoolBackend(ExecutionBackend):
         self.retry = DEFAULT_RETRY_POLICY if retry is None else retry
         self.max_pool_respawns = max_pool_respawns
 
-    def run(
-        self, configs: Iterable[SimulationConfig]
-    ) -> tuple[list[Optional[SimulationResult]], FailureReport]:
-        configs = list(configs)
-        report = FailureReport()
-        if not configs:
-            return [], report
-        cache = get_cache()
-        if cache is None:
-            results: list[Optional[SimulationResult]] = [None] * len(configs)
-            self._execute(configs, list(range(len(configs))), results, report, None)
-            return results, report
-        results, miss_indices, miss_configs = cache.partition(configs)
-        if miss_configs:
-            self._execute(miss_configs, miss_indices, results, report, cache)
-        return results, report
-
     # -- execution --------------------------------------------------------
 
-    def _chunks(
-        self, configs: list[SimulationConfig], indices: list[int]
-    ) -> Iterator[_Chunk]:
-        chunksize = self.chunksize
-        if chunksize is None:
-            chunksize = max(1, len(configs) // (self.processes * 4))
-        for start in range(0, len(configs), chunksize):
-            stop = start + chunksize
-            yield _Chunk(configs[start:stop], indices[start:stop])
+    def _chunk_size(self, misses: int) -> int:
+        return self.chunksize or max(1, misses // (self.processes * 4))
 
     def _spawn(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(max_workers=self.processes)
 
     def _execute(
-        self,
-        configs: list[SimulationConfig],
-        indices: list[int],
-        results: list[Optional[SimulationResult]],
-        report: FailureReport,
-        cache: Optional[SweepCache],
+        self, chunks: list[_Chunk], settle: Settle, report: FailureReport
     ) -> None:
-        """Run *configs*, writing ``results[indices[i]]`` as work lands.
-
-        Every completed point is checkpointed to *cache* immediately, so
-        whatever interrupts the batch, finished work survives.
-        """
+        """Submit every chunk; respawn a broken pool, resubmit what it lost."""
         if self.processes == 1:
-            self._run_inline(configs, indices, results, report, cache)
+            _run_in_process(chunks, settle, self.retry)
             return
 
         pool = self._spawn()
         pending: dict[Future, _Chunk] = {}
         respawns = 0
         try:
-            for chunk in self._chunks(configs, indices):
+            for chunk in chunks:
                 pending[self._submit(pool, chunk)] = chunk
             while pending:
                 done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 lost: list[_Chunk] = []
                 for future in done:
-                    self._settle(future, pending.pop(future), results, report,
-                                 cache, lost)
+                    self._settle(future, pending.pop(future), settle, report, lost)
                 if not lost:
                     continue
                 # The pool is broken: every other in-flight future dies
                 # with it (already-finished ones still return fine).
                 for future, chunk in list(pending.items()):
-                    self._settle(future, chunk, results, report, cache, lost)
+                    self._settle(future, chunk, settle, report, lost)
                 pending.clear()
                 pool.shutdown(wait=False, cancel_futures=True)
                 respawns += 1
@@ -251,38 +295,16 @@ class ProcessPoolBackend(ExecutionBackend):
                 pool = self._spawn()
                 for chunk in lost:
                     report.record(
-                        PointFailure(
-                            fingerprint=chunk.configs[0].fingerprint(),
-                            outcome="worker-crash",
-                            attempts=respawns,
-                            error=(
-                                "BrokenProcessPool: chunk lost with the "
-                                "pool; respawned and resubmitted"
-                            ),
-                            recovered=True,
-                            points=len(chunk.configs),
+                        chunk.incident(
+                            "worker-crash",
+                            respawns,
+                            "BrokenProcessPool: chunk lost with the pool; "
+                            "respawned and resubmitted",
                         )
                     )
                     pending[self._submit(pool, chunk)] = chunk
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
-
-    def _run_inline(
-        self,
-        configs: list[SimulationConfig],
-        indices: list[int],
-        results: list[Optional[SimulationResult]],
-        report: FailureReport,
-        cache: Optional[SweepCache],
-    ) -> None:
-        """Single-process degenerate path: no pool spawn, same semantics."""
-        for config, index in zip(configs, indices, strict=False):
-            result, failure = run_point(config, self.retry, runner=run_simulation)
-            if failure is not None:
-                report.record(failure)
-            if result is not None and cache is not None:
-                cache.store(config, result)
-            results[index] = result
 
     def _submit(self, pool: ProcessPoolExecutor, chunk: _Chunk) -> Future:
         return pool.submit(run_chunk, chunk.configs, self.retry)
@@ -291,12 +313,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         future: Future,
         chunk: _Chunk,
-        results: list[Optional[SimulationResult]],
+        settle: Settle,
         report: FailureReport,
-        cache: Optional[SweepCache],
         lost: list[_Chunk],
     ) -> None:
-        """Fold one finished future into results/report (or mark it lost)."""
+        """Settle one finished future (or mark its chunk lost)."""
         try:
             outcomes = future.result()
         except (KeyboardInterrupt, SystemExit):
@@ -311,29 +332,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 chunk, report, outcome="executor", attempts=1, error=repr(exc)
             )
             return
-        self._fold(chunk, outcomes, results, report, cache)
-
-    def _fold(
-        self,
-        chunk: _Chunk,
-        outcomes: list,
-        results: list[Optional[SimulationResult]],
-        report: FailureReport,
-        cache: Optional[SweepCache],
-    ) -> None:
-        if len(outcomes) != len(chunk.configs):
-            raise ExperimentError(
-                f"worker returned {len(outcomes)} results for a chunk of "
-                f"{len(chunk.configs)} configs"
-            )
-        for (result, failure), config, index in zip(
-            outcomes, chunk.configs, chunk.indices, strict=False
-        ):
-            if failure is not None:
-                report.record(failure)
-            if result is not None and cache is not None:
-                cache.store(config, result)
-            results[index] = result
+        settle(chunk, outcomes)
 
     @staticmethod
     def _fail_chunk(

@@ -26,13 +26,14 @@ Safety
     instead of being silently re-parsed (and re-missed) forever.
 
 Checkpointing
-    :meth:`SweepCache.map_cached` consumes the backend's results as a
-    stream and stores each one the moment it is produced, so an interrupt
-    or crash at point 99/100 keeps the 99 computed results. The process
-    pool backend goes further and stores each chunk as it completes (out
-    of completion order); either way, re-running an interrupted campaign
-    — e.g. via the CLI's ``--resume`` — replays finished points from disk
-    and recomputes only the missing ones.
+    :meth:`~repro.harness.backends.ExecutionBackend.run` partitions each
+    batch with :meth:`SweepCache.partition` and stores every fresh result
+    the moment its chunk lands — point by point on the serial backend,
+    chunk by chunk (in completion order) on the pool and the fabric — so
+    an interrupt or crash at point 99/100 keeps the 99 computed results.
+    Re-running an interrupted campaign — e.g. via the CLI's ``--resume``
+    — replays finished points from disk and recomputes only the missing
+    ones.
 
 Shared result store
     Point ``REPRO_RESULT_STORE`` at a ``repro cache-server`` URL
@@ -62,10 +63,9 @@ import tempfile
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..config import SimulationConfig
-from ..errors import ExperimentError
 from .chaos import inject_store_fault
 
 #: Environment variable controlling the cache location (or disabling it).
@@ -302,9 +302,8 @@ class SweepCache:
 
         Returns ``(results, miss_indices, miss_configs)`` where *results*
         has the cached value at every hit index and ``None`` holes at the
-        miss indices; hit/miss counters are updated. Backends fill the
-        holes themselves when they need finer control (e.g. per-chunk
-        checkpointing) than :meth:`map_cached` offers.
+        miss indices; hit/miss counters are updated. The backend fills
+        the holes and stores each fresh result as it lands.
         """
         configs = list(configs)
         results: list = [None] * len(configs)
@@ -320,40 +319,6 @@ class SweepCache:
                 self.hits += 1
                 results[index] = cached
         return results, miss_indices, miss_configs
-
-    def map_cached(
-        self,
-        configs: Sequence[SimulationConfig],
-        run_batch: Callable[[list[SimulationConfig]], Iterable],
-    ) -> list:
-        """Results for *configs* in order, computing only the misses.
-
-        *run_batch* receives the missing configs (input order preserved)
-        and must yield one result per config. The stream is consumed
-        lazily and every freshly computed result is stored the moment it
-        is produced — an interrupt or crash mid-batch keeps all completed
-        work on disk. A ``None`` result (the backends' marker for a point
-        that failed after retries) is passed through but never persisted.
-        """
-        results, miss_indices, miss_configs = self.partition(configs)
-        if miss_configs:
-            produced = 0
-            for result in run_batch(miss_configs):
-                if produced >= len(miss_configs):
-                    raise ExperimentError(
-                        f"backend produced more than {len(miss_configs)} "
-                        "results for the missing configs"
-                    )
-                if result is not None:
-                    self.store(miss_configs[produced], result)
-                results[miss_indices[produced]] = result
-                produced += 1
-            if produced != len(miss_configs):
-                raise ExperimentError(
-                    f"backend returned {produced} results for "
-                    f"{len(miss_configs)} configs"
-                )
-        return results
 
     def describe(self) -> str:
         """One-line human summary for sweep output."""

@@ -1,13 +1,14 @@
 """The distributed sweep coordinator: a fault-tolerant ExecutionBackend.
 
 :class:`DistributedBackend` is the third execution backend (after serial
-and the process pool): it shards the flat config list into the same
-:class:`~repro.harness.backends._Chunk` units the pool uses and
-dispatches them to remote workers over asyncio TCP. Everything the
-local backends guarantee still holds — results in input order, per-point
+and the process pool): the transport that dispatches the
+:class:`~repro.harness.backends._Chunk` units planned by
+:meth:`~repro.harness.backends.ExecutionBackend.run` to remote workers
+over asyncio TCP. That shared lifecycle keeps every local guarantee —
+results in input order, per-point
 :class:`~repro.harness.resilience.PointFailure` records, immediate
 per-chunk cache checkpointing (so ``--resume`` works across a killed
-campaign) — plus fabric-level fault tolerance:
+campaign) — and the fabric adds fault tolerance:
 
 * **Leases.** Every dispatched chunk carries a deadline. A chunk whose
   lease expires (slow host, stalled network) is *stolen*: re-queued for
@@ -43,27 +44,16 @@ import socket
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from multiprocessing.process import BaseProcess
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
-from ...config import SimulationConfig
 from ...errors import DistributedError, ExperimentError
-from ...network.simulator import SimulationResult
-from ..backends import ExecutionBackend, _Chunk
-from ..cache import SweepCache, get_cache
-from ..resilience import (
-    DEFAULT_RETRY_POLICY,
-    FailureReport,
-    PointFailure,
-    RetryPolicy,
-)
+from ..backends import ExecutionBackend, Settle, _Chunk
+from ..resilience import DEFAULT_RETRY_POLICY, FailureReport, RetryPolicy
 from .protocol import read_message, write_message
 from .worker import run_worker, run_worker_chunk
-
-#: One worker outcome: the run_chunk per-point shape.
-_Outcome = tuple[Optional[SimulationResult], Optional[PointFailure]]
 
 
 def _forked_worker(
@@ -107,12 +97,11 @@ class _WorkerState:
 
 @dataclass
 class _FabricRun:
-    """All mutable state for one :meth:`DistributedBackend.run` call."""
+    """All mutable state for one :meth:`DistributedBackend._execute` call."""
 
     chunks: list[_Chunk]
-    results: list[Optional[SimulationResult]]
+    settle: Settle
     report: FailureReport
-    cache: Optional[SweepCache]
     pending: deque[int]
     settled: list[bool]
     unsettled: int
@@ -212,31 +201,19 @@ class DistributedBackend(ExecutionBackend):
             "degraded_points": 0,
         }
 
-    # -- the ExecutionBackend contract ------------------------------------
+    # -- the ExecutionBackend transport -----------------------------------
 
-    def run(
-        self, configs: Iterable[SimulationConfig]
-    ) -> tuple[list[Optional[SimulationResult]], FailureReport]:
-        configs = list(configs)
-        report = FailureReport()
-        if not configs:
-            return [], report
-        cache = get_cache()
-        if cache is None:
-            results: list[Optional[SimulationResult]] = [None] * len(configs)
-            miss_indices = list(range(len(configs)))
-            miss_configs = configs
-        else:
-            results, miss_indices, miss_configs = cache.partition(configs)
-        if not miss_configs:
-            return results, report
-        chunks = list(self._chunks(miss_configs, miss_indices))
+    def _chunk_size(self, misses: int) -> int:
+        return self.chunksize
+
+    def _execute(
+        self, chunks: list[_Chunk], settle: Settle, report: FailureReport
+    ) -> None:
         self.stats["chunks"] += len(chunks)
         run = _FabricRun(
             chunks=chunks,
-            results=results,
+            settle=settle,
             report=report,
-            cache=cache,
             pending=deque(range(len(chunks))),
             settled=[False] * len(chunks),
             unsettled=len(chunks),
@@ -261,14 +238,6 @@ class DistributedBackend(ExecutionBackend):
             self._reap(procs)
         if run.unsettled:
             self._degrade_locally(run)
-        return results, report
-
-    def _chunks(
-        self, configs: list[SimulationConfig], indices: list[int]
-    ) -> Iterator[_Chunk]:
-        for start in range(0, len(configs), self.chunksize):
-            stop = start + self.chunksize
-            yield _Chunk(configs[start:stop], indices[start:stop])
 
     # -- the asyncio fabric ------------------------------------------------
 
@@ -474,7 +443,7 @@ class DistributedBackend(ExecutionBackend):
     def _settle(
         self, run: _FabricRun, state: _WorkerState, message: dict
     ) -> None:
-        """Fold one result message in; duplicates are ignored, first wins."""
+        """Settle one result message; duplicates are ignored, first wins."""
         chunk_id = message.get("chunk_id")
         if not isinstance(chunk_id, int) or not 0 <= chunk_id < len(run.chunks):
             raise DistributedError(f"result for unknown chunk {chunk_id!r}")
@@ -497,34 +466,7 @@ class DistributedBackend(ExecutionBackend):
             return
         run.settled[chunk_id] = True
         run.unsettled -= 1
-        self._fold(chunk, outcomes, run.results, run.report, run.cache)
-
-    def _fold(
-        self,
-        chunk: _Chunk,
-        outcomes: list[_Outcome],
-        results: list[Optional[SimulationResult]],
-        report: FailureReport,
-        cache: Optional[SweepCache],
-    ) -> None:
-        """Checkpoint one settled chunk into results, report, and cache.
-
-        Points already in this cache directory are not stored again:
-        loopback workers and :meth:`_degrade_locally` wrote (and pushed)
-        them in :func:`run_worker_chunk`; only a remote host's are missing.
-        """
-        for (result, failure), config, index in zip(
-            outcomes, chunk.configs, chunk.indices, strict=False
-        ):
-            if failure is not None:
-                report.record(failure)
-            if (
-                result is not None
-                and cache is not None
-                and not cache.contains(config)
-            ):
-                cache.store(config, result)
-            results[index] = result
+        run.settle(chunk, outcomes)
 
     # -- fault handling ----------------------------------------------------
 
@@ -582,19 +524,9 @@ class DistributedBackend(ExecutionBackend):
         self, run: _FabricRun, chunk_id: int, *, outcome: str, error: str
     ) -> None:
         """Put a chunk back on the queue, recording a recovered incident."""
-        chunk = run.chunks[chunk_id]
         run.pending.append(chunk_id)
         run.wake.set()
-        run.report.record(
-            PointFailure(
-                fingerprint=chunk.configs[0].fingerprint(),
-                outcome=outcome,
-                attempts=1,
-                error=error,
-                recovered=True,
-                points=len(chunk.configs),
-            )
-        )
+        run.report.record(run.chunks[chunk_id].incident(outcome, 1, error))
 
     def _should_degrade(
         self,
@@ -625,35 +557,25 @@ class DistributedBackend(ExecutionBackend):
     def _degrade_locally(self, run: _FabricRun) -> None:
         """Finish every unsettled chunk in-process: slower, never stuck."""
         remaining = [
-            chunk_id
-            for chunk_id in range(len(run.chunks))
-            if not run.settled[chunk_id]
+            chunk
+            for chunk, settled in zip(run.chunks, run.settled, strict=True)
+            if not settled
         ]
-        points = sum(len(run.chunks[c].configs) for c in remaining)
+        points = sum(len(chunk.configs) for chunk in remaining)
         self.stats["degraded_points"] += points
         self._log(
             f"no live workers remain; degrading {points} points over "
             f"{len(remaining)} chunks to local execution"
         )
-        run.report.record(
-            PointFailure(
-                fingerprint=run.chunks[remaining[0]].configs[0].fingerprint(),
-                outcome="degraded-local",
-                attempts=1,
-                error=(
-                    "every worker was lost; remaining chunks ran locally "
-                    "through the resilience path"
-                ),
-                recovered=True,
-                points=points,
-            )
+        incident = remaining[0].incident(
+            "degraded-local",
+            1,
+            "every worker was lost; remaining chunks ran locally "
+            "through the resilience path",
         )
-        for chunk_id in remaining:
-            chunk = run.chunks[chunk_id]
-            outcomes = run_worker_chunk(chunk.configs, self.retry)
-            run.settled[chunk_id] = True
-            run.unsettled -= 1
-            self._fold(chunk, outcomes, run.results, run.report, run.cache)
+        run.report.record(replace(incident, points=points))
+        for chunk in remaining:
+            run.settle(chunk, run_worker_chunk(chunk.configs, self.retry))
 
     # -- worker lifecycle --------------------------------------------------
 

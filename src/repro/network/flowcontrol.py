@@ -43,13 +43,6 @@ class CreditState:
             raise FlowControlError(f"credit overflow on VC {vc}")
         self.credits[vc] += 1
 
-    def outstanding(self, vc: int) -> int:
-        """Credits currently spent on *vc*: flits launched but not yet
-        credited back. By conservation this must equal flits in flight on
-        the wire + flits in the downstream buffer + credits in flight on
-        the return path (the network sanitizer checks exactly that)."""
-        return self.capacity_per_vc - self.credits[vc]
-
     def allocate_vc(self, vc: int) -> None:
         """Claim downstream VC *vc* for a packet."""
         if not self.vc_free[vc]:

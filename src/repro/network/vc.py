@@ -81,16 +81,6 @@ class InputVC:
         """A packet holds this VC (route computed, not yet fully departed)."""
         return self.out_port != UNROUTED
 
-    def claim(self) -> tuple[int, int] | None:
-        """The ``(out_port, out_vc)`` this VC's head packet holds, or None.
-
-        For a packet being ejected locally the pair is ``(local_port, 0)``;
-        for a routed-but-unallocated packet ``out_vc`` is :data:`UNROUTED`.
-        """
-        if self.out_port == UNROUTED:
-            return None
-        return (self.out_port, self.out_vc)
-
     def reset_route(self) -> None:
         """Clear routing state after the tail departs."""
         self.out_port = UNROUTED

@@ -1197,62 +1197,6 @@ class TestBaselineWorkflow:
         assert "invalid JSON" in capsys.readouterr().err
 
 
-class TestIncrementalCache:
-    def test_second_run_served_from_cache_and_identical(self, tmp_path, capsys):
-        module = tmp_path / "repro" / "network" / "leaf.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        cache = tmp_path / "cache.json"
-        argv = [str(module), "--no-baseline", "--cache", str(cache)]
-
-        assert main(argv) == 1
-        first = capsys.readouterr().out
-        assert cache.is_file()
-        assert main(argv) == 1
-        assert capsys.readouterr().out == first
-
-    def test_cache_invalidated_by_file_edit(self, tmp_path, capsys):
-        module = tmp_path / "repro" / "network" / "leaf.py"
-        module.parent.mkdir(parents=True)
-        module.write_text("def stamp():\n    return 0.0\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        argv = [str(module), "--no-baseline", "--cache", str(cache)]
-
-        assert main(argv) == 0
-        capsys.readouterr()
-        module.write_text(
-            "import time\n\n\ndef stamp():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        assert main(argv) == 1
-        assert "R1" in capsys.readouterr().out
-
-    def test_cached_suppression_accounting_survives_short_circuit(
-        self, tmp_path, capsys
-    ):
-        module = tmp_path / "repro" / "network" / "leaf.py"
-        module.parent.mkdir(parents=True)
-        module.write_text(
-            "import time\n\n\ndef stamp():\n"
-            "    return time.time()  # repro-lint: ignore[R1]\n",
-            encoding="utf-8",
-        )
-        cache = tmp_path / "cache.json"
-        argv = [
-            str(module), "--no-baseline", "--cache", str(cache),
-            "--format", "json",
-        ]
-        assert main(argv) == 0
-        first = json.loads(capsys.readouterr().out)
-        assert first["suppressions"] == {"R1": 1}
-        assert main(argv) == 0
-        second = json.loads(capsys.readouterr().out)
-        assert second["suppressions"] == {"R1": 1}
-
-
 class TestSarifOutput:
     def test_sarif_report_shape(self, capsys):
         assert (

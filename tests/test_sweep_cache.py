@@ -9,8 +9,9 @@ import pytest
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.harness import cache as cache_mod
-from repro.harness.backends import ProcessPoolBackend, SerialBackend
+from repro.harness.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
 from repro.harness.cache import SweepCache
+from repro.harness.resilience import RetryPolicy
 from repro.harness.sweep import (
     rate_sweep,
     require_resumable_cache,
@@ -22,6 +23,20 @@ from .conftest import small_config
 
 def _boom(*args, **kwargs):  # pragma: no cover - must never run
     raise AssertionError("simulated a config that should have been cached")
+
+
+class _FixedTransport(ExecutionBackend):
+    """A transport that settles the same *outcomes* for every chunk."""
+
+    def __init__(self, outcomes):
+        self.outcomes = outcomes
+
+    def _chunk_size(self, misses):
+        return 1
+
+    def _execute(self, chunks, settle, report):
+        for chunk in chunks:
+            settle(chunk, self.outcomes)
 
 
 @pytest.fixture
@@ -150,10 +165,9 @@ class TestEntryIntegrity:
         assert cache.load(config) is None
 
     def test_short_batch_from_backend_raises(self, cache_dir):
-        cache = cache_mod.get_cache()
         config = small_config(rate=0.2, warmup=200, measure=600)
-        with pytest.raises(ExperimentError):
-            cache.map_cached([config], lambda missing: [])
+        with pytest.raises(ExperimentError, match="0 results for a chunk of 1"):
+            _FixedTransport([]).run([config])
 
 
 class TestQuarantine:
@@ -189,41 +203,56 @@ class TestQuarantine:
 
 
 class TestStreamingCheckpoints:
-    def test_results_stored_as_produced_not_at_batch_end(self, cache_dir):
-        """Satellite acceptance: an interrupt at point N keeps points
-        1..N-1 on disk (the old all-or-nothing batch store lost them)."""
-        cache = cache_mod.get_cache()
+    def test_results_stored_as_produced_not_at_batch_end(
+        self, cache_dir, monkeypatch
+    ):
+        """An interrupt at point N keeps points 1..N-1 on disk: the serial
+        backend checkpoints each point as it lands."""
         configs = [
             small_config(rate=rate, warmup=200, measure=600)
             for rate in (0.1, 0.2, 0.3)
         ]
 
-        def interrupted(missing):
-            yield "first"
-            yield "second"
-            raise KeyboardInterrupt
+        def runner(config):
+            if config == configs[2]:
+                raise KeyboardInterrupt
+            return f"result-{config.workload.injection_rate}"
 
+        monkeypatch.setattr("repro.harness.backends.run_simulation", runner)
         with pytest.raises(KeyboardInterrupt):
-            cache.map_cached(configs, interrupted)
-        assert cache.load(configs[0]) == "first"
-        assert cache.load(configs[1]) == "second"
+            SerialBackend().run(configs)
+        cache = cache_mod.get_cache()
+        assert cache.load(configs[0]) == "result-0.1"
+        assert cache.load(configs[1]) == "result-0.2"
         assert cache.load(configs[2]) is None
 
-    def test_none_results_pass_through_unstored(self, cache_dir):
-        cache = cache_mod.get_cache()
+    def test_none_results_pass_through_unstored(self, cache_dir, monkeypatch):
+        """A point that fails after retries is a ``None`` hole, never stored."""
         configs = [
             small_config(rate=rate, warmup=200, measure=600)
             for rate in (0.1, 0.2)
         ]
-        results = cache.map_cached(configs, lambda missing: ["ok", None])
+
+        def runner(config):
+            if config == configs[1]:
+                raise ValueError("poisoned")
+            return "ok"
+
+        monkeypatch.setattr("repro.harness.backends.run_simulation", runner)
+        fail_fast = RetryPolicy(max_attempts=1, backoff_base_s=0.0)
+        results, report = SerialBackend(retry=fail_fast).run(configs)
         assert results == ["ok", None]
+        assert [failure.outcome for failure in report.failures] == ["raised"]
+        cache = cache_mod.get_cache()
+        assert cache.load(configs[0]) == "ok"
         assert cache.load(configs[1]) is None
+        assert not cache.contains(configs[1])
 
     def test_overlong_batch_from_backend_raises(self, cache_dir):
-        cache = cache_mod.get_cache()
         config = small_config(rate=0.2, warmup=200, measure=600)
-        with pytest.raises(ExperimentError, match="more than"):
-            cache.map_cached([config], lambda missing: ["a", "b"])
+        with pytest.raises(ExperimentError, match="2 results for a chunk of 1"):
+            _FixedTransport([("a", None), ("b", None)]).run([config])
+        assert cache_mod.get_cache().load(config) is None
 
     def test_partition_splits_hits_from_misses(self, cache_dir):
         cache = cache_mod.get_cache()
