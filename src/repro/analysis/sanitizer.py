@@ -234,10 +234,7 @@ class ConservationSanitizer(SanitizerObserver):
             cache.append((
                 upstream.credits,
                 [upstream.capacity_per_vc] * vcs_per_port,
-                tuple(
-                    downstream_vcs[vc].buffer.flits
-                    for vc in range(vcs_per_port)
-                ),
+                tuple(downstream_vcs[vc].flits for vc in range(vcs_per_port)),
                 downstream.occupancy[spec.dst_port],
                 spec,
                 upstream,
@@ -388,7 +385,7 @@ class VCAllocationSanitizer(SanitizerObserver):
             claims: dict[tuple[int, int], tuple[int, int]] = {}
             for in_port, in_vc, vcstate in router.iter_vc_states():
                 out_port = vcstate.out_port
-                flits = vcstate.buffer.flits
+                flits = vcstate.flits
                 if out_port == UNROUTED:
                     # Unclaimed and (usually) empty: the idle fast path.
                     if flits and not flits[0].is_head:

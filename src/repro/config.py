@@ -55,6 +55,14 @@ class NetworkConfig:
             raise ConfigError("need at least one VC per port")
         if self.buffers_per_port < self.vcs_per_port:
             raise ConfigError("need at least one buffer slot per VC")
+        if self.buffers_per_port % self.vcs_per_port:
+            # The DVS controllers and utilization probes divide occupancy
+            # by buffers_per_port, so an uneven split would cap buffer
+            # utilization below 1.
+            raise ConfigError(
+                f"buffers_per_port={self.buffers_per_port} does not split "
+                f"evenly across vcs_per_port={self.vcs_per_port}"
+            )
         if self.flits_per_packet < 1:
             raise ConfigError("packets need at least one flit")
         if self.router_clock_hz <= 0.0:
@@ -295,9 +303,6 @@ class SimulationConfig:
     @property
     def total_cycles(self) -> int:
         return self.warmup_cycles + self.measure_cycles
-
-    def with_workload(self, workload: WorkloadConfig) -> "SimulationConfig":
-        return replace(self, workload=workload)
 
     def with_rate(self, injection_rate: float) -> "SimulationConfig":
         """Copy with a different offered load."""

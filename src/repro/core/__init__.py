@@ -4,10 +4,11 @@ This subpackage is self-contained: it models the voltage/frequency operating
 points of a DVS link (:mod:`repro.core.levels`), the link power and
 transition-energy model (:mod:`repro.core.power_model`), the channel-level
 DVS state machine with the paper's transition sequencing
-(:mod:`repro.core.dvs_link`), the utilization sampling and EWMA prediction
-machinery (:mod:`repro.core.history`), the history-based policy itself plus
-baselines (:mod:`repro.core.policy`), the per-port controller that wires
-measurement to actuation (:mod:`repro.core.controller`), the published
+(:mod:`repro.core.dvs_link`), the EWMA predictor
+(:mod:`repro.core.history`), the history-based policy itself plus
+baselines (:mod:`repro.core.policy`), the per-port controller that measures
+each window's utilization and wires it to actuation
+(:mod:`repro.core.controller`), the published
 threshold presets (:mod:`repro.core.thresholds`), and the hardware cost
 model of Section 3.3 (:mod:`repro.core.hardware`).
 """
@@ -15,7 +16,7 @@ model of Section 3.3 (:mod:`repro.core.hardware`).
 from .controller import PortDVSController
 from .dvs_link import ChannelPhase, DVSChannel, TransitionTiming
 from .hardware import ControllerHardwareModel
-from .history import EWMAPredictor, WindowSampler
+from .history import EWMAPredictor
 from .levels import VFOperatingPoint, VFTable
 from .policy import (
     AdaptiveThresholdPolicy,
@@ -40,7 +41,6 @@ __all__ = [
     "DVSChannel",
     "TransitionTiming",
     "EWMAPredictor",
-    "WindowSampler",
     "DVSAction",
     "DVSPolicy",
     "PolicyInputs",

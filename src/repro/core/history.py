@@ -1,18 +1,19 @@
-"""Utilization sampling and exponentially weighted average prediction.
+"""Exponentially weighted average prediction (paper Section 3.2).
 
-Implements the measurement side of the paper's Section 3.1/3.2:
+The per-window measurements it consumes — link utilization (Eq. (2)) and
+input-buffer utilization (Eq. (3)) over a history window of ``H`` router
+cycles — are computed by
+:meth:`PortDVSController.close_window
+<repro.core.controller.PortDVSController.close_window>` from the channel's
+busy-time accumulator and the downstream port's occupancy integral.
+:class:`EWMAPredictor` combines the current window with the running
+prediction (Eq. (5)):
 
-* :class:`WindowSampler` accumulates per-cycle observations over a history
-  window of ``H`` router cycles and emits per-window averages — link
-  utilization (Eq. (2)) and input-buffer utilization (Eq. (3)).
-* :class:`EWMAPredictor` combines the current window with the running
-  prediction (Eq. (5)):
+    Par_predict = (W * Par_current + Par_past) / (W + 1)
 
-      Par_predict = (W * Par_current + Par_past) / (W + 1)
-
-  The paper fixes ``W = 3`` so hardware can evaluate this as a shift-and-add
-  (multiply by 3 = shift+add, divide by 4 = shift right by two); the class
-  checks for and exposes that property but accepts any positive weight.
+The paper fixes ``W = 3`` so hardware can evaluate this as a shift-and-add
+(multiply by 3 = shift+add, divide by 4 = shift right by two); the class
+checks for and exposes that property but accepts any positive weight.
 """
 
 from __future__ import annotations
@@ -68,55 +69,3 @@ class EWMAPredictor:
             return False
         denom_int = int(denom)
         return denom_int > 0 and (denom_int & (denom_int - 1)) == 0
-
-
-class WindowSampler:
-    """Accumulates link and buffer observations over one history window.
-
-    The hardware analog (paper Figure 6): one counter of busy link cycles,
-    one counter tracking the router/link clock ratio, and the credit state
-    that already exists in any credit-flow-controlled router.
-
-    Usage: the owning controller adds busy time via :meth:`add_busy_cycles`
-    (in router cycles — the serialization time of each flit), samples buffer
-    occupancy each router cycle via :meth:`add_buffer_sample`, then calls
-    :meth:`close_window` every ``H`` cycles to obtain ``(LU, BU)`` for the
-    window and reset the counters.
-    """
-
-    __slots__ = ("window_cycles", "_busy_cycles", "_occupancy_sum", "_buffer_capacity")
-
-    def __init__(self, window_cycles: int, buffer_capacity: int) -> None:
-        if window_cycles <= 0:
-            raise ConfigError("history window must be positive")
-        if buffer_capacity <= 0:
-            raise ConfigError("buffer capacity must be positive")
-        self.window_cycles = window_cycles
-        self._buffer_capacity = buffer_capacity
-        self._busy_cycles = 0.0
-        self._occupancy_sum = 0
-
-    def add_busy_cycles(self, cycles: float) -> None:
-        """Record *cycles* of link busy time (router-cycle units)."""
-        if cycles < 0.0:
-            raise ConfigError("busy cycles cannot be negative")
-        self._busy_cycles += cycles
-
-    def add_buffer_sample(self, occupied_slots: int) -> None:
-        """Record one per-cycle sample of downstream buffer occupancy."""
-        self._occupancy_sum += occupied_slots
-
-    def close_window(self) -> tuple[float, float]:
-        """Return ``(link_utilization, buffer_utilization)`` and reset.
-
-        LU is clamped to 1.0: a flit whose serialization straddles the
-        window boundary can make raw busy time exceed the window by a
-        fraction of a flit.
-        """
-        link_utilization = min(1.0, self._busy_cycles / self.window_cycles)
-        buffer_utilization = self._occupancy_sum / (
-            self.window_cycles * self._buffer_capacity
-        )
-        self._busy_cycles = 0.0
-        self._occupancy_sum = 0
-        return link_utilization, min(1.0, buffer_utilization)

@@ -46,7 +46,7 @@ rules enforced by lint rule R8.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import ConfigError
 
@@ -346,17 +346,6 @@ def policy_sweep_grid(name: str) -> list[dict[str, float]]:
             for value in knob.sweep
         ]
     return grid
-
-
-def _reset_registry_for_tests(
-    snapshot: Mapping[str, PolicySpec] | None = None,
-) -> dict[str, PolicySpec]:
-    """Swap the registry content (test helper); returns the previous state."""
-    previous = dict(_REGISTRY)
-    if snapshot is not None:
-        _REGISTRY.clear()
-        _REGISTRY.update(snapshot)
-    return previous
 
 
 # ``field`` is re-exported for plugin modules that declare knob tuples in

@@ -1,21 +1,13 @@
 """Network channel: a DVS channel bound into the topology.
 
 Glues one :class:`~repro.core.dvs_link.DVSChannel` (eight serial links plus
-regulator and DVS state machine) to a directed topology edge, and computes
-flit arrival times: a flit launched at router cycle ``t`` lands in the
-downstream input buffer at
-
-    ceil(t + pipeline_latency + serialization_cycles)
-
-where ``serialization_cycles`` is the channel occupancy at the current
-frequency level (1 router cycle at the top level, 8 at the bottom for the
-paper's parameters) and ``pipeline_latency`` covers the upstream router's
-remaining pipeline stages plus wire flight.
+regulator and DVS state machine) to a directed topology edge, with the
+hop's ``pipeline_latency``: the upstream router's remaining pipeline stages
+plus wire flight. The router's launch stage lands each flit downstream at
+``ceil(serialization end + pipeline_latency)`` (see ``docs/model.md``).
 """
 
 from __future__ import annotations
-
-import math
 
 from ..core.dvs_link import DVSChannel
 from ..errors import ConfigError
@@ -33,19 +25,6 @@ class NetworkChannel:
         self.spec = spec
         self.dvs = dvs
         self.pipeline_latency = pipeline_latency
-
-    def can_accept(self, now: int) -> bool:
-        """Whether a flit may be launched onto the wire this cycle."""
-        return self.dvs.can_accept_flit(now)
-
-    def send(self, now: int) -> int:
-        """Launch one flit; return the downstream arrival cycle."""
-        done = self.dvs.send_flit(now)
-        return int(math.ceil(done + self.pipeline_latency))
-
-    @property
-    def serialization_cycles(self) -> float:
-        return self.dvs.serialization_cycles
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -372,17 +372,17 @@ class SimulationEngine:
     def _dispatch(self, events: list, now: int) -> None:  # repro-hot
         """Dispatch one cycle bucket's events, in scheduling order.
 
-        The ARRIVAL and CREDIT bodies are :meth:`Router.on_arrival` and
-        :meth:`Router.on_credit` inlined (keep them in sync — the router
-        methods remain the reference implementation for standalone
-        callers), minus their defensive checks: buffer overflow and credit
-        overflow are structurally impossible under credit flow control (a
-        flit is only launched against a positive credit, credits mirror
-        downstream slots exactly, and every credit return matches one
-        departed flit), and the opt-in network sanitizer re-verifies both
-        invariants end to end. Every record here is a pooled 5-slot list,
-        recycled in the same pass; the outstanding-event counters are
-        settled once per bucket rather than per event.
+        An ARRIVAL is :meth:`Router.on_arrival` at the destination router
+        plus its insertion into the active list. A CREDIT only replenishes
+        one upstream buffer slot (output-VC ownership is released at tail
+        launch, so packets may queue back-to-back in a downstream VC). It
+        needs no overflow check: credits mirror downstream slots exactly,
+        every credit return matches one departed flit, and the opt-in
+        network sanitizer re-verifies that end to end. A PHASE ends a DVS
+        channel phase and schedules the next boundary. Every record here
+        is a pooled 5-slot list, recycled in the same pass; the
+        outstanding-event counters are settled once per bucket rather than
+        per event.
         """
         routers = self.routers
         active_flags = self._active_flags
@@ -395,24 +395,7 @@ class SimulationEngine:
             if kind == EVENT_ARRIVAL:
                 arrivals += 1
                 node = event[1]
-                router = routers[node]
-                vcstate = router.in_vcs[event[2]][event[3]]
-                flit = event[4]
-                flit.buffer_arrival_cycle = now
-                vcstate.flits.append(flit)
-                if not vcstate.in_occ:
-                    vcstate.in_occ = True
-                    insort(router._occ_list, vcstate.rid)
-                tracker = vcstate.tracker
-                if tracker is not None:
-                    # OccupancyTracker.on_enqueue, inlined (time cannot run
-                    # backwards under the monotonic dispatch clock).
-                    last = tracker._last_cycle
-                    if now != last:
-                        tracker._integral += tracker.occupied * (now - last)
-                        tracker._last_cycle = now
-                    tracker.occupied += 1
-                router.total_buffered += 1
+                routers[node].on_arrival(event[2], event[3], event[4], now)
                 if not active_flags[node]:
                     active_flags[node] = 1
                     insort(active_list, node)

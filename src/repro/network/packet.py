@@ -59,19 +59,13 @@ class Packet:
             raise ConfigError("packet has not been ejected yet")
         return self.ejected_cycle - self.created_cycle
 
-    def make_flits(self) -> list["Flit"]:
-        """Materialize this packet's flits: head first, tail last."""
-        last = self.size_flits - 1
-        return [
-            Flit(packet=self, index=i, is_head=(i == 0), is_tail=(i == last))
-            for i in range(self.size_flits)
-        ]
-
 
 @dataclass(slots=True)
 class Flit:
     """One flow-control unit of a packet.
 
+    The router's injection stage materializes a packet's flits, head first
+    and tail last, when the packet leaves the source queue.
     ``buffer_arrival_cycle`` is refreshed each time the flit is enqueued
     into an input buffer, supporting the paper's input-buffer-age measure
     (Eq. (4)) without a side table.

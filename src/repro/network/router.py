@@ -33,13 +33,14 @@ to allocate nothing in steady state:
   them (standalone routers) fresh objects are allocated, with bit-identical
   behavior.
 
-Flow-control invariants that the old code enforced through
-:class:`~repro.network.flowcontrol.CreditState` method calls on this path
-are now guarded structurally (a switch-allocation request is only filed
-with a positive credit in the same cycle that consumes it; a downstream VC
-is claimed once at allocation and released once at tail launch); the
-checked primitives remain for every other caller, and the opt-in network
-sanitizer re-verifies the invariants end to end.
+Each flit-path rule has one body, here. Credit underflow and double VC
+allocation are guarded structurally (a switch-allocation request is only
+filed with a positive credit in the same cycle that consumes it; a
+downstream VC is claimed once at allocation and released once at tail
+launch), and the opt-in network sanitizer re-verifies both invariants end
+to end. The launch stage inlines the wire update of
+:meth:`DVSChannel.send_flit <repro.core.dvs_link.DVSChannel.send_flit>`,
+which stays as the oracle ``tests/test_router.py`` compares it against.
 
 Two callback seams connect the router to the layers above it without the
 router knowing they exist (see ``docs/architecture.md``):
@@ -64,7 +65,6 @@ from math import ceil
 from typing import Callable
 
 from ..errors import FlowControlError, SimulationError
-from .arbiters import RoundRobinArbiter
 from .channel import NetworkChannel
 from .flowcontrol import CreditState, OccupancyTracker
 from .packet import Flit, Packet
@@ -100,7 +100,8 @@ class Router:
         "credit_states",
         "credit_targets",
         "connected_out",
-        "sa_arbiters",
+        "_sa_next",
+        "_sa_size",
         "inj_queue",
         "inj_flits",
         "inj_pos",
@@ -194,7 +195,11 @@ class Router:
         self.channels: list[NetworkChannel | None] = [None] * ports
         self.credit_states: list[CreditState | None] = [None] * ports
         self.connected_out: tuple[int, ...] = ()
-        self.sa_arbiters: list[RoundRobinArbiter | None] = [None] * ports
+        #: Rotating switch-allocation priority per output port: the request
+        #: id that wins ties next, i.e. one past the last winner. Every port
+        #: arbitrates over the same ``_sa_size`` request ids.
+        self._sa_next: list[int] = [0] * ports
+        self._sa_size = num_in_ports * vcs_per_port
         self._port_dvs: list = [None] * ports
         self._port_dst: list[tuple[int, int] | None] = [None] * ports
         self._port_pipeline: list[int] = [0] * ports
@@ -261,7 +266,8 @@ class Router:
             self._req_lists,
             self._vc_scan,
             self._occ_list,
-            self.sa_arbiters,
+            self._sa_next,
+            self._sa_size,
             self.schedule,
             self.credit_delay,
             self._port_dst,
@@ -282,9 +288,6 @@ class Router:
             raise SimulationError(f"output port {out_port} already attached")
         self.channels[out_port] = channel
         self.credit_states[out_port] = CreditState(self.vcs_per_port, buffers_per_vc)
-        self.sa_arbiters[out_port] = RoundRobinArbiter(
-            len(self.in_vcs) * self.vcs_per_port
-        )
         spec = channel.spec
         self._port_dvs[out_port] = channel.dvs
         self._port_dst[out_port] = (spec.dst_node, spec.dst_port)
@@ -348,14 +351,15 @@ class Router:
         return queued + len(self.inj_flits) - self.inj_pos
 
     # ------------------------------------------------------------------
-    # Event handlers (the reference bodies the kernel's dispatch loop inlines)
+    # Event handlers
     # ------------------------------------------------------------------
 
     def on_arrival(self, port: int, vc: int, flit: Flit, now: int) -> None:  # repro-hot
         """A flit arrived from the upstream channel into input *port*.
 
-        Reference implementation for the body the kernel inlines into its
-        dispatch loop (see ``SimulationEngine._dispatch``) — keep in sync.
+        The kernel's dispatch loop calls this for every ARRIVAL event.
+        Overflow is a flow-control bug (the sender must have held a
+        credit), so it raises rather than dropping.
         """
         vcstate = self.in_vcs[port][vc]
         flits = vcstate.flits
@@ -370,25 +374,14 @@ class Router:
             insort(self._occ_list, vcstate.rid)
         tracker = vcstate.tracker
         if tracker is not None:
-            tracker.on_enqueue(now)
+            # Occupancy-integral enqueue (time cannot run backwards under
+            # the kernel's monotonic dispatch clock).
+            last = tracker._last_cycle
+            if now != last:
+                tracker._integral += tracker.occupied * (now - last)
+                tracker._last_cycle = now
+            tracker.occupied += 1
         self.total_buffered += 1
-
-    def on_credit(self, out_port: int, vc: int, is_tail: bool) -> None:  # repro-hot
-        """A credit returned from the downstream router.
-
-        Credits only replenish buffer slots; output-VC ownership is
-        released when the tail flit is *sent* (see the switch-traversal
-        stage of :meth:`step`), per
-        classic VC flow control — packets may queue back-to-back in a
-        downstream VC buffer.
-        """
-        state = self.credit_states[out_port]
-        if state is None:
-            raise SimulationError(f"credit for unattached port {out_port}")
-        credits = state.credits
-        if credits[vc] >= state.capacity_per_vc:
-            raise FlowControlError(f"credit overflow on VC {vc}")
-        credits[vc] += 1
 
     def offer_packet(self, packet: Packet) -> None:
         """Enqueue *packet* in this node's source queue."""
@@ -412,7 +405,8 @@ class Router:
             req_lists,
             vc_scan,
             occ,
-            arbiters,
+            sa_next,
+            sa_size,
             schedule,
             credit_delay,
             port_dst,
@@ -462,9 +456,9 @@ class Router:
                     if credit_states[out_port].credits[vcstate.out_vc] > 0:
                         dvs = port_dvs[out_port]
                         if not dvs.locked and dvs.busy_until < horizon:
-                            # RoundRobinArbiter.advance_past, inlined.
-                            arbiter = arbiters[out_port]
-                            arbiter._next = (rid + 1) % arbiter.size
+                            # The winner becomes the lowest-priority
+                            # requester next round.
+                            sa_next[out_port] = (rid + 1) % sa_size
                             grants.append(vcstate)
                         elif dvs.sleeping:
                             dvs.sleep_demand = True
@@ -531,17 +525,16 @@ class Router:
             if req_ports:
                 # Separable switch allocation, one rotating-priority grant
                 # per requested output port, at most one grant per input
-                # port. Ports arbitrate in first-request order == the old
-                # dict's insertion order; within a port the smallest
-                # rotated request id wins, exactly as RoundRobinArbiter
-                # .grant would pick. Winners traverse the switch after all
-                # grant decisions — deferral is invisible because a
-                # traversal touches only its own VC and its own output
-                # port, each granted at most once per cycle.
+                # port. Ports arbitrate in first-request order; within a
+                # port the smallest request id rotated by the port's
+                # priority head wins.
+                # Winners traverse the switch after all grant decisions —
+                # deferral is invisible because a traversal touches only
+                # its own VC and its own output port, each granted at most
+                # once per cycle.
                 granted_inputs = 0
                 for out_port in req_ports:
                     bucket = req_lists[out_port]
-                    arbiter = arbiters[out_port]
                     if len(bucket) == 1:
                         # Lone requester: the rotated-priority minimum is
                         # the requester itself whatever the head priority.
@@ -552,23 +545,22 @@ class Router:
                         if best is None:
                             continue
                     else:
-                        head_priority = arbiter._next
-                        size = arbiter.size
+                        head_priority = sa_next[out_port]
                         best = None
-                        best_key = size
+                        best_key = sa_size
                         for vcstate in bucket:
                             if granted_inputs and (granted_inputs >> vcstate.in_port) & 1:
                                 continue
-                            key = (vcstate.rid - head_priority) % size
+                            key = (vcstate.rid - head_priority) % sa_size
                             if key < best_key:
                                 best_key = key
                                 best = vcstate
                         del bucket[:]
                         if best is None:
                             continue
-                    # RoundRobinArbiter.advance_past, inlined: the winner
-                    # becomes the lowest-priority requester next round.
-                    arbiter._next = (best.rid + 1) % arbiter.size
+                    # The winner becomes the lowest-priority requester next
+                    # round.
+                    sa_next[out_port] = (best.rid + 1) % sa_size
                     granted_inputs |= 1 << best.in_port
                     grants.append(best)
                 del req_ports[:]
@@ -585,10 +577,10 @@ class Router:
                 self.total_buffered -= 1
                 tracker = best.tracker
                 if tracker is not None:
-                    # OccupancyTracker.on_dequeue, inlined. Time cannot run
-                    # backwards here (now advances monotonically) and the
-                    # dequeue follows an enqueue, so the checked raises of
-                    # the reference method are unreachable.
+                    # Occupancy-integral departure, also inline in _eject.
+                    # Time cannot run backwards here (now advances
+                    # monotonically) and the dequeue follows an enqueue, so
+                    # neither needs a check.
                     last = tracker._last_cycle
                     if now != last:
                         tracker._integral += tracker.occupied * (now - last)
@@ -624,11 +616,13 @@ class Router:
                 # only this grant consumes that VC's credit.
                 credit_state.credits[out_vc] -= 1
                 dst = port_dst[out_port]
-                # DVSChannel.send_flit, inlined. Its locked/busy raises are
+                # DVSChannel.send_flit's wire update, inlined (its oracle
+                # test pins the two equal). Its locked/busy raises are
                 # unreachable here: the request was only filed after the
                 # scan's ``locked or busy_until >= horizon`` check, the lock
                 # cannot change mid-step, and this is the port's only grant
-                # this cycle.
+                # this cycle. The flit lands downstream at
+                # ceil(wire done + pipeline latency).
                 dvs = port_dvs[out_port]
                 busy = dvs.busy_until
                 start = busy if busy > now else now
@@ -696,8 +690,8 @@ class Router:
                 self.inj_queue.popleft()
                 # Materialize the packet's flits (head first, tail last)
                 # into the persistent staging list, reusing pooled flits
-                # when available — field-for-field identical to
-                # Packet.make_flits.
+                # when available (a pooled flit gets every field reset, so
+                # reuse is bit-identical to a fresh Flit).
                 pool = self.flit_pool
                 last = packet.size_flits - 1
                 for index in range(last + 1):
@@ -776,8 +770,7 @@ class Router:
             free = credit_state.vc_free
             for downstream_vc in allowed:
                 if free[downstream_vc]:
-                    # CreditState.allocate_vc, inlined: the guard just
-                    # above makes its in-use check unreachable.
+                    # Claimed here, released at tail launch in step.
                     free[downstream_vc] = False
                     vcstate.out_port = out_port
                     vcstate.out_vc = downstream_vc
@@ -790,9 +783,7 @@ class Router:
         self.total_buffered -= 1
         tracker = vcstate.tracker
         if tracker is not None:
-            # OccupancyTracker.on_dequeue, inlined (see the traversal loop
-            # in step for why the reference method's raises are
-            # unreachable here).
+            # Occupancy-integral departure (as in step's traversal loop).
             last = tracker._last_cycle
             if now != last:
                 tracker._integral += tracker.occupied * (now - last)

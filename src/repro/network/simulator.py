@@ -132,10 +132,6 @@ class Simulator(SimulationEngine):
         return self._meter.ejected
 
     @property
-    def _measuring(self) -> bool:
-        return self._meter.measuring
-
-    @property
     def _measure_start(self) -> int:
         return self._meter.measure_start
 

@@ -55,10 +55,6 @@ class NetworkSnapshot:
         return sum(router.buffered_flits for router in self.routers)
 
     @property
-    def total_source_backlog(self) -> int:
-        return sum(router.source_queue_depth for router in self.routers)
-
-    @property
     def mean_level(self) -> float:
         if not self.channels:
             raise SimulationError("snapshot has no channels")

@@ -34,7 +34,6 @@ from ..errors import WorkloadError
 from .pareto import (
     pareto_location_for_mean,
     pareto_location_for_truncated_mean,
-    pareto_mean,
     pareto_sample,
     pareto_truncated_mean,
 )
@@ -190,13 +189,6 @@ class OnOffSourceSet:
                 self._heap.append((first, index, gen))
         heapq.heapify(self._heap)
         self.packets_emitted = 0
-
-    @property
-    def expected_duty(self) -> float:
-        """Calibrated fraction of time each source spends ON."""
-        mean_on = pareto_mean(self.on_shape, self.on_location)
-        mean_off = pareto_mean(self.off_shape, self.off_location)
-        return mean_on / (mean_on + mean_off)
 
     @property
     def next_time(self) -> float:

@@ -22,26 +22,8 @@ def make_network_channel(initial_level=9, pipeline_latency=12):
 
 
 class TestArrivalTiming:
-    def test_max_speed_arrival(self):
-        channel = make_network_channel(initial_level=9, pipeline_latency=12)
-        # serialization 1 cycle + pipeline 12: launch at 100 -> arrive 113.
-        assert channel.send(100) == 113
-
-    def test_min_speed_arrival(self):
-        channel = make_network_channel(initial_level=0, pipeline_latency=12)
-        # serialization 8 cycles at 125 MHz.
-        assert channel.send(100) == 120
-
-    def test_fractional_serialization_ceils(self):
-        channel = make_network_channel(initial_level=8, pipeline_latency=0)
-        ser = channel.serialization_cycles
-        assert channel.send(0) == -(-int(ser * 1000) // 1000)  # ceil(ser)
-
-    def test_back_to_back_uses_staging(self):
-        channel = make_network_channel(initial_level=0, pipeline_latency=0)
-        first = channel.send(0)
-        assert not channel.can_accept(1)
-        assert channel.can_accept(int(first) - 1 + 1) or channel.can_accept(int(first))
+    """Arrival times themselves are the router's launch stage; see
+    test_router.py::TestWireOracle."""
 
     def test_negative_pipeline_rejected(self):
         with pytest.raises(ConfigError):

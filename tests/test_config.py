@@ -43,6 +43,8 @@ class TestNetworkConfig:
             {"routing": "magic"},
             {"routing": "adaptive", "wraparound": True},
             {"wraparound": True, "vcs_per_port": 1},
+            # 5 slots per VC, 15 per port, but utilization divides by 16.
+            {"buffers_per_port": 16, "vcs_per_port": 3},
         ],
     )
     def test_invalid(self, kwargs):

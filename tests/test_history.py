@@ -1,9 +1,9 @@
-"""Tests for EWMA prediction and window sampling."""
+"""Tests for EWMA prediction."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.history import EWMAPredictor, WindowSampler
+from repro.core.history import EWMAPredictor
 from repro.errors import ConfigError
 
 
@@ -73,43 +73,3 @@ class TestEWMAPredictor:
         for _ in range(40):
             predictor.update(value)
         assert predictor.predicted == pytest.approx(value, abs=1e-4)
-
-
-class TestWindowSampler:
-    def test_link_utilization(self):
-        sampler = WindowSampler(window_cycles=200, buffer_capacity=128)
-        sampler.add_busy_cycles(50.0)
-        lu, bu = sampler.close_window()
-        assert lu == pytest.approx(0.25)
-        assert bu == 0.0
-
-    def test_buffer_utilization(self):
-        sampler = WindowSampler(window_cycles=4, buffer_capacity=10)
-        for occupied in (2, 4, 6, 8):
-            sampler.add_buffer_sample(occupied)
-        _, bu = sampler.close_window()
-        assert bu == pytest.approx(0.5)
-
-    def test_window_resets(self):
-        sampler = WindowSampler(window_cycles=100, buffer_capacity=16)
-        sampler.add_busy_cycles(100.0)
-        sampler.close_window()
-        lu, bu = sampler.close_window()
-        assert lu == 0.0 and bu == 0.0
-
-    def test_lu_clamped(self):
-        # A flit straddling the window boundary can push raw busy time
-        # fractionally past the window.
-        sampler = WindowSampler(window_cycles=10, buffer_capacity=4)
-        sampler.add_busy_cycles(12.0)
-        lu, _ = sampler.close_window()
-        assert lu == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            WindowSampler(0, 10)
-        with pytest.raises(ConfigError):
-            WindowSampler(10, 0)
-        sampler = WindowSampler(10, 10)
-        with pytest.raises(ConfigError):
-            sampler.add_busy_cycles(-1.0)

@@ -1,23 +1,50 @@
 """Unit tests for the Router, driven directly without the full simulator."""
 
+import math
+
 import pytest
 
 from repro.core.dvs_link import DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER
-from repro.errors import SimulationError
+from repro.errors import FlowControlError, SimulationError
 from repro.network.channel import NetworkChannel
-from repro.network.packet import Packet
+from repro.network.packet import Flit, Packet
 from repro.network.router import EVENT_ARRIVAL, EVENT_CREDIT, Router
 from repro.network.routing import DimensionOrderRouting
 from repro.network.topology import Topology
 
 
-class Harness:
-    """One router in a 2-node line, with captured events."""
+def make_dvs(level=None):
+    """The DVS channel every harness port gets (level None = the top)."""
+    return DVSChannel(
+        PAPER_TABLE,
+        PAPER_LINK_POWER,
+        timing=TransitionTiming(0.2e-6, 4),
+        initial_level=level,
+    )
 
-    def __init__(self, node=0, vcs=2, buffers_per_vc=8, pipeline_latency=3):
-        self.topology = Topology(2, 1)
+
+def flits_of(packet):
+    """*packet*'s flits, head first and tail last, as the router's injection
+    stage materializes them."""
+    last = packet.size_flits - 1
+    return [Flit(packet, i, i == 0, i == last) for i in range(packet.size_flits)]
+
+
+class Harness:
+    """One router in a line of *radix* nodes, with captured events."""
+
+    def __init__(
+        self,
+        node=0,
+        vcs=2,
+        buffers_per_vc=8,
+        pipeline_latency=3,
+        radix=2,
+        level=None,
+    ):
+        self.topology = Topology(radix, 1)
         self.routing = DimensionOrderRouting(self.topology, vcs)
         self.events = []
         self.ejected = []
@@ -37,13 +64,10 @@ class Harness:
                 for s in self.topology.channels
                 if s.src_node == node and s.src_port == port
             )
-            dvs = DVSChannel(
-                PAPER_TABLE,
-                PAPER_LINK_POWER,
-                timing=TransitionTiming(0.2e-6, 4),
-            )
             self.router.attach_channel(
-                port, NetworkChannel(spec, dvs, pipeline_latency), buffers_per_vc
+                port,
+                NetworkChannel(spec, make_dvs(level), pipeline_latency),
+                buffers_per_vc,
             )
 
     def place(self, flit, port=None, vc=0):
@@ -76,7 +100,7 @@ class TestLaunch:
     def test_head_flit_launches_with_events(self):
         harness = Harness()
         packet = Packet(0, 1, 2, 0)
-        flits = packet.make_flits()
+        flits = flits_of(packet)
         # Place the head directly in a network-facing... node 0 has only the
         # local port toward injection; use local input.
         harness.place(flits[0])
@@ -90,7 +114,7 @@ class TestLaunch:
     def test_credit_consumed_on_launch(self):
         harness = Harness()
         packet = Packet(0, 1, 1, 0)
-        (flit,) = packet.make_flits()
+        (flit,) = flits_of(packet)
         harness.place(flit)
         out_port = harness.topology.plus_port(0)
         before = harness.router.credit_states[out_port].credits.copy()
@@ -101,7 +125,7 @@ class TestLaunch:
     def test_vc_released_on_tail_launch(self):
         harness = Harness()
         packet = Packet(0, 1, 1, 0)  # single flit: head and tail
-        (flit,) = packet.make_flits()
+        (flit,) = flits_of(packet)
         harness.place(flit)
         out_port = harness.topology.plus_port(0)
         harness.router.step(1)
@@ -112,9 +136,9 @@ class TestLaunch:
         out_port = harness.topology.plus_port(0)
         state = harness.router.credit_states[out_port]
         for vc in range(2):
-            state.consume(vc)
+            state.credits[vc] = 0
         packet = Packet(0, 1, 1, 0)
-        (flit,) = packet.make_flits()
+        (flit,) = flits_of(packet)
         harness.place(flit)
         harness.router.step(1)
         arrivals = [e for e in harness.events if e[1][0] == EVENT_ARRIVAL]
@@ -125,7 +149,7 @@ class TestEjection:
     def test_arrived_packet_ejects(self):
         harness = Harness(node=1)
         packet = Packet(0, 1, 2, 0)
-        flits = packet.make_flits()
+        flits = flits_of(packet)
         in_port = harness.topology.minus_port(0)  # from node 0
         harness.router.on_arrival(in_port, 0, flits[0], 10)
         harness.router.on_arrival(in_port, 0, flits[1], 11)
@@ -139,7 +163,7 @@ class TestEjection:
     def test_ejection_returns_credits(self):
         harness = Harness(node=1)
         packet = Packet(0, 1, 1, 0)
-        (flit,) = packet.make_flits()
+        (flit,) = flits_of(packet)
         in_port = harness.topology.minus_port(0)
         harness.router.on_arrival(in_port, 0, flit, 10)
         harness.router.step(11)
@@ -151,20 +175,21 @@ class TestEjection:
         assert event[4] is True  # tail flag
 
 
+class TestArrival:
+    def test_arrival_into_full_vc_raises(self):
+        """Overflow means a sender launched without a credit: on_arrival,
+        which the kernel calls for every ARRIVAL, refuses it."""
+        harness = Harness(node=1, buffers_per_vc=1)
+        in_port = harness.topology.minus_port(0)
+        first = flits_of(Packet(0, 1, 1, 0))[0]
+        second = flits_of(Packet(0, 1, 1, 0))[0]
+        harness.router.on_arrival(in_port, 0, first, 10)
+        with pytest.raises(FlowControlError, match="buffer overflow"):
+            harness.router.on_arrival(in_port, 0, second, 11)
+        assert harness.router.total_buffered == 1
+
+
 class TestCreditHandling:
-    def test_on_credit_restores(self):
-        harness = Harness()
-        out_port = harness.topology.plus_port(0)
-        state = harness.router.credit_states[out_port]
-        state.consume(0)
-        harness.router.on_credit(out_port, 0, is_tail=False)
-        assert state.credits[0] == state.capacity_per_vc
-
-    def test_credit_for_unattached_port(self):
-        harness = Harness(node=0)
-        with pytest.raises(SimulationError):
-            harness.router.on_credit(harness.topology.minus_port(0), 0, False)
-
     def test_double_attach_rejected(self):
         harness = Harness()
         port = harness.topology.plus_port(0)
@@ -172,3 +197,81 @@ class TestCreditHandling:
             harness.router.attach_channel(
                 port, harness.router.channels[port], 8
             )
+
+
+def launched_sources(harness):
+    """Source node of each launched flit's packet, in launch order."""
+    return [
+        event[4].packet.src for _, event in harness.events if event[0] == EVENT_ARRIVAL
+    ]
+
+
+class TestSwitchAllocation:
+    def test_contending_vcs_alternate_grants(self):
+        """Rotating priority: two input VCs of the middle router of a 3-node
+        line, both holding single-flit packets for node 2, win the plus
+        port in turn (the winner becomes lowest priority next round)."""
+        harness = Harness(node=1, radix=3, buffers_per_vc=16)
+        router = harness.router
+        from_west = harness.topology.minus_port(0)
+        for _ in range(4):
+            router.on_arrival(from_west, 0, flits_of(Packet(0, 2, 1, 0))[0], 0)
+            harness.place(flits_of(Packet(1, 2, 1, 0))[0])
+        now = 1
+        while router.total_buffered and now < 20:
+            router.step(now)
+            now += 1
+        assert launched_sources(harness) == [0, 1] * 4
+
+    def test_lone_winner_becomes_lowest_priority(self):
+        """A grant on the lone-occupied-VC fast path rotates priority too:
+        the west VC wins alone, then loses the next contended round."""
+        harness = Harness(node=1, radix=3)
+        router = harness.router
+        from_west = harness.topology.minus_port(0)
+        for _ in range(2):
+            router.on_arrival(from_west, 0, flits_of(Packet(0, 2, 1, 0))[0], 0)
+        router.step(1)
+        harness.place(flits_of(Packet(1, 2, 1, 0))[0])
+        router.step(2)
+        assert launched_sources(harness) == [0, 1]
+
+
+class TestWireOracle:
+    @pytest.mark.parametrize("level", range(PAPER_TABLE.max_level + 1))
+    def test_launch_matches_send_flit_on_a_twin_channel(self, level):
+        """The launch stage inlines DVSChannel.send_flit's wire update.
+        Drive back-to-back launches of one packet at *level* and replay
+        each on an identical twin channel through send_flit: the router
+        launches exactly in the cycles the twin accepts a flit, the wire
+        state matches bit for bit, and each flit lands downstream at
+        ceil(serialization end + pipeline latency)."""
+        pipeline_latency = 3
+        harness = Harness(level=level, buffers_per_vc=16, pipeline_latency=pipeline_latency)
+        router = harness.router
+        wire = router.channels[harness.topology.plus_port(0)].dvs
+        twin = make_dvs(level)
+        flits = flits_of(Packet(0, 1, 8, 0))
+        for flit in flits:
+            harness.place(flit)
+        launches = 0
+        now = 1
+        while launches < len(flits):
+            assert now < 100, "router stopped launching"
+            accepts = twin.can_accept_flit(now)
+            router.step(now)
+            if router.flits_launched == launches:
+                assert not accepts, f"no launch at {now} though the wire was free"
+            else:
+                assert accepts, f"launched at {now} onto a busy wire"
+                launches += 1
+                done = twin.send_flit(now)
+                cycle, event = harness.events[-1]
+                assert event[0] == EVENT_ARRIVAL
+                assert event[4] is flits[launches - 1]
+                assert cycle == math.ceil(done + pipeline_latency)
+                assert wire.busy_until == twin.busy_until
+                assert wire.busy_cycles_total == twin.busy_cycles_total
+                assert wire.busy_window == twin.busy_window
+                assert wire.flits_sent == twin.flits_sent == launches
+            now += 1

@@ -1,6 +1,8 @@
 """Tests for per-VC state."""
 
-from repro.network.packet import Packet
+import pytest
+
+from repro.errors import ConfigError
 from repro.network.vc import UNROUTED, InputVC
 
 
@@ -10,27 +12,12 @@ class TestInputVC:
         assert vc.out_port == UNROUTED
         assert vc.out_vc == UNROUTED
         assert vc.route_options is None
-        assert not vc.active
-        assert not vc.needs_route
+        assert not vc.flits
+        assert vc.capacity == 8
 
-    def test_needs_route_with_head_at_front(self):
-        vc = InputVC(8)
-        flits = Packet(0, 1, 3, 0).make_flits()
-        vc.buffer.enqueue(flits[0], 0)
-        assert vc.needs_route
-
-    def test_no_route_needed_for_body(self):
-        vc = InputVC(8)
-        flits = Packet(0, 1, 3, 0).make_flits()
-        vc.buffer.enqueue(flits[1], 0)  # body flit (malformed stream)
-        assert not vc.needs_route
-
-    def test_active_after_assignment(self):
-        vc = InputVC(8)
-        vc.out_port = 2
-        vc.out_vc = 1
-        assert vc.active
-        assert not vc.needs_route or vc.buffer.is_empty
+    def test_zero_capacity_rejected(self):
+        with pytest.raises(ConfigError):
+            InputVC(0)
 
     def test_reset_route(self):
         vc = InputVC(8)
