@@ -48,6 +48,14 @@ EWMA window every 200 cycles, which no amount of skipping removes). At
 saturation nothing is skippable and the ratio sits at parity within noise
 (0.91-0.98x); there the pooled kernel's steady-state measured span
 allocates no new per-flit/per-event objects.
+
+The ``steady-low-*`` pair runs the same light-load traffic with the
+history policy started at the bottom level (``initial_level=0``, so the
+links are at steady state from the start rather than ramping down) and
+without DVS. Its ``dvs_overhead`` — the DVS row's fast-forward wall time
+over the no-DVS row's, both timed in one process over the same simulated
+cycles, like ``speedup_vs_no_ff`` — is what the DVS control path costs on
+top of the traffic it governs. It is reported, not gated.
 """
 
 from __future__ import annotations
@@ -82,6 +90,8 @@ BASELINE_PATH = REPO_ROOT / "BENCH_step_throughput.json"
 SATURATION_PATH = REPO_ROOT / "BENCH_saturation.json"
 #: The scenario the saturation baseline tracks.
 SATURATION_SCENARIO = "saturation-uniform"
+#: The steady-state pair's DVS and no-DVS scenarios (same traffic).
+STEADY_DVS, STEADY_NODVS = "steady-low-dvs", "steady-low-nodvs"
 
 
 @dataclass(frozen=True)
@@ -101,10 +111,11 @@ def paper_config(
     tasks: int,
     warmup: int,
     measure: int,
+    initial_level: int | None = None,
 ) -> SimulationConfig:
     return SimulationConfig(
         network=NetworkConfig(radix=radix, dimensions=2),
-        dvs=DVSControlConfig(policy=policy),
+        dvs=DVSControlConfig(policy=policy, initial_level=initial_level),
         workload=WorkloadConfig(
             kind=kind,
             injection_rate=rate,
@@ -149,6 +160,19 @@ def build_scenarios(tiny: bool) -> list[Scenario]:
         Scenario(
             "saturation-uniform",
             cfg(policy="history", kind="uniform", rate=0.8, tasks=50),
+            expect_skipping=False,
+        ),
+        Scenario(
+            STEADY_DVS,
+            cfg(
+                policy="history", kind="two_level", rate=0.1, tasks=50,
+                initial_level=0,
+            ),
+            expect_skipping=False,
+        ),
+        Scenario(
+            STEADY_NODVS,
+            cfg(policy="none", kind="two_level", rate=0.1, tasks=50),
             expect_skipping=False,
         ),
     ]
@@ -231,6 +255,12 @@ def measure_allocations(config: SimulationConfig) -> dict:
     }
 
 
+def dvs_overhead(rows: list[dict]) -> float:
+    """The steady-state pair's DVS over no-DVS fast-forward wall time."""
+    wall = {row["scenario"]: row["variants"]["fastforward"]["wall_s"] for row in rows}
+    return wall[STEADY_DVS] / wall[STEADY_NODVS]
+
+
 def baseline_rows(rows: list[dict]) -> dict:
     """The per-scenario numbers the regression gate tracks."""
     return {
@@ -265,6 +295,7 @@ def write_baseline(rows: list[dict], mode: str, scenarios: list[Scenario]) -> No
             "command": f"python benchmarks/bench_step_throughput.py "
             f"{'--tiny ' if mode == 'tiny' else ''}--write-baseline",
             "rows": baseline_rows(rows),
+            "dvs_overhead": round(dvs_overhead(rows), 3),
         },
         "step_throughput",
     )
@@ -461,11 +492,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"sanitize {row['sanitize_overhead']:5.2f}x"
             )
 
+    overhead = dvs_overhead(rows)
+    print(f"{'dvs_overhead':28s} {overhead:5.2f}x (DVS / no-DVS wall time)")
+
     report = {
         "benchmark": "step_throughput",
         "tiny": args.tiny,
         "repeats": max(1, args.repeats),
         "rows": rows,
+        "dvs_overhead": overhead,
     }
     if args.json:
         path = Path(args.json)

@@ -32,7 +32,11 @@ The family (one checker per invariant group):
   transition sequencing), voltage and frequency levels never diverge by
   more than one step and agree on a settled link, the ``locked``
   fast-path mirror agrees with the state machine phase, and a link in
-  frequency transition transmits nothing.
+  frequency transition transmits nothing. While a port controller is
+  dormant, its channel keeps the phase and levels it had at entry, and at
+  every window boundary the channel sent nothing during the window and
+  its downstream port is empty — the conditions under which the skipped
+  closes equal the closes the engine did not run.
 * :class:`TrafficContractSanitizer` — ``next_injection_cycle`` is
   side-effect-free and deterministic (the fast-forward contract): calling
   it twice returns the same horizon, never in the past, and periodically
@@ -504,6 +508,15 @@ class DVSTransitionSanitizer(SanitizerObserver):
     Snapshots are raw-attribute tuples; a channel whose snapshot is
     unchanged since a check it passed cannot have become illegal, so
     unchanged channels skip validation.
+
+    Dormant controllers replay their skipped closes correctly only if
+    nothing those closes would have seen changed: no phase may end on the
+    channel of a dormant controller (its phase event must wake it first),
+    no scan may find the channel's levels, phase or lock state changed
+    while the controller stayed dormant, and at every window boundary,
+    after the engine's controller loop, each still-dormant controller's
+    channel must have sent nothing during the window (a send must wake
+    it) and its downstream port must be empty.
     """
 
     rule = "dvs-transition"
@@ -521,6 +534,9 @@ class DVSTransitionSanitizer(SanitizerObserver):
         self._index_of: dict[int, int] = {}
         self._max_level = 0
         self._links: list["DVSChannel"] | None = None
+        #: Per controller, the ``dormant_since`` of the dormant spell a
+        #: boundary check last saw (``None`` = none yet).
+        self._dormant_seen: list[int | None] = []
         #: Controller window period: transitions can only legitimately
         #: begin on these cycles, so they force a full scan.
         self._window = (
@@ -549,14 +565,16 @@ class DVSTransitionSanitizer(SanitizerObserver):
         }
         if channels:
             self._max_level = channels[0].dvs.table.max_level
+        self._dormant_seen = [None] * len(self.engine.controllers)
         return links
 
     def on_cycle(self, now: int) -> None:
         self._since_check += 1
-        if self._since_check >= self.check_every or (
-            self._window and now % self._window == 0
-        ):
+        boundary = self._window and now % self._window == 0
+        if boundary or self._since_check >= self.check_every:
             self._fire(now)
+            if boundary:
+                self.check_dormant_boundary(now)
         elif self._watched:
             self._observe_watched(now)
 
@@ -576,8 +594,22 @@ class DVSTransitionSanitizer(SanitizerObserver):
         if self._links is None:
             self._setup()
         index = self._index_of.get(event.channel)
-        if index is not None:
-            self._watched.add(index)
+        if index is None:
+            return
+        self._watched.add(index)
+        controllers = self.engine.controllers
+        if (
+            event.kind == "phase_end"
+            and controllers
+            and controllers[index].dormant_action is not None
+        ):
+            self._violation(
+                "phase ended on the channel of a controller dormant since "
+                f"cycle {controllers[index].dormant_since}; its phase event "
+                "must wake the controller first",
+                cycle=event.cycle,
+                channel=event.channel,
+            )
 
     def check(self, now: int) -> None:
         links = self._links
@@ -585,6 +617,30 @@ class DVSTransitionSanitizer(SanitizerObserver):
             links = self._setup()
         for index, dvs in enumerate(links):
             self._observe(index, dvs, now)
+
+    def check_dormant_boundary(self, now: int) -> None:
+        """After the controller loop at boundary *now*: every controller
+        still dormant skipped a window in which its channel sent nothing
+        and its downstream port held nothing. Also marks each dormant
+        spell as seen, so later scans hold its channel to the state this
+        boundary's scan recorded."""
+        if self._links is None:
+            self._setup()
+        seen = self._dormant_seen
+        for index, controller in enumerate(self.engine.controllers):
+            if controller.dormant_action is None:
+                continue
+            seen[index] = controller.dormant_since
+            busy = controller.channel.busy_window
+            occupied = controller.occupancy_source.occupied
+            if busy or occupied:
+                self._violation(
+                    f"controller dormant since cycle {controller.dormant_since} "
+                    f"skipped a window with busy time {busy} and {occupied} "
+                    "flit(s) downstream; a send must wake it for a real close",
+                    cycle=now,
+                    channel=self.engine.channels[index].spec.channel_id,
+                )
 
     def _observe(self, index: int, dvs: "DVSChannel", now: int) -> None:
         snapshot = (
@@ -607,6 +663,23 @@ class DVSTransitionSanitizer(SanitizerObserver):
         target = dvs.target_level
         in_lock = phase in _LOCKED_PHASES
         channel_id = self.engine.channels[index].spec.channel_id
+        controllers = self.engine.controllers
+        if (
+            controllers
+            and controllers[index].dormant_action is not None
+            and self._dormant_seen[index] == controllers[index].dormant_since
+            and previous is not None
+            and snapshot[:4] != previous[:4]
+        ):
+            self._violation(
+                f"channel of a controller dormant since cycle "
+                f"{controllers[index].dormant_since} went from level "
+                f"{previous[0]} (voltage {previous[1]}, {previous[3].value}) "
+                f"to level {level} (voltage {voltage}, {phase.value}) without "
+                "waking it",
+                cycle=now,
+                channel=channel_id,
+            )
         if sleeping != (phase is ChannelPhase.SLEEP):
             self._violation(
                 f"sleeping mirror ({sleeping}) disagrees with phase "
@@ -815,12 +888,13 @@ class NetworkSanitizer(Observer):
 
     def on_cycle(self, now: int) -> None:
         self._since_fanout += 1
-        if self._since_fanout >= self._cadence or (
-            self._window and now % self._window == 0
-        ):
+        boundary = self._window and now % self._window == 0
+        if boundary or self._since_fanout >= self._cadence:
             self._since_fanout = 0
             for checker in self.checkers:
                 checker._fire(now)
+            if boundary:
+                self._dvs.check_dormant_boundary(now)
         elif self._dvs._watched:
             self._dvs._observe_watched(now)
 

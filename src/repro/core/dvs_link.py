@@ -101,6 +101,75 @@ class TransitionTiming:
         )
 
 
+class LevelConstants:
+    """Per-level constants of one channel design, computed once.
+
+    Everything a phase boundary needs that depends on the level alone:
+    steady power, serialization and frequency-lock cycles per level, and
+    per adjacent pair ``(l, l + 1)`` the voltage-ramp power
+    ``lanes x P(f(l), V(l + 1))`` and regulator energy ``E(V(l), V(l + 1))``
+    (``l`` is the lower level of both up- and down-steps), plus the ramp
+    duration. Each is the float expression the channel used to evaluate
+    per transition, so sharing them changes no bit. The engine builds one
+    instance and hands it to every channel; a standalone channel builds
+    its own.
+    """
+
+    __slots__ = (
+        "source",
+        "steady_power_w",
+        "serialization_cycles",
+        "lock_cycles",
+        "ramp_power_w",
+        "ramp_energy_fj",
+        "ramp_cycles",
+    )
+
+    def __init__(
+        self,
+        table: VFTable,
+        power_model: LinkPowerModel,
+        regulator: RegulatorModel,
+        *,
+        lanes: int,
+        router_clock_hz: float,
+        timing: TransitionTiming,
+    ) -> None:
+        #: The parameters these constants were computed from.
+        self.source = (table, power_model, regulator, lanes, router_clock_hz, timing)
+        levels = range(len(table))
+        self.steady_power_w = tuple(
+            power_model.channel_power_w(table, level, lanes) for level in levels
+        )
+        self.serialization_cycles = tuple(
+            table.serialization_ratio(level, router_clock_hz) for level in levels
+        )
+        self.lock_cycles = tuple(
+            max(1, timing.frequency_cycles(table.frequency(level), router_clock_hz))
+            for level in levels
+        )
+        lower_levels = range(table.max_level)
+        self.ramp_power_w = tuple(
+            lanes
+            * power_model.power_w(
+                VFOperatingPoint(
+                    frequency_hz=table.frequency(level),
+                    voltage_v=table.voltage(level + 1),
+                )
+            )
+            for level in lower_levels
+        )
+        self.ramp_energy_fj = tuple(
+            joules_to_femtojoules(
+                regulator.transition_energy_j(
+                    table.voltage(level), table.voltage(level + 1)
+                )
+            )
+            for level in lower_levels
+        )
+        self.ramp_cycles = max(1, timing.voltage_cycles(router_clock_hz))
+
+
 class DVSChannel:
     """One DVS-capable channel: shared-regulator serial links plus state.
 
@@ -150,6 +219,7 @@ class DVSChannel:
         "_sleep_lockout_until",
         "_sleep_started_cycle",
         "_wake_duration",
+        "_constants",
     )
 
     def __init__(
@@ -164,6 +234,7 @@ class DVSChannel:
         initial_level: int | None = None,
         retention_voltage_v: float = 0.3,
         wake_lockout_cycles: int = 0,
+        constants: LevelConstants | None = None,
     ) -> None:
         if lanes <= 0:
             raise ConfigError("a channel needs at least one lane")
@@ -182,6 +253,20 @@ class DVSChannel:
         self.lanes = lanes
         self.router_clock_hz = router_clock_hz
         self.timing = timing if timing is not None else TransitionTiming()
+        if constants is None:
+            constants = LevelConstants(
+                table,
+                power_model,
+                self.regulator,
+                lanes=lanes,
+                router_clock_hz=router_clock_hz,
+                timing=self.timing,
+            )
+        elif constants.source != (
+            table, power_model, self.regulator, lanes, router_clock_hz, self.timing
+        ):
+            raise ConfigError("level constants were built for a different channel design")
+        self._constants = constants
 
         level = table.max_level if initial_level is None else initial_level
         if not 0 <= level <= table.max_level:
@@ -207,9 +292,9 @@ class DVSChannel:
         self.transition_energy_fj = 0
         self.link_energy_fj = 0
         self.dead_cycles = 0
-        self._power_w = self._steady_power_w(level)
+        self._power_w = constants.steady_power_w[level]
         self._last_energy_cycle = 0
-        self._serialization_cycles = table.serialization_ratio(level, router_clock_hz)
+        self._serialization_cycles = constants.serialization_cycles[level]
         #: Count of completed adjacent steps up/down, for diagnostics.
         self.level_step_counts = {"up": 0, "down": 0}
 
@@ -389,11 +474,9 @@ class DVSChannel:
         self._phase = ChannelPhase.WAKE
         self.locked = True
         self.sleeping = False
-        self._power_w = self._steady_power_w(0)
-        self._wake_duration = (
-            max(1, self.timing.voltage_cycles(self.router_clock_hz))
-            + self._frequency_lock_duration()
-        )
+        constants = self._constants
+        self._power_w = constants.steady_power_w[0]
+        self._wake_duration = constants.ramp_cycles + constants.lock_cycles[self._level]
         self._phase_end_cycle = now + self._wake_duration
         return True
 
@@ -406,10 +489,8 @@ class DVSChannel:
         self._level = level
         self._voltage_level = level
         self._target_level = level
-        self._serialization_cycles = self.table.serialization_ratio(
-            level, self.router_clock_hz
-        )
-        self._power_w = self._steady_power_w(level)
+        self._serialization_cycles = self._constants.serialization_cycles[level]
+        self._power_w = self._constants.steady_power_w[level]
 
     def on_phase_end(self, now: int) -> int | None:
         """Advance the state machine at a phase boundary.
@@ -437,7 +518,7 @@ class DVSChannel:
                 self._voltage_level = self._level
                 self._finish_step(now, step="down")
         elif self._phase is ChannelPhase.FREQUENCY_LOCK:
-            self.dead_cycles += self._frequency_lock_duration()
+            self.dead_cycles += self._constants.lock_cycles[self._level]
             if going_up:
                 # Frequency now matches the already-raised voltage.
                 self._level += 1
@@ -445,15 +526,15 @@ class DVSChannel:
             else:
                 # Frequency dropped; ramp the voltage down (link functional).
                 self._level -= 1
-                self._serialization_cycles = self.table.serialization_ratio(
-                    self._level, self.router_clock_hz
-                )
+                self._serialization_cycles = self._constants.serialization_cycles[
+                    self._level
+                ]
                 self._start_voltage_ramp(now)
         elif self._phase is ChannelPhase.WAKE:
             # Rail recharged and receiver re-locked: back to steady level 0.
             self.dead_cycles += self._wake_duration
             self._sleep_lockout_until = now + self.wake_lockout_cycles
-            self._power_w = self._steady_power_w(self._level)
+            self._power_w = self._constants.steady_power_w[self._level]
             self._phase = ChannelPhase.STEADY
             self.locked = False
             self._phase_end_cycle = None
@@ -540,15 +621,12 @@ class DVSChannel:
         """Mean channel power from cycle 0 to *now* (finalizes bookkeeping)."""
         if now <= 0:
             return self._power_w
-        self._accrue_energy(now)
+        self.finalize(now)
         return self.total_energy_j / (now / self.router_clock_hz)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _steady_power_w(self, level: int) -> float:
-        return self.power_model.channel_power_w(self.table, level, self.lanes)
 
     def _accrue_energy(self, now: int) -> None:
         if now < self._last_energy_cycle:
@@ -568,67 +646,43 @@ class DVSChannel:
         # Never start a phase while a flit is mid-wire.
         start = max(now, int(math.ceil(self.busy_until)))
         if self._target_level > self._level:
-            self._start_voltage_ramp(start, charge_to=self._level + 1)
+            self._start_voltage_ramp(start)
         else:
             self._start_frequency_lock(start)
 
-    def _start_voltage_ramp(self, now: int, charge_to: int | None = None) -> None:
-        """Begin a voltage ramp; link stays functional.
+    def _start_voltage_ramp(self, now: int) -> None:
+        """Begin a voltage ramp between ``_level`` and the level above it;
+        the link stays functional.
 
-        During the ramp the channel is conservatively billed at the higher
-        of the two levels' voltages (the regulator holds the rail at or
-        between them; billing high keeps the savings estimate pessimistic,
-        matching the paper's "very conservative assumptions").
+        An upward step ramps toward the next level's rail before the
+        frequency retunes; a downward step ramps from the old level's rail
+        after it. Either way the ramp runs at the frequency of ``_level``,
+        the lower of the two, and is conservatively billed at the higher
+        voltage (the regulator holds the rail at or between them; billing
+        high keeps the savings estimate pessimistic, matching the paper's
+        "very conservative assumptions").
         """
         self._accrue_energy(now)
-        if charge_to is not None:
-            # Upward step: voltage heads to the next level's rail.
-            high_level = charge_to
-            low_voltage = self.table.voltage(self._voltage_level)
-            high_voltage = self.table.voltage(charge_to)
-        else:
-            # Downward step: voltage falls from the old level's rail.
-            high_level = self._voltage_level
-            low_voltage = self.table.voltage(self._level)
-            high_voltage = self.table.voltage(self._voltage_level)
-        self.transition_energy_fj += joules_to_femtojoules(
-            self.regulator.transition_energy_j(low_voltage, high_voltage)
-        )
+        constants = self._constants
+        level = self._level
+        self.transition_energy_fj += constants.ramp_energy_fj[level]
         self.transition_count += 1
-        # Bill the ramp at the higher level's power point, at the frequency
-        # currently in effect.
-        self._power_w = self.lanes * self.power_model.power_w(
-            VFOperatingPoint(
-                frequency_hz=self.table.frequency(self._level),
-                voltage_v=self.table.voltage(high_level),
-            )
-        )
+        self._power_w = constants.ramp_power_w[level]
         self._phase = ChannelPhase.VOLTAGE_RAMP
         self.locked = False
-        duration = max(1, self.timing.voltage_cycles(self.router_clock_hz))
-        self._phase_end_cycle = now + duration
-
-    def _frequency_lock_duration(self) -> int:
-        return max(
-            1,
-            self.timing.frequency_cycles(
-                self.table.frequency(self._level), self.router_clock_hz
-            ),
-        )
+        self._phase_end_cycle = now + constants.ramp_cycles
 
     def _start_frequency_lock(self, now: int) -> None:
         self._accrue_energy(now)
         self._phase = ChannelPhase.FREQUENCY_LOCK
         self.locked = True
-        self._phase_end_cycle = now + self._frequency_lock_duration()
+        self._phase_end_cycle = now + self._constants.lock_cycles[self._level]
 
     def _finish_step(self, now: int, step: str) -> None:
         self.level_step_counts[step] += 1
         self._voltage_level = self._level
-        self._serialization_cycles = self.table.serialization_ratio(
-            self._level, self.router_clock_hz
-        )
-        self._power_w = self._steady_power_w(self._level)
+        self._serialization_cycles = self._constants.serialization_cycles[self._level]
+        self._power_w = self._constants.steady_power_w[self._level]
         self._phase = ChannelPhase.STEADY
         self.locked = False
         if self._level != self._target_level:

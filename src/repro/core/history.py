@@ -55,6 +55,14 @@ class EWMAPredictor:
         self._primed = True
         return self._predicted
 
+    def skip_idle(self, count: int) -> None:
+        """Fold in *count* zero observations, as *count* ``update(0.0)``
+        calls would."""
+        for _ in range(count):
+            # Once the prediction has decayed to 0.0 it stays there.
+            if self.update(0.0) == 0.0:
+                break
+
     def reset(self, value: float = 0.0) -> None:
         """Restart the predictor at *value*."""
         self._predicted = value

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigError
 from .history import EWMAPredictor
@@ -51,9 +51,12 @@ class DVSAction(enum.Enum):
     WAKE = 2
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyInputs:
+class PolicyInputs(NamedTuple):
     """One history window's observations, as seen by a policy.
+
+    A named tuple rather than a frozen dataclass: the port controller builds
+    one per window close, positionally, and a tuple is the cheapest
+    immutable record Python offers.
 
     Attributes:
         link_utilization: Fraction of the window's link clocks that carried
@@ -95,6 +98,26 @@ class DVSPolicy(ABC):
     def consume_replay_flits(self) -> int:
         """Flits to replay for errors detected in the last window (drains)."""
         return 0
+
+    def idle_action(self, inputs: PolicyInputs) -> DVSAction | None:
+        """The action of every later all-idle window, if the state fixes it.
+
+        Called right after :meth:`decide` folded in *inputs*. Returns the
+        action :meth:`decide` would return, from the current state, for
+        every later window with zero link and buffer utilization at
+        ``inputs.level`` — or ``None`` when no such fixpoint is known. The
+        default declares nothing, so the port controller evaluates every
+        window. A policy that declares an action must also implement
+        :meth:`skip_idle_windows`, and must not charge replays.
+        """
+        return None
+
+    def skip_idle_windows(self, count: int) -> None:
+        """Advance the state exactly as *count* all-idle :meth:`decide`
+        calls at the same level would (see :meth:`idle_action`)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} declares an idle action but cannot skip windows"
+        )
 
     def reset(self) -> None:  # pragma: no cover - trivial default
         """Clear any internal prediction state."""
@@ -146,6 +169,20 @@ class HistoryDVSPolicy(DVSPolicy):
             return DVSAction.STEP_UP
         return DVSAction.HOLD
 
+    def idle_action(self, inputs: PolicyInputs) -> DVSAction | None:
+        # An idle window only shrinks LU_pred, so once it is below both
+        # low thresholds every later idle window steps down, whichever
+        # pair the decaying BU_pred selects.
+        lu_pred = self._lu_predictor.predicted
+        thresholds = self.thresholds
+        if lu_pred < thresholds.low_uncongested and lu_pred < thresholds.low_congested:
+            return DVSAction.STEP_DOWN
+        return None
+
+    def skip_idle_windows(self, count: int) -> None:
+        self._lu_predictor.skip_idle(count)
+        self._bu_predictor.skip_idle(count)
+
     def reset(self) -> None:
         self._lu_predictor.reset()
         self._bu_predictor.reset()
@@ -181,6 +218,13 @@ class StaticLevelPolicy(DVSPolicy):
             return DVSAction.STEP_DOWN
         return DVSAction.HOLD
 
+    def idle_action(self, inputs: PolicyInputs) -> DVSAction | None:
+        # Stateless: the action depends on the level alone.
+        return self.decide(inputs)
+
+    def skip_idle_windows(self, count: int) -> None:
+        pass
+
 
 class LinkUtilizationOnlyPolicy(DVSPolicy):
     """Ablation: Algorithm 1 without the buffer-utilization litmus.
@@ -211,6 +255,14 @@ class LinkUtilizationOnlyPolicy(DVSPolicy):
         if lu_pred > self.thresholds.high_uncongested:
             return DVSAction.STEP_UP
         return DVSAction.HOLD
+
+    def idle_action(self, inputs: PolicyInputs) -> DVSAction | None:
+        if self._lu_predictor.predicted < self.thresholds.low_uncongested:
+            return DVSAction.STEP_DOWN
+        return None
+
+    def skip_idle_windows(self, count: int) -> None:
+        self._lu_predictor.skip_idle(count)
 
     def reset(self) -> None:
         self._lu_predictor.reset()

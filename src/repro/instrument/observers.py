@@ -17,7 +17,7 @@ from ..metrics.latency import LatencyCollector
 from ..metrics.timeseries import WindowedSeries
 from ..metrics.utilization import UtilizationProbe
 from ..power.accounting import PowerAccountant
-from .bus import Observer, TransitionEvent
+from .bus import Observer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..network.channel import NetworkChannel
@@ -65,27 +65,21 @@ class MeasurementMeter(Observer):
 
 
 class PowerObserver(Observer):
-    """Wraps a :class:`PowerAccountant` and tallies observed transitions.
+    """Wraps a :class:`PowerAccountant` for the measurement lifecycle.
 
-    The accountant itself integrates energy lazily from the channels, so
-    the only bus traffic this observer needs is the transition stream —
-    ``ramp_starts_seen`` counts exactly what the accountant's
-    ``transition_count`` counts, giving traces and tests an independent
-    cross-check.
+    The accountant integrates energy lazily from the channels and counts
+    transitions from their own counters, so this observer subscribes to
+    no kernel hook: a run without other transition listeners builds no
+    transition events at all.
     """
 
-    __slots__ = ("accountant", "ramp_starts_seen")
+    __slots__ = ("accountant",)
 
     def __init__(self, accountant: PowerAccountant) -> None:
         self.accountant = accountant
-        self.ramp_starts_seen = 0
 
     def begin(self, now: int) -> None:
         self.accountant.begin(now)
-
-    def on_transition(self, event: TransitionEvent) -> None:
-        if event.kind == "ramp_start":
-            self.ramp_starts_seen += 1
 
 
 class SeriesObserver(Observer):

@@ -13,12 +13,17 @@ cycle the kernel
 
 1. dispatches scheduled events — flit arrivals into input buffers, credit
    returns, DVS channel phase boundaries (emitting ``on_transition`` bus
-   events at the boundaries);
+   events at the boundaries, when anything listens);
 2. polls the traffic source and enqueues new packets in source queues
    (emitting ``on_packet_offered``);
 3. closes DVS history windows when due (every H cycles) and runs the
    per-port controllers; schedules any transition phase boundaries they
-   start;
+   start. A *dormant* controller (see :mod:`repro.core.controller`)
+   costs an attribute test and an energy finalize here: its close is
+   only counted, unless the channel sent a flit during the window, which
+   wakes it for a real close. Its channel's phase event wakes it too,
+   before the phase ends, and :meth:`SimulationEngine.run_until` replays
+   every dormant controller's skipped windows before it returns;
 4. dispatches ``on_window_close`` to windowed observers and ``on_cycle``
    to per-cycle observers;
 5. steps every *active* router (ejection, routing/VC allocation, switch
@@ -77,7 +82,7 @@ from bisect import insort
 
 from ..config import SimulationConfig
 from ..core.controller import PortDVSController
-from ..core.dvs_link import DVSChannel
+from ..core.dvs_link import DVSChannel, LevelConstants
 from ..core.registry import PolicyBuildContext, build_policy
 from ..errors import SimulationError
 from ..instrument.bus import InstrumentBus, TransitionEvent
@@ -125,6 +130,14 @@ class SimulationEngine:
         power_model = link.build_power_model()
         regulator = link.build_regulator()
         timing = link.build_timing()
+        constants = LevelConstants(
+            table,
+            power_model,
+            regulator,
+            lanes=link.lanes,
+            router_clock_hz=net.router_clock_hz,
+            timing=timing,
+        )
 
         # Calendar queue: a ring slot per near-future cycle, spill dict
         # beyond. The ring must cover the worst-case transport horizon —
@@ -205,6 +218,7 @@ class SimulationEngine:
                 initial_level=initial_level,
                 retention_voltage_v=link.sleep_retention_voltage_v,
                 wake_lockout_cycles=link.sleep_wake_lockout_cycles,
+                constants=constants,
             )
             channel = NetworkChannel(spec, dvs_channel, net.pipeline_latency)
             self.routers[spec.src_node].attach_channel(
@@ -228,15 +242,17 @@ class SimulationEngine:
                     channel_index=spec.channel_id,
                     window_cycles=config.dvs.history_window,
                 )
-                self.controllers.append(
-                    PortDVSController(
-                        channel.dvs,
-                        build_policy(config.dvs, context),
-                        tracker,
-                        window_cycles=config.dvs.history_window,
-                        buffer_capacity=net.buffers_per_port,
-                    )
+                controller = PortDVSController(
+                    channel.dvs,
+                    build_policy(config.dvs, context),
+                    tracker,
+                    window_cycles=config.dvs.history_window,
+                    buffer_capacity=net.buffers_per_port,
                 )
+                # This engine delivers the wake triggers, so the controller
+                # may go dormant.
+                controller.flight_cycles = channel.pipeline_latency
+                self.controllers.append(controller)
 
         if traffic is None:
             from ..traffic.base import make_traffic
@@ -299,18 +315,19 @@ class SimulationEngine:
             else:
                 bucket.append(event)
 
-    def _phase_event(self, channel: DVSChannel):
-        """A fresh or recycled event record for a DVS phase boundary."""
+    def _phase_event(self, channel: DVSChannel, controller: PortDVSController):
+        """A fresh or recycled event record for a DVS phase boundary of
+        *channel*, carrying the *controller* the boundary must wake."""
         pool = self._event_pool
         if pool:
             record = pool.pop()
             record[0] = EVENT_PHASE
             record[1] = channel
-            record[2] = None
+            record[2] = controller
             record[3] = None
             record[4] = None
             return record
-        return [EVENT_PHASE, channel, None, None, None]
+        return [EVENT_PHASE, channel, controller, None, None]
 
     def iter_scheduled_events(self):
         """Yield every pending ``(cycle, event)`` pair, unordered.
@@ -352,6 +369,19 @@ class SimulationEngine:
     def _on_packet_injected(self) -> None:
         self._pending_source -= 1
 
+    def catch_up_controllers(self) -> None:
+        """Replay every dormant controller's skipped windows into its
+        counters and policy; the controllers stay dormant.
+
+        :meth:`run_until`, :meth:`drain` and ``Simulator.finish`` call
+        this, so controller and policy state read after any of them is
+        exact. A caller driving the kernel with bare :meth:`step` calls
+        it before reading that state. It moves no simulated bit.
+        """
+        for controller in self.controllers:
+            if controller.windows_skipped:
+                controller.catch_up()
+
     def _emit_transition(self, channel: DVSChannel, now: int, kind: str) -> None:
         event = TransitionEvent(
             cycle=now,
@@ -378,8 +408,10 @@ class SimulationEngine:
         launch, so packets may queue back-to-back in a downstream VC). It
         needs no overflow check: credits mirror downstream slots exactly,
         every credit return matches one departed flit, and the opt-in
-        network sanitizer re-verifies that end to end. A PHASE ends a DVS
-        channel phase and schedules the next boundary. Every record here
+        network sanitizer re-verifies that end to end. A PHASE wakes the
+        channel's controller if it is dormant (so the windows it skipped
+        are classified under the state they saw), ends a DVS channel phase
+        and schedules the next boundary. Every record here
         is a pooled 5-slot list, recycled in the same pass; the
         outstanding-event counters are settled once per bucket rather than
         per event.
@@ -404,10 +436,13 @@ class SimulationEngine:
             else:  # EVENT_PHASE
                 phases += 1
                 channel = event[1]
+                controller = event[2]
+                if controller.dormant_action is not None:
+                    controller.wake()
                 ramps_before = channel.transition_count
                 next_cycle = channel.on_phase_end(now)
                 if next_cycle is not None:
-                    self.schedule(next_cycle, self._phase_event(channel))
+                    self.schedule(next_cycle, self._phase_event(channel, controller))
                 transition_hooks = self.bus.transition_hooks
                 if transition_hooks:
                     self._emit_transition(channel, now, "phase_end")
@@ -419,7 +454,11 @@ class SimulationEngine:
         counters[1] -= arrivals
 
     def step(self) -> None:  # repro-hot
-        """Advance the simulation by one router cycle."""
+        """Advance the simulation by one router cycle.
+
+        Dormant controllers' skipped windows are replayed only when a run
+        loop returns (:meth:`catch_up_controllers`).
+        """
         now = self.now
         routers = self.routers
         bus = self.bus
@@ -464,12 +503,22 @@ class SimulationEngine:
                 transition_hooks = bus.transition_hooks
                 for controller in self.controllers:
                     channel = controller.channel
-                    pending_before = channel.pending_event_cycle
+                    if controller.dormant_action is not None:
+                        if channel.busy_window == 0.0:
+                            # All the skipped close would do to the channel.
+                            channel.finalize(now)
+                            controller.windows_skipped += 1
+                            continue
+                        # A flit went out: this window closes for real.
+                        controller.wake()
+                    pending_before = channel._phase_end_cycle
                     ramps_before = channel.transition_count
                     controller.close_window(now)
-                    pending_after = channel.pending_event_cycle
+                    pending_after = channel._phase_end_cycle
                     if pending_after is not None and pending_after != pending_before:
-                        self.schedule(pending_after, self._phase_event(channel))
+                        self.schedule(
+                            pending_after, self._phase_event(channel, controller)
+                        )
                     if transition_hooks and channel.transition_count > ramps_before:
                         self._emit_transition(channel, now, "ramp_start")
             window_hooks = bus.window_hooks
@@ -514,13 +563,15 @@ class SimulationEngine:
         self.run_until(self.now + cycles)
 
     def run_until(self, target: int) -> None:
-        """Advance until ``now == target`` (fast-forwarding where possible)."""
+        """Advance until ``now == target`` (fast-forwarding where possible),
+        then replay dormant controllers' skipped windows."""
         if not self.fast_forward:
             while self.now < target:
                 self.step()
-            return
-        while self.now < target:
-            self._advance_chunk(target)
+        else:
+            while self.now < target:
+                self._advance_chunk(target)
+        self.catch_up_controllers()
 
     def _advance_chunk(self, target: int) -> None:
         """Advance at least one cycle toward *target*: skip or step.
@@ -636,6 +687,7 @@ class SimulationEngine:
                 and self._pending_source == 0
                 and self.traffic.pending_injections() == 0
             ):
+                self.catch_up_controllers()
                 return self.now - start
             if self.fast_forward:
                 self._advance_chunk(deadline)

@@ -208,6 +208,7 @@ class Simulator(SimulationEngine):
         measure_cycles = now - meter.measure_start
         if measure_cycles <= 0:
             raise SimulationError("measurement phase is empty")
+        self.catch_up_controllers()
         power = self.accountant.report(now)
         self.bus.mark("measurement_end", now)
         return SimulationResult(

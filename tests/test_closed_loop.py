@@ -29,6 +29,8 @@ class ConstantRateLoop:
             timing=TransitionTiming(0.5e-6, 5),
         )
         self._occupancy_total = 0.0
+        #: OccupancySource: the scripted port holds no flit between windows.
+        self.occupied = 0
         self.controller = PortDVSController(
             self.channel,
             HistoryDVSPolicy(),

@@ -11,10 +11,11 @@ from repro.errors import ConfigError
 
 
 class FakeOccupancy:
-    """Scripted cumulative occupancy integral."""
+    """Scripted cumulative occupancy integral (the port itself stays empty)."""
 
     def __init__(self):
         self.total = 0.0
+        self.occupied = 0
 
     def add(self, integral):
         self.total += integral
@@ -133,6 +134,50 @@ class TestActuation:
         controller.close_window(200)
         assert controller.windows_evaluated == 1
         assert sum(controller.actions_taken.values()) == 1
+
+
+class TestDormancy:
+    def test_standalone_controller_evaluates_every_window(self):
+        controller, _, _ = make_controller(channel=make_channel(initial_level=0))
+        controller.close_window(200)
+        assert controller.dormant_action is None
+
+    def test_idle_close_goes_dormant_and_wake_replays_the_skipped_windows(self):
+        channel = make_channel(initial_level=0)
+        controller, _, _ = make_controller(channel=channel)
+        controller.flight_cycles = 12  # as an engine sets it
+        # Idle window, steady at level 0: STEP_DOWN clamps to a no-op.
+        controller.close_window(200)
+        assert controller.dormant_action is DVSAction.STEP_DOWN
+        controller.windows_skipped = 3  # the engine counts skipped closes
+        controller.wake()
+        assert controller.dormant_action is None
+        assert controller.windows_evaluated == 4
+        assert controller.actions_taken[DVSAction.STEP_DOWN] == 4
+        assert controller.requests_dropped == 0
+
+    def test_catch_up_replays_the_skipped_windows_and_stays_dormant(self):
+        controller, _, _ = make_controller(channel=make_channel(initial_level=0))
+        controller.flight_cycles = 12
+        controller.close_window(200)
+        controller.windows_skipped = 3
+        controller.catch_up()
+        assert controller.dormant_action is DVSAction.STEP_DOWN
+        assert controller.windows_skipped == 0
+        assert controller.windows_evaluated == 4
+        controller.catch_up()
+        assert controller.windows_evaluated == 4
+
+    def test_dormancy_mid_transition_counts_dropped_requests(self):
+        channel = make_channel(initial_level=9)
+        controller, _, _ = make_controller(channel=channel)
+        controller.flight_cycles = 12
+        controller.close_window(200)  # idle: starts a down step
+        assert not channel.is_steady
+        assert controller.dormant_action is DVSAction.STEP_DOWN
+        controller.windows_skipped = 2
+        controller.wake()
+        assert controller.requests_dropped == 2
 
 
 class TestValidation:

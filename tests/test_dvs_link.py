@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dvs_link import ChannelPhase, DVSChannel, TransitionTiming
+from repro.core.dvs_link import (
+    ChannelPhase,
+    DVSChannel,
+    LevelConstants,
+    TransitionTiming,
+)
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER, RegulatorModel
 from repro.errors import ConfigError, LinkStateError
@@ -239,6 +244,19 @@ class TestEnergy:
         channel.finalize(200)
         assert channel.total_energy_j > first
 
+    def test_average_power_inside_a_prebilled_span(self):
+        # A step requested while a flit is mid-wire pre-bills energy to
+        # the lock start (cycle 102 here). Like finalize, average_power_w
+        # must accept a cycle inside that span instead of raising
+        # "time ran backwards".
+        channel = make_channel(initial_level=5)
+        channel.send_flit(100)
+        assert channel.request_level(4, 100)
+        assert channel._last_energy_cycle == 102
+        channel.finalize(100)
+        power = channel.average_power_w(100)
+        assert power == channel.total_energy_j / (100 / 1.0e9)
+
     def test_finalize_before_checkpoint_is_a_noop(self):
         # Transition starts pre-bill energy past `now`, so finalize must
         # tolerate landing inside an already-integrated span (it used to
@@ -248,6 +266,46 @@ class TestEnergy:
         before = channel.total_energy_j
         channel.finalize(50)
         assert channel.total_energy_j == before
+
+
+class TestLevelConstants:
+    def test_shared_constants_must_match_the_channel(self):
+        reference = make_channel()
+        with pytest.raises(ConfigError, match="different channel design"):
+            DVSChannel(
+                PAPER_TABLE,
+                PAPER_LINK_POWER,
+                RegulatorModel(),
+                lanes=4,
+                constants=reference._constants,
+            )
+
+    def test_shared_constants_give_the_same_channel(self):
+        regulator = RegulatorModel()
+        timing = TransitionTiming(1.0e-6, 10)
+        constants = LevelConstants(
+            PAPER_TABLE,
+            PAPER_LINK_POWER,
+            regulator,
+            lanes=8,
+            router_clock_hz=1.0e9,
+            timing=timing,
+        )
+        shared = DVSChannel(
+            PAPER_TABLE, PAPER_LINK_POWER, regulator, timing=timing,
+            initial_level=6, constants=constants,
+        )
+        own = DVSChannel(
+            PAPER_TABLE, PAPER_LINK_POWER, regulator, timing=timing, initial_level=6
+        )
+        for channel in (shared, own):
+            channel.request_level(0, 0)
+            drive_to_completion(channel, 0)
+            channel.request_level(9, channel._last_energy_cycle)
+            drive_to_completion(channel, 0)
+        for name in ("link_energy_fj", "transition_energy_fj", "dead_cycles",
+                     "_last_energy_cycle", "_power_w", "_serialization_cycles"):
+            assert getattr(shared, name) == getattr(own, name)
 
 
 @settings(max_examples=60, deadline=None)

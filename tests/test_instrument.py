@@ -139,9 +139,6 @@ class TestTraceRecorder:
         result = simulator.run()
         assert result.power.transition_count > 0
         assert len(recorder.ramp_starts()) == result.power.transition_count
-        assert simulator._power_observer.ramp_starts_seen == (
-            result.power.transition_count
-        )
 
     def test_trace_attaches_without_modifying_engine(self):
         """The seam proof: an engine field-for-field identical run, with and
