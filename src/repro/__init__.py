@@ -36,7 +36,6 @@ from .config import (
 from .core import (
     TABLE1_DEFAULT,
     TABLE2_SETTINGS,
-    AlwaysMaxPolicy,
     ChannelPhase,
     ControllerHardwareModel,
     DVSAction,
@@ -95,7 +94,6 @@ __all__ = [
     "DVSAction",
     "DVSPolicy",
     "HistoryDVSPolicy",
-    "AlwaysMaxPolicy",
     "StaticLevelPolicy",
     "PortDVSController",
     "ThresholdSet",

@@ -20,7 +20,6 @@ from .history import EWMAPredictor
 from .levels import VFOperatingPoint, VFTable
 from .policy import (
     AdaptiveThresholdPolicy,
-    AlwaysMaxPolicy,
     DVSAction,
     DVSPolicy,
     HistoryDVSPolicy,
@@ -45,7 +44,6 @@ __all__ = [
     "DVSPolicy",
     "PolicyInputs",
     "HistoryDVSPolicy",
-    "AlwaysMaxPolicy",
     "StaticLevelPolicy",
     "LinkUtilizationOnlyPolicy",
     "AdaptiveThresholdPolicy",

@@ -63,11 +63,6 @@ class EWMAPredictor:
             if self.update(0.0) == 0.0:
                 break
 
-    def reset(self, value: float = 0.0) -> None:
-        """Restart the predictor at *value*."""
-        self._predicted = value
-        self._primed = False
-
     @property
     def is_shift_add_friendly(self) -> bool:
         """True when ``weight + 1`` is a power of two, so the divide is a

@@ -13,8 +13,6 @@ Policies provided:
 * :class:`HistoryDVSPolicy` — the paper's Algorithm 1: EWMA-predicted LU
   drives the step decision, EWMA-predicted BU selects between the
   light-load and congested threshold pairs.
-* :class:`AlwaysMaxPolicy` — the non-DVS baseline (links pinned at the top
-  level).
 * :class:`StaticLevelPolicy` — offline-chosen fixed level (what
   variable-frequency links supported before DVS extensions).
 * :class:`LinkUtilizationOnlyPolicy` — the strawman of Section 3.1 that
@@ -119,9 +117,6 @@ class DVSPolicy(ABC):
             f"{type(self).__name__} declares an idle action but cannot skip windows"
         )
 
-    def reset(self) -> None:  # pragma: no cover - trivial default
-        """Clear any internal prediction state."""
-
 
 class HistoryDVSPolicy(DVSPolicy):
     """The paper's history-based DVS policy (Algorithm 1).
@@ -182,19 +177,6 @@ class HistoryDVSPolicy(DVSPolicy):
     def skip_idle_windows(self, count: int) -> None:
         self._lu_predictor.skip_idle(count)
         self._bu_predictor.skip_idle(count)
-
-    def reset(self) -> None:
-        self._lu_predictor.reset()
-        self._bu_predictor.reset()
-
-
-class AlwaysMaxPolicy(DVSPolicy):
-    """Non-DVS baseline: drive the channel to, and hold it at, max level."""
-
-    def decide(self, inputs: PolicyInputs) -> DVSAction:
-        if inputs.level < inputs.max_level:
-            return DVSAction.STEP_UP
-        return DVSAction.HOLD
 
 
 class StaticLevelPolicy(DVSPolicy):
@@ -263,9 +245,6 @@ class LinkUtilizationOnlyPolicy(DVSPolicy):
 
     def skip_idle_windows(self, count: int) -> None:
         self._lu_predictor.skip_idle(count)
-
-    def reset(self) -> None:
-        self._lu_predictor.reset()
 
 
 class AdaptiveThresholdPolicy(DVSPolicy):
@@ -344,12 +323,6 @@ class AdaptiveThresholdPolicy(DVSPolicy):
         if lu_pred > t_high:
             return DVSAction.STEP_UP
         return DVSAction.HOLD
-
-    def reset(self) -> None:
-        self._lu_predictor.reset()
-        self._bu_predictor.reset()
-        self._low = self._base.low_uncongested
-        self._calm_windows = 0
 
 
 # ---------------------------------------------------------------------------

@@ -128,13 +128,6 @@ class ErrorCorrectionPolicy(DVSPolicy):
         self._pending_replay = 0
         return flits
 
-    def reset(self) -> None:
-        self._rng = random.Random(self._seed)
-        self._clean_windows = 0
-        self._backoff_left = 0
-        self._pending_replay = 0
-        self.errors_observed = 0
-
 
 class LinkShutdownPolicy(DVSPolicy):
     """Leakage-aware link shutdown (Tsai et al. flavor).
@@ -210,12 +203,6 @@ class LinkShutdownPolicy(DVSPolicy):
         if lu_pred > t_high:
             return DVSAction.STEP_UP
         return DVSAction.HOLD
-
-    def reset(self) -> None:
-        self._lu_predictor.reset()
-        self._bu_predictor.reset()
-        self._idle_windows = 0
-        self._slept_windows = 0
 
 
 class OraclePolicy(DVSPolicy):

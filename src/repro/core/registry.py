@@ -133,13 +133,10 @@ class PolicyBuildContext:
         channel_index: Topology channel id of the port this policy will
             control — lets seeded policies decorrelate their streams per
             port while staying deterministic across backends.
-        window_cycles: The controller's history-window length in router
-            cycles.
     """
 
     table: "VFTable | None" = None
     channel_index: int = 0
-    window_cycles: int = 200
 
 
 PolicyFactory = Callable[["DVSControlConfig", PolicyBuildContext], "DVSPolicy"]

@@ -12,8 +12,11 @@ Determinism: a simulation is fully described by its config, so
 :class:`SerialBackend` and :class:`ProcessPoolBackend` produce
 bit-identical result lists — the backend choice is purely a wall-clock
 decision. Set the ``REPRO_PROCESSES`` environment variable to make every
-backend-unaware sweep (including all of
-:mod:`repro.harness.experiments`) fan out transparently.
+backend-unaware sweep (including every simulating figure of
+:mod:`repro.harness.experiments` except Figures 3-5) fan out
+transparently. Figures 3-5 build their simulators in process, because
+the utilization probes' histograms they plot are not part of a cached
+:class:`~repro.network.simulator.SimulationResult`.
 
 Failure semantics (see :mod:`repro.harness.resilience`): every point runs
 under a :class:`~repro.harness.resilience.RetryPolicy` — bounded retries

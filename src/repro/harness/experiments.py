@@ -18,7 +18,8 @@ from ..errors import ExperimentError
 from ..network.topology import Topology
 from ..power.router_power import RouterPowerProfile
 from ..traffic.base import make_traffic
-from .runner import build_simulator, run_simulation
+from .backends import default_backend
+from .runner import build_simulator
 from .scales import DEFAULT_SCALE, ExperimentScale
 from .sweep import (
     SweepPoint,
@@ -450,15 +451,17 @@ def fig15_pareto_curve(
 ) -> FigureResult:
     """Figure 15: latency vs power savings across thresholds at one rate."""
     settings = settings if settings is not None else TABLE2_SETTINGS
-    rows = []
-    points = {}
-    for name, thresholds in settings.items():
-        config = scale.simulation(
+    results = default_backend().map_configs(
+        scale.simulation(
             rate,
             dvs=DVSControlConfig(policy="history", thresholds=thresholds),
             workload_overrides={"average_tasks": 100},
         )
-        result = run_simulation(config)
+        for thresholds in settings.values()
+    )
+    rows = []
+    points = {}
+    for (name, thresholds), result in zip(settings.items(), results, strict=True):
         points[name] = result
         rows.append(
             (
@@ -669,13 +672,13 @@ def workload_comparison(
         "uniform": {"kind": "uniform"},
         "permutation": {"kind": "permutation", "permutation": "transpose"},
     }
+    batch = default_backend().map_configs(
+        scale.simulation(rate, workload_overrides={"average_tasks": 100, **overrides})
+        for overrides in workloads.values()
+    )
     rows = []
     results = {}
-    for name, overrides in workloads.items():
-        config = scale.simulation(
-            rate, workload_overrides={"average_tasks": 100, **overrides}
-        )
-        result = run_simulation(config)
+    for name, result in zip(workloads, batch, strict=True):
         results[name] = result
         rows.append(
             (
@@ -739,14 +742,16 @@ def ablation_ewma_weight(
     weights: tuple[float, ...] = (1.0, 3.0, 7.0, 15.0),
 ) -> FigureResult:
     """Sensitivity to the EWMA weight W (paper fixes W=3 for shift-add)."""
-    rows = []
-    for weight in weights:
-        config = scale.simulation(
+    results = default_backend().map_configs(
+        scale.simulation(
             rate,
             dvs=DVSControlConfig(policy="history", ewma_weight=weight),
             workload_overrides={"average_tasks": 100},
         )
-        result = run_simulation(config)
+        for weight in weights
+    )
+    rows = []
+    for weight, result in zip(weights, results, strict=True):
         rows.append(
             (
                 weight,
@@ -770,14 +775,16 @@ def ablation_history_window(
     windows: tuple[int, ...] = (50, 200, 800),
 ) -> FigureResult:
     """Sensitivity to the history window H (paper fixes H=200)."""
-    rows = []
-    for window in windows:
-        config = scale.simulation(
+    results = default_backend().map_configs(
+        scale.simulation(
             rate,
             dvs=DVSControlConfig(policy="history", history_window=window),
             workload_overrides={"average_tasks": 100},
         )
-        result = run_simulation(config)
+        for window in windows
+    )
+    rows = []
+    for window, result in zip(windows, results, strict=True):
         rows.append(
             (
                 window,

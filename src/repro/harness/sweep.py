@@ -34,7 +34,6 @@ from ..network.simulator import SimulationResult
 from .backends import ExecutionBackend, default_backend
 from .cache import SweepCache, get_cache
 from .resilience import FailureReport
-from .runner import run_simulation
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,8 +211,12 @@ def compare_policies(
 
 
 def zero_load_latency(base_config: SimulationConfig, rate: float = 0.05) -> float:
-    """Mean latency at a near-zero offered load (paper's reference point)."""
-    result = run_simulation(base_config.with_rate(rate))
+    """Mean latency at a near-zero offered load (paper's reference point).
+
+    The point runs through :func:`~repro.harness.backends.default_backend`,
+    so the sweep cache answers and checkpoints it.
+    """
+    (result,) = default_backend().map_configs([base_config.with_rate(rate)])
     if result.latency.count == 0:
         raise ExperimentError("no packets completed at the zero-load rate")
     return result.latency.mean

@@ -12,7 +12,6 @@ learns what is being measured.
 from .bus import InstrumentBus, Observer, TransitionEvent
 from .observers import (
     MeasurementMeter,
-    PowerObserver,
     ProbeObserver,
     SeriesObserver,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Observer",
     "TransitionEvent",
     "MeasurementMeter",
-    "PowerObserver",
     "ProbeObserver",
     "SeriesObserver",
     "TraceRecorder",

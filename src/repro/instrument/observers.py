@@ -2,11 +2,13 @@
 
 Each class here adapts one of the long-standing collectors
 (:class:`~repro.metrics.latency.LatencyCollector`,
-:class:`~repro.power.accounting.PowerAccountant`,
 :class:`~repro.metrics.timeseries.WindowedSeries`,
 :class:`~repro.metrics.utilization.UtilizationProbe`) to the
 :class:`~repro.instrument.bus.Observer` protocol, so the cycle kernel
-stays measurement-free and new observables can ride the same seam.
+stays measurement-free and new observables can ride the same seam. The
+:class:`~repro.power.accounting.PowerAccountant` needs no observer: it
+integrates energy lazily from the channels and counts transitions from
+their own counters.
 """
 
 from __future__ import annotations
@@ -62,24 +64,6 @@ class MeasurementMeter(Observer):
             self.ejected += 1
             if packet.created_cycle >= self.measure_start:
                 self.latency.record(packet.latency)
-
-
-class PowerObserver(Observer):
-    """Wraps a :class:`PowerAccountant` for the measurement lifecycle.
-
-    The accountant integrates energy lazily from the channels and counts
-    transitions from their own counters, so this observer subscribes to
-    no kernel hook: a run without other transition listeners builds no
-    transition events at all.
-    """
-
-    __slots__ = ("accountant",)
-
-    def __init__(self, accountant: PowerAccountant) -> None:
-        self.accountant = accountant
-
-    def begin(self, now: int) -> None:
-        self.accountant.begin(now)
 
 
 class SeriesObserver(Observer):

@@ -34,10 +34,11 @@ Three scheduling structures make the kernel event-driven and allocation-
 free where the workload allows, without changing a single simulated bit
 (see ``docs/performance.md`` for the bit-identity argument of each):
 
-* **Calendar-queue event dispatch.** Nearly every ARRIVAL/CREDIT event
-  lands within a small bounded horizon (pipeline latency + worst-case
-  serialization + credit delay), so events live in a power-of-two ring of
-  reusable lists indexed by ``cycle & ring_mask`` — no per-cycle dict
+* **Calendar-queue event dispatch.** Every ARRIVAL/CREDIT event a router
+  schedules lands within a small bounded horizon (pipeline latency +
+  worst-case serialization + credit delay), so events live in a
+  power-of-two ring of reusable lists indexed by ``cycle & ring_mask``,
+  which the routers append to directly — no per-cycle dict
   hash/pop/allocation. Far-future events (DVS phase boundaries at slow
   levels) go to a spill dict whose minimum key is tracked in
   ``_spill_min``, making the per-cycle spill probe one integer compare.
@@ -140,9 +141,10 @@ class SimulationEngine:
         )
 
         # Calendar queue: a ring slot per near-future cycle, spill dict
-        # beyond. The ring must cover the worst-case transport horizon —
+        # beyond. The ring covers the worst-case transport horizon —
         # pipeline latency plus level-0 serialization plus the credit
-        # delay — so steady-state traffic never touches the spill dict.
+        # delay — so every event a router schedules lands in the ring
+        # (routers write it directly; only DVS phase boundaries spill).
         slowest_serialization = math.ceil(
             table.serialization_ratio(0, net.router_clock_hz)
         )
@@ -163,17 +165,14 @@ class SimulationEngine:
         self._flit_pool: list = []
 
         self.now = 0
-        # Outstanding-event counters ``[transport, arrivals, ring_count]``,
-        # maintained at schedule/dispatch so drain checks never walk the
-        # event queue. A shared mutable list rather than three attributes
-        # so fast-queue-bound routers (see Router.bind_fast_queue) can
-        # maintain them without calling back into the engine; read them
-        # through the _pending_transport/_pending_arrivals/_ring_count
-        # properties.
-        self._counters = [0, 0, 0]
-        # Source-queue packets not yet fully in the network, maintained at
-        # offer/inject so drain checks never walk the routers.
-        self._pending_source = 0
+        # Outstanding counters ``[transport, arrivals, ring_count,
+        # source packets]``: events maintained at schedule/dispatch, and
+        # source-queue packets not yet fully in the network at
+        # offer/inject, so drain checks never walk the event queue or the
+        # routers. A shared mutable list rather than attributes so the
+        # routers can maintain them without calling back into the engine;
+        # read them through the properties below.
+        self._counters = [0, 0, 0, 0]
         #: Active-router scheduler state: ``_active_flags[node]`` is 1
         #: exactly when *node* is in ``_active_list``, which is kept in
         #: ascending node order == exactly the non-idle routers (they gain
@@ -190,16 +189,14 @@ class SimulationEngine:
                 vcs_per_port=net.vcs_per_port,
                 buffers_per_vc=net.buffers_per_vc,
                 credit_delay=net.credit_delay,
-                schedule=self.schedule,
-                packet_sink=self._on_packet_ejected,
-                injected_sink=self._on_packet_injected,
+                ring=self._ring,
+                counters=self._counters,
                 event_pool=self._event_pool,
                 flit_pool=self._flit_pool,
+                ejected_hooks=self.bus.ejected_hooks,
             )
             for node in range(self.topology.node_count)
         ]
-        for router in self.routers:
-            router.bind_fast_queue(self._ring, self._ring_mask, self._counters)
 
         if config.dvs.enabled and config.dvs.initial_level is not None:
             initial_level = config.dvs.initial_level
@@ -238,9 +235,7 @@ class SimulationEngine:
                 if tracker is None:
                     raise SimulationError("network input port lacks a tracker")
                 context = PolicyBuildContext(
-                    table=table,
-                    channel_index=spec.channel_id,
-                    window_cycles=config.dvs.history_window,
+                    table=table, channel_index=spec.channel_id
                 )
                 controller = PortDVSController(
                     channel.dvs,
@@ -269,8 +264,8 @@ class SimulationEngine:
 
             self.sanitizer = NetworkSanitizer(self).attach()
 
-    # Outstanding-event counters (see _counters above). Read-only:
-    # schedule/dispatch and fast-queue-bound routers mutate the list.
+    # Outstanding counters (see _counters above). Read-only: schedule,
+    # dispatch, offers and the routers mutate the list.
 
     @property
     def _pending_transport(self) -> int:
@@ -361,13 +356,6 @@ class SimulationEngine:
         routers = self.routers
         for node in self._active_list:
             yield routers[node]
-
-    def _on_packet_ejected(self, packet: Packet, now: int) -> None:
-        for observer in self.bus.ejected_hooks:
-            observer.on_packet_ejected(packet, now)
-
-    def _on_packet_injected(self) -> None:
-        self._pending_source -= 1
 
     def catch_up_controllers(self) -> None:
         """Replay every dormant controller's skipped windows into its
@@ -487,13 +475,14 @@ class SimulationEngine:
             offered_hooks = bus.offered_hooks
             active_flags = self._active_flags
             active_list = self._active_list
+            counters = self._counters
             for src, dst in pairs:
                 packet = Packet(src, dst, flits_per_packet, now)
                 routers[src].offer_packet(packet)
                 if not active_flags[src]:
                     active_flags[src] = 1
                     insort(active_list, src)
-                self._pending_source += 1
+                counters[3] += 1
                 if offered_hooks:
                     for observer in offered_hooks:
                         observer.on_packet_offered(packet, now)
@@ -659,10 +648,10 @@ class SimulationEngine:
         """Packets waiting in source queues (plus partially injected ones).
 
         O(1): the counter is incremented when a packet is offered and
-        decremented when its tail flit enters the local input buffers
-        (the router's ``injected_sink`` seam).
+        decremented by the router when its tail flit enters the local
+        input buffers.
         """
-        return self._pending_source
+        return self._counters[3]
 
     def drain(self, max_cycles: int = 100_000) -> int:
         """Run with traffic as-is until the network empties; returns cycles.
@@ -684,7 +673,7 @@ class SimulationEngine:
             if (
                 self._pending_transport == 0
                 and not self._active_list
-                and self._pending_source == 0
+                and self._counters[3] == 0
                 and self.traffic.pending_injections() == 0
             ):
                 self.catch_up_controllers()

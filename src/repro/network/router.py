@@ -29,9 +29,7 @@ to allocate nothing in steady state:
   are cleared after arbitration instead of a per-cycle dict;
 * event records are reusable 5-slot lists drawn from the kernel's shared
   free list (``event_pool``), and ejected flits return to a shared
-  ``flit_pool`` for reuse at injection. Both pools are optional — without
-  them (standalone routers) fresh objects are allocated, with bit-identical
-  behavior.
+  ``flit_pool`` for reuse at injection.
 
 Each flit-path rule has one body, here. Credit underflow and double VC
 allocation are guarded structurally (a switch-allocation request is only
@@ -42,19 +40,32 @@ to end. The launch stage inlines the wire update of
 :meth:`DVSChannel.send_flit <repro.core.dvs_link.DVSChannel.send_flit>`,
 which stays as the oracle ``tests/test_router.py`` compares it against.
 
-Two callback seams connect the router to the layers above it without the
-router knowing they exist (see ``docs/architecture.md``):
+A router exists only inside a
+:class:`~repro.network.engine.SimulationEngine`, and it calls back into
+nothing above it: the engine hands it, as constructor arguments, the kernel
+state it writes (see ``docs/architecture.md``):
 
-* ``packet_sink`` — invoked with ``(packet, now)`` when a tail flit is
-  ejected at its destination. The cycle kernel passes its instrumentation
-  dispatcher here, which fans out to every ``on_packet_ejected`` observer.
-* ``injected_sink`` — invoked (no arguments) when a packet's tail flit has
-  fully entered the local input buffers, i.e. the packet left the source
-  queue side of the router. The kernel maintains its O(1)
-  pending-source-packet counter through this seam.
-* ``age_hooks`` — per-input-port lists of ``hook(age_cycles)`` callables
-  fired on every dequeue; utilization probes tap buffer-age distributions
-  (paper Figure 5) through these.
+* ``ring`` — the kernel's calendar ring, a power-of-two list of per-cycle
+  event lists. A launch appends the ARRIVAL at ``ring[cycle & mask]`` (and
+  a CREDIT for the upstream router unless the flit came from the local
+  port), an ejection appends a CREDIT. The kernel sizes the ring past the
+  furthest cycle a launch can reach; an arrival beyond it raises
+  :class:`~repro.errors.SimulationError`.
+* ``counters`` — the kernel's outstanding counters ``[transport events,
+  arrivals, ring events, source packets]``. Each event appended to the
+  ring bumps the transport and ring counts, an ARRIVAL the arrivals count
+  too; a packet whose tail flit enters the local input buffers leaves the
+  source queue side and decrements the source-packet count.
+* ``event_pool`` / ``flit_pool`` — the kernel's shared free lists.
+* ``ejected_hooks`` — the instrument bus's ``on_packet_ejected`` dispatch
+  list (attach and detach edit it in place), fanned out on every tail
+  ejection.
+
+Holding only plain containers, a router closes no reference cycle with its
+engine, so a finished simulation is freed by reference counting alone.
+Per-input-port ``age_hooks`` lists of ``hook(age_cycles)`` callables fire
+on every dequeue; utilization probes tap buffer-age distributions (paper
+Figure 5) through these.
 """
 
 from __future__ import annotations
@@ -62,9 +73,9 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from math import ceil
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..errors import FlowControlError, SimulationError
+from ..errors import ConfigError, FlowControlError, SimulationError
 from .channel import NetworkChannel
 from .flowcontrol import CreditState, OccupancyTracker
 from .packet import Flit, Packet
@@ -72,19 +83,13 @@ from .routing import RoutingFunction
 from .topology import Topology
 from .vc import UNROUTED, InputVC
 
+if TYPE_CHECKING:
+    from ..instrument.bus import Observer
+
 #: Event kinds understood by the kernel's dispatch loop.
 EVENT_ARRIVAL = 0
 EVENT_CREDIT = 1
 EVENT_PHASE = 2
-
-ScheduleFn = Callable[[int, list], None]
-#: The kernel-facing ejection seam: called with (packet, now) on tail eject.
-PacketSink = Callable[[Packet, int], None]
-
-
-def _noop() -> None:
-    """Default ``injected_sink`` for routers built outside the kernel."""
-
 
 class Router:
     """One virtual-channel router plus its attached output channels."""
@@ -107,10 +112,8 @@ class Router:
         "inj_pos",
         "inj_vc",
         "total_buffered",
-        "packet_sink",
-        "injected_sink",
+        "ejected_hooks",
         "age_hooks",
-        "schedule",
         "credit_delay",
         "flits_ejected",
         "packets_ejected",
@@ -143,29 +146,30 @@ class Router:
         vcs_per_port: int,
         buffers_per_vc: int,
         credit_delay: int,
-        schedule: ScheduleFn,
-        packet_sink: PacketSink,
-        injected_sink: Callable[[], None] | None = None,
-        event_pool: list | None = None,
-        flit_pool: list | None = None,
+        ring: list[list],
+        counters: list[int],
+        event_pool: list[list],
+        flit_pool: list[Flit],
+        ejected_hooks: list[Observer],
     ):
+        size = len(ring)
+        if size & (size - 1) or not 0 < credit_delay < size:
+            raise SimulationError(
+                f"the calendar ring needs a power-of-two size above the "
+                f"credit delay of {credit_delay} cycles, got {size} slots"
+            )
         self.node = node
         self.local_port = topology.local_port
         self.vcs_per_port = vcs_per_port
         self.routing = routing
-        self.schedule = schedule
-        self.packet_sink = packet_sink
-        self.injected_sink = injected_sink if injected_sink is not None else _noop
         self.credit_delay = credit_delay
-        #: Shared free lists owned by the kernel; None = allocate fresh
-        #: objects (standalone routers).
+        # The kernel state this router writes (see the module docstring).
+        self._fast_ring = ring
+        self._fast_mask = size - 1
+        self._fast_counters = counters
         self.event_pool = event_pool
         self.flit_pool = flit_pool
-        # Direct view of the kernel's near-horizon calendar ring (see
-        # bind_fast_queue); None routes every event through schedule().
-        self._fast_ring: list[list] | None = None
-        self._fast_mask = 0
-        self._fast_counters: list[int] | None = None
+        self.ejected_hooks = ejected_hooks
 
         num_in_ports = topology.ports_per_router + 1  # network ports + local
         self.in_vcs = [
@@ -249,15 +253,15 @@ class Router:
         # node), and the cached list is never mutated — VCs share it via
         # route_options and only ever drop their reference.
         self._route_memo: dict[tuple[int, int, int], list] = {}
-        # Per-port next_vc_class table (filled by attach_channel); None
-        # falls back to the routing method in the traversal loop.
-        self._next_class: list[tuple[int, ...] | None] = [None] * ports
-        # Everything step() needs that is fixed for the router's lifetime,
-        # as one tuple: a single attribute load + unpack replaces ~13 per
-        # step. Safe to capture here because every element is either a
-        # constant or a container only ever mutated in place (attach_channel
-        # fills the port lists; probes append into age_hooks). The
-        # mode-dependent pieces (event pool, fast ring) stay attributes.
+        # Per-port next_vc_class table, filled by attach_channel.
+        self._next_class: list[tuple[int, ...]] = [()] * ports
+        # Everything step() needs on every call that is fixed for the
+        # router's lifetime, as one tuple: a single attribute load + unpack
+        # replaces ~13 per step. Safe to capture here because every element
+        # is either a constant or a container only ever mutated in place
+        # (attach_channel fills the port lists; probes append into
+        # age_hooks). What only a launch needs (ring, counters, pools)
+        # stays in attributes, loaded once per cycle with grants.
         self._hot = (
             self.local_port,
             self.credit_states,
@@ -268,7 +272,6 @@ class Router:
             self._occ_list,
             self._sa_next,
             self._sa_size,
-            self.schedule,
             self.credit_delay,
             self._port_dst,
             self._port_pipeline,
@@ -293,36 +296,23 @@ class Router:
         self._port_dst[out_port] = (spec.dst_node, spec.dst_port)
         self._port_pipeline[out_port] = channel.pipeline_latency
         # Tabulate the (pure) dateline-class transition for this port. The
-        # table is closed — every output indexes back into it — for the
-        # routing functions shipped here; a custom function escaping the
-        # range disables the table and the traversal loop falls back to
-        # calling next_vc_class directly.
+        # traversal loop indexes the table with the classes it produces, so
+        # it must be closed: every output indexes back into it.
         classes = max(2, self.vcs_per_port)
         row = tuple(
             self.routing.next_vc_class(self.node, out_port, c)
             for c in range(classes)
         )
-        self._next_class[out_port] = row if max(row) < classes else None
+        if min(row) < 0 or max(row) >= classes:
+            raise ConfigError(
+                f"routing {type(self.routing).__name__} maps dateline classes "
+                f"{list(range(classes))} to {list(row)} at node {self.node} "
+                f"port {out_port}, outside the {classes} classes the router tabulates"
+            )
+        self._next_class[out_port] = row
         self.connected_out = tuple(
             p for p, ch in enumerate(self.channels) if ch is not None
         )
-
-    def bind_fast_queue(
-        self, ring: list[list] | None, mask: int, counters: list[int] | None
-    ) -> None:
-        """Hand the router a direct view of the kernel's calendar ring.
-
-        Every flit launch schedules two events (the arrival downstream and
-        the credit upstream) whose targets provably land inside the ring's
-        near horizon, so the bound router appends records straight into
-        ``ring[cycle & mask]`` and bumps the kernel's shared outstanding
-        counters ``[transport, arrivals, ring_count]`` — bit-identical to
-        calling ``schedule()``, minus 2 Python calls per launch. Pass
-        ``ring=None`` to unbind (standalone routers never bind).
-        """
-        self._fast_ring = ring
-        self._fast_mask = mask
-        self._fast_counters = counters
 
     @property
     def is_idle(self) -> bool:
@@ -407,7 +397,6 @@ class Router:
             occ,
             sa_next,
             sa_size,
-            schedule,
             credit_delay,
             port_dst,
             port_pipeline,
@@ -601,14 +590,11 @@ class Router:
                     record[2] = target[1]
                     record[3] = best.in_vc
                     record[4] = is_tail
-                    if ring is not None:
-                        # credit_delay <= near horizon <= mask by the
-                        # kernel's ring sizing, so the slot is exact.
-                        ring[(now + credit_delay) & mask].append(record)
-                        counters[0] += 1
-                        counters[2] += 1
-                    else:
-                        schedule(now + credit_delay, record)
+                    # credit_delay < ring size (checked at construction),
+                    # so the slot is exact.
+                    ring[(now + credit_delay) & mask].append(record)
+                    counters[0] += 1
+                    counters[2] += 1
                 out_vc = best.out_vc
                 credit_state = credit_states[out_port]
                 # Credit underflow is structurally impossible: the request
@@ -639,27 +625,27 @@ class Router:
                 record[2] = dst[1]
                 record[3] = out_vc
                 record[4] = flit
-                if ring is not None and arrival - now <= mask:
-                    ring[arrival & mask].append(record)
-                    counters[0] += 1
-                    counters[1] += 1
-                    counters[2] += 1
-                else:
-                    schedule(arrival, record)
+                if arrival - now > mask:
+                    # Unreachable with the kernel's ring, which covers the
+                    # pipeline latency, level-0 serialization and credit
+                    # delay (>= 1): a launch lands at most 1 + serialization
+                    # + pipeline latency ahead.
+                    raise SimulationError(
+                        f"arrival at cycle {arrival} launched at cycle {now} "
+                        f"lies beyond the {mask + 1}-slot calendar ring"
+                    )
+                ring[arrival & mask].append(record)
+                counters[0] += 1
+                counters[1] += 1
+                counters[2] += 1
                 self.flits_launched += 1
                 if flit.is_head:
                     packet = flit.packet
                     dim = out_port >> 1
                     vc_class = packet.vc_class if packet.last_dim == dim else 0
                     # Dateline-class transition from the attach-time table
-                    # (see attach_channel); None falls back to the method.
-                    row = self._next_class[out_port]
-                    if row is not None:
-                        packet.vc_class = row[vc_class]
-                    else:
-                        packet.vc_class = self.routing.next_vc_class(
-                            self.node, out_port, vc_class
-                        )
+                    # (see attach_channel).
+                    packet.vc_class = self._next_class[out_port][vc_class]
                     packet.last_dim = dim
                 if is_tail:
                     # Claimed once at VC allocation, released exactly once
@@ -721,7 +707,8 @@ class Router:
                 if self.inj_pos >= len(inj_flits):
                     del inj_flits[:]
                     self.inj_pos = 0
-                    self.injected_sink()
+                    # The packet left the source queue side.
+                    self._fast_counters[3] -= 1
         # Not-idle indicator (the inverse of is_idle), so the kernel's
         # stepping loop needs no attribute probes of its own.
         return self.total_buffered or self.inj_flits or self.inj_queue
@@ -805,25 +792,18 @@ class Router:
             record[2] = target[1]
             record[3] = vcstate.in_vc
             record[4] = is_tail
-            ring = self._fast_ring
-            if ring is not None:
-                ring[(now + self.credit_delay) & self._fast_mask].append(record)
-                counters = self._fast_counters
-                counters[0] += 1
-                counters[2] += 1
-            else:
-                self.schedule(now + self.credit_delay, record)
+            self._fast_ring[(now + self.credit_delay) & self._fast_mask].append(record)
+            counters = self._fast_counters
+            counters[0] += 1
+            counters[2] += 1
         self.flits_ejected += 1
-        flit_pool = self.flit_pool
+        # An ejected flit is referenced by nothing: its arrival event
+        # already dispatched and observers only see the packet.
+        self.flit_pool.append(flit)
         if is_tail:
             vcstate.reset_route()
             packet = flit.packet
             packet.ejected_cycle = now
             self.packets_ejected += 1
-            if flit_pool is not None:
-                flit_pool.append(flit)
-            self.packet_sink(packet, now)
-        elif flit_pool is not None:
-            # An ejected flit is referenced by nothing: its arrival event
-            # already dispatched and observers only see the packet.
-            flit_pool.append(flit)
+            for observer in self.ejected_hooks:
+                observer.on_packet_ejected(packet, now)

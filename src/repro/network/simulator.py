@@ -4,14 +4,14 @@
 (Section 4.1): warm up, measure, summarize. Since the kernel split it is a
 thin facade — the simulated hardware (topology, routers, DVS channels,
 controllers, traffic, the event loop) lives in
-:class:`~repro.network.engine.SimulationEngine`, and every measured
-quantity is an observer on the engine's
+:class:`~repro.network.engine.SimulationEngine`. Power is read straight
+from the channels by a :class:`~repro.power.accounting.PowerAccountant`
+(it integrates energy lazily, so it needs no hook), and every other
+measured quantity is an observer on the engine's
 :class:`~repro.instrument.bus.InstrumentBus`:
 
 * a :class:`~repro.instrument.observers.MeasurementMeter` for offered /
   ejected counts and packet latencies,
-* a :class:`~repro.instrument.observers.PowerObserver` wrapping the
-  :class:`~repro.power.accounting.PowerAccountant`,
 * an optional :class:`~repro.instrument.observers.SeriesObserver` when a
   ``series_window`` is requested,
 * one :class:`~repro.instrument.observers.ProbeObserver` per profiling
@@ -34,7 +34,6 @@ from ..errors import ConfigError, SimulationError
 from ..instrument.bus import InstrumentBus
 from ..instrument.observers import (
     MeasurementMeter,
-    PowerObserver,
     ProbeObserver,
     SeriesObserver,
 )
@@ -98,8 +97,6 @@ class Simulator(SimulationEngine):
 
         self._meter = MeasurementMeter()
         self.bus.attach(self._meter)
-        self._power_observer = PowerObserver(self.accountant)
-        self.bus.attach(self._power_observer)
         self._series_observer: SeriesObserver | None = None
         if series_window:
             self._series_observer = SeriesObserver(
@@ -185,7 +182,7 @@ class Simulator(SimulationEngine):
         """End warmup: reset collectors and start the measured phase."""
         now = self.now
         self._meter.begin(now)
-        self._power_observer.begin(now)
+        self.accountant.begin(now)
         if self._series_observer is not None:
             self._series_observer.begin(now)
         for probe in self.probes:

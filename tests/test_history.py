@@ -33,13 +33,6 @@ class TestEWMAPredictor:
         predictor.update(0.5)
         assert predictor.primed
 
-    def test_reset(self):
-        predictor = EWMAPredictor()
-        predictor.update(0.9)
-        predictor.reset(0.1)
-        assert predictor.predicted == 0.1
-        assert not predictor.primed
-
     def test_shift_add_friendly(self):
         assert EWMAPredictor(weight=3.0).is_shift_add_friendly
         assert EWMAPredictor(weight=7.0).is_shift_add_friendly

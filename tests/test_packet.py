@@ -12,7 +12,8 @@ from repro.network.topology import Topology
 def injected_flits(packet):
     """The flits a source router materializes for *packet*: offer it and
     run one cycle, whose injection stage stages the packet's flits and
-    moves the head into a local input VC."""
+    moves the head into a local input VC. The router gets the kernel
+    state it writes (ring, counters, pools, ejection hooks)."""
     topology = Topology(2, 1)
     router = Router(
         packet.src,
@@ -21,8 +22,11 @@ def injected_flits(packet):
         vcs_per_port=2,
         buffers_per_vc=8,
         credit_delay=1,
-        schedule=lambda cycle, event: None,
-        packet_sink=lambda packet, now: None,
+        ring=[[] for _ in range(32)],
+        counters=[0, 0, 0, 1],
+        event_pool=[],
+        flit_pool=[],
+        ejected_hooks=[],
     )
     router.offer_packet(packet)
     router.step(0)

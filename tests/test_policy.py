@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.policy import (
     AdaptiveThresholdPolicy,
-    AlwaysMaxPolicy,
     DVSAction,
     HistoryDVSPolicy,
     LinkUtilizationOnlyPolicy,
@@ -75,14 +74,6 @@ class TestHistoryDVSPolicy:
         assert policy.predicted_link_utilization == pytest.approx(0.375)
         assert action is DVSAction.HOLD
 
-    def test_reset(self):
-        policy = HistoryDVSPolicy()
-        for _ in range(5):
-            policy.decide(make_inputs(lu=0.9, bu=0.9))
-        policy.reset()
-        assert policy.predicted_link_utilization == 0.0
-        assert policy.predicted_buffer_utilization == 0.0
-
     @settings(max_examples=60, deadline=None)
     @given(
         lu=st.floats(min_value=0.0, max_value=1.0),
@@ -103,11 +94,6 @@ class TestHistoryDVSPolicy:
 
 
 class TestBaselines:
-    def test_always_max_climbs(self):
-        policy = AlwaysMaxPolicy()
-        assert policy.decide(make_inputs(0.0, 0.0, level=3)) is DVSAction.STEP_UP
-        assert policy.decide(make_inputs(0.0, 0.0, level=9)) is DVSAction.HOLD
-
     def test_static_level_tracks_target(self):
         policy = StaticLevelPolicy(4)
         assert policy.decide(make_inputs(0.5, 0.5, level=2)) is DVSAction.STEP_UP
@@ -128,12 +114,6 @@ class TestBaselines:
         for _ in range(10):
             action = policy.decide(make_inputs(lu=0.5, bu=0.95))
         assert action is DVSAction.STEP_UP
-
-    def test_lu_only_reset(self):
-        policy = LinkUtilizationOnlyPolicy()
-        policy.decide(make_inputs(0.8, 0.0))
-        policy.reset()
-        assert policy.predicted_link_utilization == 0.0
 
 
 class TestAdaptiveThresholdPolicy:
@@ -161,13 +141,6 @@ class TestAdaptiveThresholdPolicy:
         for _ in range(200):
             policy.decide(make_inputs(lu=0.35, bu=0.45))
         assert policy.current_light_load_pair[0] >= 0.2
-
-    def test_reset_restores_base(self):
-        policy = AdaptiveThresholdPolicy(patience=1)
-        for _ in range(50):
-            policy.decide(make_inputs(lu=0.35, bu=0.0))
-        policy.reset()
-        assert policy.current_light_load_pair[0] == TABLE1_DEFAULT.low_uncongested
 
     def test_validation(self):
         with pytest.raises(ConfigError):

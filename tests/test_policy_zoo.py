@@ -99,14 +99,6 @@ class TestErrorCorrectionPolicy:
         trace_b = [b.decide(inputs(lu=0.9, level=8)) for _ in range(100)]
         assert trace_a != trace_b
 
-    def test_reset_replays_identical_decisions(self):
-        policy = ErrorCorrectionPolicy(error_rate=0.3, seed=3)
-        first = [policy.decide(inputs(lu=0.8, level=4)) for _ in range(50)]
-        policy.reset()
-        assert policy.errors_observed == 0
-        second = [policy.decide(inputs(lu=0.8, level=4)) for _ in range(50)]
-        assert first == second
-
 
 class TestLinkShutdownPolicy:
     def test_ctor_validation(self):
@@ -159,13 +151,6 @@ class TestLinkShutdownPolicy:
         # High LU at a mid level: prediction jumps above T_high.
         assert policy.decide(inputs(lu=1.0, level=5)) is DVSAction.STEP_UP
 
-    def test_reset_clears_counters(self):
-        policy = LinkShutdownPolicy(sleep_lu=0.05, sleep_patience=2)
-        policy.decide(inputs(lu=0.0, level=0))
-        policy.reset()
-        # After reset the patience counter starts over.
-        assert policy.decide(inputs(lu=0.0, level=0)) is not DVSAction.SLEEP
-
 
 class TestOraclePolicy:
     def test_ctor_validation(self):
@@ -208,4 +193,3 @@ class TestOraclePolicy:
         policy = OraclePolicy(PAPER_TABLE)
         same = inputs(lu=0.4, level=5)
         assert policy.decide(same) is policy.decide(same)
-        policy.reset()  # no state to clear; must not raise

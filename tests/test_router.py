@@ -1,4 +1,10 @@
-"""Unit tests for the Router, driven directly without the full simulator."""
+"""Unit tests for the Router, driven directly without the full simulator.
+
+A router writes kernel state rather than calling back into an engine, so
+each test hands it that state: a calendar ring nothing dispatches (it keeps
+every scheduled event), the outstanding counters, the pools, and an
+instrument bus whose ejection hooks log the ejected packets.
+"""
 
 import math
 
@@ -7,7 +13,8 @@ import pytest
 from repro.core.dvs_link import DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER
-from repro.errors import FlowControlError, SimulationError
+from repro.errors import ConfigError, FlowControlError, SimulationError
+from repro.instrument.bus import InstrumentBus, Observer
 from repro.network.channel import NetworkChannel
 from repro.network.packet import Flit, Packet
 from repro.network.router import EVENT_ARRIVAL, EVENT_CREDIT, Router
@@ -32,8 +39,22 @@ def flits_of(packet):
     return [Flit(packet, i, i == 0, i == last) for i in range(packet.size_flits)]
 
 
+class EjectionLog(Observer):
+    """Logs every ``(packet, now)`` tail ejection the bus reports."""
+
+    def __init__(self):
+        self.ejected = []
+
+    def on_packet_ejected(self, packet, now):
+        self.ejected.append((packet, now))
+
+
 class Harness:
-    """One router in a line of *radix* nodes, with captured events."""
+    """One router in a line of *radix* nodes, with captured events.
+
+    By default the ring has more slots than any test here runs cycles, so
+    a slot's index is the cycle of the events in it.
+    """
 
     def __init__(
         self,
@@ -43,11 +64,15 @@ class Harness:
         pipeline_latency=3,
         radix=2,
         level=None,
+        ring_size=256,
+        routing_class=DimensionOrderRouting,
     ):
         self.topology = Topology(radix, 1)
-        self.routing = DimensionOrderRouting(self.topology, vcs)
-        self.events = []
-        self.ejected = []
+        self.routing = routing_class(self.topology, vcs)
+        self.ring = [[] for _ in range(ring_size)]
+        self.counters = [0, 0, 0, 0]
+        self.bus = InstrumentBus()
+        self.ejected = self.bus.attach(EjectionLog()).ejected
         self.router = Router(
             node,
             self.topology,
@@ -55,8 +80,11 @@ class Harness:
             vcs_per_port=vcs,
             buffers_per_vc=buffers_per_vc,
             credit_delay=2,
-            schedule=lambda cycle, event: self.events.append((cycle, event)),
-            packet_sink=lambda packet, now: self.ejected.append((packet, now)),
+            ring=self.ring,
+            counters=self.counters,
+            event_pool=[],
+            flit_pool=[],
+            ejected_hooks=self.bus.ejected_hooks,
         )
         for port in self.topology.router_ports(node):
             spec = next(
@@ -69,6 +97,16 @@ class Harness:
                 NetworkChannel(spec, make_dvs(level), pipeline_latency),
                 buffers_per_vc,
             )
+
+    @property
+    def events(self):
+        """Every event the router scheduled, as ``(cycle, record)`` pairs in
+        cycle order (scheduling order within a cycle)."""
+        return [
+            (cycle, record)
+            for cycle, bucket in enumerate(self.ring)
+            for record in bucket
+        ]
 
     def place(self, flit, port=None, vc=0):
         """Seed *flit* into an input VC at cycle 0 through on_arrival, which
@@ -187,6 +225,43 @@ class TestArrival:
         with pytest.raises(FlowControlError, match="buffer overflow"):
             harness.router.on_arrival(in_port, 0, second, 11)
         assert harness.router.total_buffered == 1
+
+
+class TestKernelState:
+    def test_counters_track_scheduled_events_and_source_packets(self):
+        """A launch from the local port schedules one arrival (no upstream
+        to credit); the packet leaves the source queue side as its tail
+        enters the local buffers."""
+        harness = Harness()
+        harness.counters[3] = 1  # the kernel counts the offer
+        harness.router.offer_packet(Packet(0, 1, 1, 0))
+        harness.router.step(0)
+        assert harness.counters == [0, 0, 0, 0]
+        harness.router.step(1)
+        assert harness.counters == [1, 1, 1, 0]
+        assert len(harness.events) == 1
+
+    def test_arrival_beyond_the_ring_raises(self):
+        """A launch lands pipeline latency + serialization ahead (here more
+        than 3 cycles); a ring too short to hold that cycle is refused
+        rather than wrapped onto an earlier one."""
+        harness = Harness(ring_size=4)
+        harness.place(flits_of(Packet(0, 1, 1, 0))[0])
+        with pytest.raises(SimulationError, match="beyond the 4-slot calendar ring"):
+            harness.router.step(1)
+
+    @pytest.mark.parametrize("ring_size", [0, 2, 6])
+    def test_ring_is_a_power_of_two_beyond_the_credit_delay(self, ring_size):
+        with pytest.raises(SimulationError, match="power-of-two size"):
+            Harness(ring_size=ring_size)
+
+    def test_escaping_dateline_classes_are_rejected_at_attach(self):
+        class EscapingRouting(DimensionOrderRouting):
+            def next_vc_class(self, node, out_port, vc_class):
+                return vc_class + 1
+
+        with pytest.raises(ConfigError, match="dateline classes"):
+            Harness(routing_class=EscapingRouting)
 
 
 class TestCreditHandling:

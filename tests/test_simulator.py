@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import DVSControlConfig
 from repro.errors import ConfigError, SimulationError
+from repro.instrument.bus import Observer
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceReplaySource
 
@@ -100,14 +101,12 @@ class TestSingleVCOrdering:
         trace = [(i * 3, 0, 8) for i in range(10)]
         simulator = trace_simulator(trace, config=config)
         order = []
-        original = simulator._on_packet_ejected
 
-        def spy(packet, now):
-            order.append(packet.packet_id)
-            original(packet, now)
+        class EjectionOrder(Observer):
+            def on_packet_ejected(self, packet, now):
+                order.append(packet.packet_id)
 
-        for router in simulator.routers:
-            router.packet_sink = spy
+        simulator.bus.attach(EjectionOrder())
         simulator.drain(max_cycles=20_000)
         assert order == sorted(order)
         assert len(order) == 10

@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.cli import main
+from repro.core.thresholds import TABLE2_SETTINGS
 from repro.errors import ExperimentError
 from repro.harness import cache as cache_mod
 from repro.harness.backends import ExecutionBackend, ProcessPoolBackend, SerialBackend
 from repro.harness.cache import SweepCache
+from repro.harness.experiments import (
+    ablation_ewma_weight,
+    ablation_history_window,
+    fig15_pareto_curve,
+    workload_comparison,
+)
 from repro.harness.resilience import RetryPolicy
+from repro.harness.scales import SMOKE_SCALE
 from repro.harness.sweep import (
     rate_sweep,
     require_resumable_cache,
     resume_preview,
+    zero_load_latency,
 )
 
 from .conftest import small_config
@@ -122,6 +132,55 @@ class TestCachedSweeps:
         cache = cache_mod.get_cache()
         assert cache.misses == 2
         assert cache.hits == 0
+
+
+TINY = dataclasses.replace(SMOKE_SCALE, warmup_cycles=300, measure_cycles=900)
+
+#: Harness functions that simulate one batch of points, as
+#: (call returning comparable rows, number of points).
+BATCH_FUNCTIONS = {
+    "fig15_pareto_curve": (
+        lambda: fig15_pareto_curve(
+            TINY, rate=0.6, settings={k: TABLE2_SETTINGS[k] for k in ("I", "VI")}
+        ).rows,
+        2,
+    ),
+    "ablation_ewma_weight": (
+        lambda: ablation_ewma_weight(TINY, rate=0.6, weights=(1.0, 3.0)).rows,
+        2,
+    ),
+    "ablation_history_window": (
+        lambda: ablation_history_window(TINY, rate=0.6, windows=(100, 400)).rows,
+        2,
+    ),
+    "workload_comparison": (
+        lambda: workload_comparison(TINY, rate=0.6).rows,
+        3,
+    ),
+    "zero_load_latency": (
+        lambda: zero_load_latency(small_config(warmup=200, measure=600), rate=0.1),
+        1,
+    ),
+}
+
+
+class TestExperimentCheckpoints:
+    @pytest.mark.parametrize("name", sorted(BATCH_FUNCTIONS))
+    def test_second_call_is_answered_from_the_cache(self, name, tmp_path, monkeypatch):
+        """Each function runs its points through the default backend, so
+        they checkpoint into the sweep cache and a repeat is simulation-free."""
+        call, points = BATCH_FUNCTIONS[name]
+        cache = SweepCache(tmp_path)
+        cache_mod.set_cache(cache)
+        try:
+            first = call()
+            assert (cache.hits, cache.misses) == (0, points)
+            monkeypatch.setattr("repro.harness.backends.run_simulation", _boom)
+            second = call()
+            assert (cache.hits, cache.misses) == (points, points)
+        finally:
+            cache_mod.reset_cache()
+        assert second == first
 
 
 class TestEntryIntegrity:
