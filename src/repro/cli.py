@@ -39,7 +39,7 @@ from .core.levels import PAPER_TABLE
 from .core.power_model import PAPER_LINK_POWER
 from .core.registry import describe_registry, policy_label, registered_policies
 from .core.thresholds import TABLE1_DEFAULT, TABLE2_SETTINGS
-from .errors import ConfigError, ReproError
+from .errors import ConfigError, ExperimentError, ReproError
 from .harness import cache as sweep_cache
 from .harness import experiments
 from .harness.backends import make_backend
@@ -96,6 +96,10 @@ FIGURES: dict[str, Callable] = {
 
 #: Figures whose output is analytical and does not depend on --scale.
 SCALE_INDEPENDENT = {"fig7"}
+
+#: Figures that simulate in process: their probe histograms are not part of
+#: a cached result, so no point is checkpointed and --resume is refused.
+NOT_CHECKPOINTED = {"fig3", "fig4", "fig5"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -570,6 +574,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
         print(
             f"note: {args.name} is analytical; --scale {args.scale} has no effect",
             file=sys.stderr,
+        )
+    if args.resume and args.name in NOT_CHECKPOINTED:
+        raise ExperimentError(
+            f"{args.name} is not checkpointed: its probe histograms are not "
+            "part of a cached result, so --resume would simulate every load "
+            "again; run it without --resume"
         )
     cache = require_resumable_cache() if args.resume else None
     replayed_before = recomputed_before = 0

@@ -89,8 +89,7 @@ class ErrorCorrectionPolicy(DVSPolicy):
         self.probe_windows = probe_windows
         self.backoff_windows = backoff_windows
         self.replay_flits = replay_flits
-        self._seed = (int(seed) << 20) ^ channel_index
-        self._rng = random.Random(self._seed)
+        self._rng = random.Random((int(seed) << 20) ^ channel_index)
         self._clean_windows = 0
         self._backoff_left = 0
         self._pending_replay = 0

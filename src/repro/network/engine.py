@@ -572,11 +572,20 @@ class SimulationEngine:
         integrals, idle-power accrual) is lazily integrated and therefore
         jump-safe. Skipping those cycles is bit-identical to stepping
         them.
+
+        A ring slot holds only events due at the one cycle it maps to
+        inside the ring's span, so a filled slot at ``now`` makes the
+        horizon ``now`` itself: the cycle is due and steps without
+        computing it.
         """
-        if self.fast_forward and not self._active_list:
+        now = self.now
+        if (
+            self.fast_forward
+            and not self._active_list
+            and not self._ring[now & self._ring_mask]
+        ):
             horizon = self._quiescent_horizon()
             end = horizon if horizon < target else target
-            now = self.now
             if end > now:
                 span_hooks = self.bus.idle_span_hooks
                 if span_hooks:

@@ -67,12 +67,9 @@ class DimensionOrderRouting(RoutingFunction):
 
     name = "dor"
 
-    #: Precompute the full node x node route table up to this many nodes;
-    #: beyond it, fall back to per-query computation with a bounded cache.
-    _TABLE_LIMIT = 1024
-
-    #: Maximum (node, dst) entries in the per-query cache; oldest-inserted
-    #: entries are evicted first once full (dict preserves insert order).
+    #: Maximum (node, dst) entries in the route cache, which fills as
+    #: pairs are first asked for; oldest-inserted entries are evicted first
+    #: once full (dict preserves insert order).
     _CACHE_LIMIT = 8192
 
     def __init__(self, topology: Topology, vcs_per_port: int):
@@ -80,23 +77,9 @@ class DimensionOrderRouting(RoutingFunction):
         if topology.wraparound and vcs_per_port < 2:
             raise ConfigError("torus dimension-order routing needs >= 2 VCs")
         self._route_cache: dict[tuple[int, int], int] = {}
-        self._table: list[list[int]] | None = None
-        if topology.node_count <= self._TABLE_LIMIT:
-            self._table = [
-                [
-                    self._compute_route_port(node, dst) if node != dst else -1
-                    for dst in range(topology.node_count)
-                ]
-                for node in range(topology.node_count)
-            ]
 
     def route_port(self, node: int, dst: int) -> int:
         """The unique dimension-order output port from *node* toward *dst*."""
-        if self._table is not None:
-            port = self._table[node][dst]
-            if port < 0:
-                raise RoutingError(f"asked to route at destination node {node}")
-            return port
         cache = self._route_cache
         key = (node, dst)
         port = cache.get(key)

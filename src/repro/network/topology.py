@@ -198,10 +198,20 @@ class Topology:
         self._check_node(center)
         if radius < 0:
             raise TopologyError("radius must be non-negative")
+        # distance() inlined for every node at once: hops are a sum over
+        # dimensions of one coordinate's offset from the center's. Adding
+        # the highest dimension first lists the sums in node-id order.
+        radix = self.radix
+        hops = [0]
+        for origin in reversed(self._coords[center]):
+            line = [abs(coord - origin) for coord in range(radix)]
+            if self.wraparound:
+                line = [min(delta, radix - delta) for delta in line]
+            hops = [total + delta for total in hops for delta in line]
         return [
             node
-            for node in range(self.node_count)
-            if node != center and self.distance(center, node) <= radius
+            for node, total in enumerate(hops)
+            if total <= radius and node != center
         ]
 
     def to_networkx(self):

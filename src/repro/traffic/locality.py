@@ -37,10 +37,12 @@ class SphereOfLocality:
         near = self._near.get(src)
         if near is None:
             near = self.topology.nodes_within(src, self.radius)
+            excluded = set(near)
+            excluded.add(src)
             far = [
                 node
                 for node in range(self.topology.node_count)
-                if node != src and node not in set(near)
+                if node not in excluded
             ]
             self._near[src] = near
             self._far[src] = far

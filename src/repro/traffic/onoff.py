@@ -21,6 +21,14 @@ that a finite task session never observes, and calibrating against it
 over-delivers by 2x or more on realistic horizons. If the requested rate
 is too high for the configured spacing, the spacing is tightened so the
 duty cycle stays below 0.9.
+
+Emission is lazy in both modes. A renewal source draws each OFF and ON
+period when its previous burst runs out. A Poisson-burst set makes all
+its draws when it is built (each source's burst count, then each burst's
+start and ON length) but keeps only every burst's next packet time and
+bound; :meth:`OnOffSourceSet.advance` adds the peak spacing once per
+emitted packet. A set therefore costs memory per burst rather than per
+packet time, and nothing for packets due after the simulation stops.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Iterator
+from typing import Any, Iterator
 
 from ..errors import WorkloadError
 from .pareto import (
@@ -178,15 +186,19 @@ class OnOffSourceSet:
             self.off_location = pareto_location_for_mean(off_shape, mean_off)
             self.bursts_per_source = per_source_rate * lifetime / packets_per_burst
 
-        self._heap: list[tuple[float, int, Iterator[float]]] = []
-        for index in range(sources):
-            if self.mode == "renewal":
+        # Renewal mode: one (next time, source index, stream) entry per
+        # source. Poisson-burst mode: one (next time, burst index, bound)
+        # entry per burst.
+        self._heap: list[tuple[float, int, Any]]
+        if self.mode == "renewal":
+            self._heap = []
+            for index in range(sources):
                 gen = _RenewalPacketStream(self)
-            else:
-                gen = iter(self._poisson_burst_times())
-            first = self._next_within_lifetime(gen)
-            if first is not None:
-                self._heap.append((first, index, gen))
+                first = self._next_within_lifetime(gen)
+                if first is not None:
+                    self._heap.append((first, index, gen))
+        else:
+            self._heap = self._poisson_bursts(sources)
         heapq.heapify(self._heap)
         self.packets_emitted = 0
 
@@ -203,12 +215,23 @@ class OnOffSourceSet:
         """Count of packets due at cycles <= *now*; removes them."""
         count = 0
         heap = self._heap
-        while heap and heap[0][0] <= now:
-            _, index, gen = heapq.heappop(heap)
-            count += 1
-            nxt = self._next_within_lifetime(gen)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt, index, gen))
+        if self.mode == "renewal":
+            while heap and heap[0][0] <= now:
+                _, index, gen = heapq.heappop(heap)
+                count += 1
+                nxt = self._next_within_lifetime(gen)
+                if nxt is not None:
+                    heapq.heappush(heap, (nxt, index, gen))
+        else:
+            interval = self.peak_interval
+            while heap and heap[0][0] <= now:
+                time, index, bound = heap[0]
+                count += 1
+                time += interval
+                if time < bound:
+                    heapq.heapreplace(heap, (time, index, bound))
+                else:
+                    heapq.heappop(heap)
         self.packets_emitted += count
         return count
 
@@ -220,25 +243,38 @@ class OnOffSourceSet:
             return None
         return time
 
-    def _poisson_burst_times(self) -> list[float]:
-        """Packet times for one source in Poisson-burst mode (sorted)."""
+    def _poisson_bursts(self, sources: int) -> list[tuple[float, int, float]]:
+        """One ``(first time, index, bound)`` entry per Poisson-mode burst.
+
+        Draws what the sources need, in source order: each source's
+        Poisson burst count, then every burst's start and ON length. A
+        burst emits at ``start``, ``start + interval``, ... while the time
+        stays below ``bound = min(start + on, end)``; :meth:`advance`
+        makes those additions one packet at a time, so a burst costs the
+        same whatever its length. The index breaks ties between bursts
+        due at the same time.
+        """
         rng = self.rng
+        draw = rng.random
+        start = self.start
+        end = self.end
+        lifetime = end - start
+        on_shape = self.on_shape
+        on_location = self.on_location
         # Knuth Poisson sampler; bursts_per_source is <= ~2 in this mode.
         threshold = math.exp(-self.bursts_per_source)
-        count = 0
-        product = rng.random()
-        while product > threshold:
-            count += 1
-            product *= rng.random()
-        times: list[float] = []
-        lifetime = self.end - self.start
-        for _ in range(count):
-            burst_start = self.start + rng.random() * lifetime
-            on = pareto_sample(rng, self.on_shape, self.on_location)
-            t = burst_start
-            burst_end = burst_start + on
-            while t < burst_end and t < self.end:
-                times.append(t)
-                t += self.peak_interval
-        times.sort()
-        return times
+        bursts: list[tuple[float, int, float]] = []
+        for _ in range(sources):
+            count = 0
+            product = draw()
+            while product > threshold:
+                count += 1
+                product *= draw()
+            for _ in range(count):
+                burst_start = start + draw() * lifetime
+                bound = burst_start + pareto_sample(rng, on_shape, on_location)
+                if bound > end:
+                    bound = end
+                if burst_start < bound:
+                    bursts.append((burst_start, len(bursts), bound))
+        return bursts

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import NOT_CHECKPOINTED, main
 from repro.harness import cache as cache_mod
 
 
@@ -98,12 +98,31 @@ class TestFigureCommand:
         assert "EWMA" in out or "Ablation" in out
 
     def test_figure_resume_reports_replayed_points(self, cli_cache, capsys):
-        assert main(["figure", "fig8", "--scale", "smoke"]) == 0
-        capsys.readouterr()
-        assert main(["figure", "fig8", "--scale", "smoke", "--resume"]) == 0
-        err = capsys.readouterr().err
-        assert "resume:" in err
-        assert " 0 recomputed" in err
+        # ablation-window runs its three history windows through the
+        # backend, so the first run checkpoints every point.
+        assert main(["figure", "ablation-window", "--scale", "smoke"]) == 0
+        first = capsys.readouterr().out
+        code = main(["figure", "ablation-window", "--scale", "smoke", "--resume"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert (
+            "resume: 3 point(s) replayed from checkpoints, 0 recomputed"
+            in captured.err
+        )
+        assert captured.out == first
+
+    @pytest.mark.parametrize("name", sorted(NOT_CHECKPOINTED))
+    def test_figure_resume_refused_when_nothing_checkpoints(
+        self, name, cli_cache, capsys
+    ):
+        """Figures 3-5 simulate in process: --resume would recompute every
+        load while reporting nothing recomputed, so it is refused up front."""
+        assert main(["figure", name, "--scale", "smoke", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {name} is not checkpointed" in captured.err
+        assert "probe histograms" in captured.err
+        assert captured.out == ""
+        assert list(cli_cache.iterdir()) == []  # nothing simulated or stored
 
     def test_figure_resume_without_cache_errors(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "off")

@@ -62,3 +62,24 @@ class TestChoice:
             SphereOfLocality(topology, radius=0, local_probability=0.5)
         with pytest.raises(WorkloadError):
             SphereOfLocality(topology, radius=2, local_probability=1.5)
+
+
+class TestNeighbourhoods:
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "topology",
+        [Topology(8, 2), Topology(5, 2, wraparound=True)],
+        ids=["mesh8x8", "torus5x5"],
+    )
+    def test_near_and_far_partition_the_other_nodes(self, topology, radius):
+        locality = SphereOfLocality(topology, radius=radius, local_probability=0.5)
+        for src in range(topology.node_count):
+            near, far = locality._split(src)
+            assert near == sorted(near) and far == sorted(far)
+            assert not set(near) & set(far)
+            assert sorted(near + far) == [
+                node for node in range(topology.node_count) if node != src
+            ]
+            assert all(topology.distance(src, node) <= radius for node in near)
+            assert all(topology.distance(src, node) > radius for node in far)
+            assert locality._split(src) == (near, far)  # cached, unchanged

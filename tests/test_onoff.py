@@ -1,12 +1,23 @@
 """Tests for the multiplexed Pareto ON/OFF source bank."""
 
+import bisect
+import copy
+import heapq
+import itertools
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import WorkloadError
+from repro.harness.scales import PAPER_SCALE
+from repro.network.topology import Topology
+from repro.traffic.base import make_traffic
 from repro.traffic.onoff import OnOffSourceSet
+from repro.traffic.pareto import pareto_sample, pareto_truncated_mean
 
 
 def collect_rate(source_set, horizon):
@@ -120,3 +131,206 @@ class TestBurstiness:
         variance = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
         assert mean > 0
         assert variance / mean > 2.0
+
+
+# -- lazy Poisson bursts against the eager reference -------------------------
+
+
+def eager_poisson_burst_times(source_set):
+    """Reference: the eager body Poisson-burst sets used to run per source.
+
+    It built one source's whole sorted list of packet times at
+    construction; the set now keeps each burst's bounds and emits lazily.
+    Also returns the source's bursts as ``(start, start + on)`` so tests
+    can see what the drawn cases cover.
+    """
+    rng = source_set.rng
+    threshold = math.exp(-source_set.bursts_per_source)
+    count = 0
+    product = rng.random()
+    while product > threshold:
+        count += 1
+        product *= rng.random()
+    times = []
+    bursts = []
+    lifetime = source_set.end - source_set.start
+    for _ in range(count):
+        burst_start = source_set.start + rng.random() * lifetime
+        on = pareto_sample(rng, source_set.on_shape, source_set.on_location)
+        t = burst_start
+        burst_end = burst_start + on
+        bursts.append((burst_start, burst_end))
+        while t < burst_end and t < source_set.end:
+            times.append(t)
+            t += source_set.peak_interval
+    times.sort()
+    return times, bursts
+
+
+def emit(source_set, limit=math.inf):
+    """Packet times as advance() hands them out, earliest first."""
+    emitted = []
+    while not source_set.exhausted and len(emitted) < limit:
+        due = source_set.next_time
+        emitted.extend([due] * source_set.advance(due))
+    return emitted
+
+
+def build(seed, sources, bursts, lifetime, on_shape, on_location, interval):
+    """A Poisson-burst set expecting about *bursts* bursts per source, or
+    None when the parameters select renewal mode or no set at all."""
+    start = 1_000
+    packets_per_burst = (
+        pareto_truncated_mean(on_shape, on_location, lifetime) / interval + 1.0
+    )
+    try:
+        source_set = OnOffSourceSet(
+            random.Random(seed),
+            sources=sources,
+            target_rate=sources * bursts * packets_per_burst / lifetime,
+            start=start,
+            end=start + lifetime,
+            on_shape=on_shape,
+            on_location=on_location,
+            peak_interval=interval,
+        )
+    except WorkloadError:
+        return None
+    return source_set if source_set.mode == "poisson_burst" else None
+
+
+def check_lazy_against_eager(source_set, seed, sources, split):
+    """Lazy emission from *source_set* (*sources* sources, built from
+    ``Random(seed)``) equals the eager reference's; returns each source's
+    reference bursts."""
+    built_state = source_set.rng.getstate()
+
+    # The reference replays construction's draws from the same seed.
+    replay = copy.copy(source_set)
+    replay.rng = random.Random(seed)
+    per_source = [eager_poisson_burst_times(replay) for _ in range(sources)]
+    assert replay.rng.getstate() == built_state
+    expected = list(heapq.merge(*(times for times, _ in per_source)))
+
+    # Integer cycles, as the workload polls it: the same count by each cycle.
+    polled = copy.deepcopy(source_set)
+    for cycle in sorted({math.ceil(t) for t in expected}):
+        polled.advance(cycle)
+        assert polled.packets_emitted == bisect.bisect_right(expected, cycle)
+    assert polled.exhausted
+
+    # Exact times; cut mid-stream, round-trip through pickle, go on with both.
+    head = emit(source_set, limit=int(split * len(expected)))
+    clone = pickle.loads(pickle.dumps(source_set))
+    assert head + emit(source_set) == expected
+    assert head + emit(clone) == expected
+    for done in (source_set, clone, polled):
+        assert done.rng.getstate() == built_state
+        assert done.packets_emitted == len(expected)
+    return [bursts for _, bursts in per_source]
+
+
+#: Cases the property always runs: between them, bursts of one source that
+#: overlap in time, and bursts whose ON period runs past the set's end.
+COVERED_CASES = [
+    dict(seed=3, sources=16, bursts=1.2, lifetime=2_000, on_shape=1.05,
+         on_location=20.0, interval=7.0, split=0.5),
+    dict(seed=11, sources=32, bursts=1.5, lifetime=500, on_shape=1.1,
+         on_location=5.0, interval=3.0, split=0.3),
+]
+
+
+class TestLazyBursts:
+    @settings(max_examples=100, deadline=None)
+    @example(**COVERED_CASES[0])
+    @example(**COVERED_CASES[1])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sources=st.integers(1, 48),
+        bursts=st.floats(0.05, 1.8),
+        lifetime=st.integers(50, 20_000),
+        on_shape=st.floats(1.05, 1.95),
+        on_location=st.floats(1.0, 500.0),
+        interval=st.floats(0.5, 60.0),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_emission_and_draws_match_eager_reference(
+        self, seed, sources, bursts, lifetime, on_shape, on_location,
+        interval, split,
+    ):
+        source_set = build(
+            seed, sources, bursts, lifetime, on_shape, on_location, interval
+        )
+        assume(source_set is not None)
+        check_lazy_against_eager(source_set, seed, sources, split)
+
+    @pytest.mark.parametrize("case", COVERED_CASES)
+    def test_pinned_cases_overlap_and_cross_the_end(self, case):
+        """The pinned cases are not vacuous: a source has bursts that
+        overlap, and a burst is cut short by the end."""
+        params = dict(case)
+        seed, split = params.pop("seed"), params.pop("split")
+        source_set = build(seed, **params)
+        assert source_set is not None
+        per_source = check_lazy_against_eager(
+            source_set, seed, params["sources"], split
+        )
+        end = source_set.end
+        overlapping = any(
+            later[0] < earlier[1]
+            for bursts in per_source
+            for earlier, later in itertools.pairwise(sorted(bursts))
+        )
+        crossing = any(
+            burst_end > end for bursts in per_source for _, burst_end in bursts
+        )
+        assert overlapping and crossing
+
+    @pytest.mark.parametrize(
+        "end, expected",
+        [(20_000, [0.0, 20.0, 40.0]), (1_000 + 40, [0.0, 20.0])],
+        ids=["on-period-end", "lifetime-end"],
+    )
+    def test_a_burst_stops_before_its_bound(self, end, expected):
+        """A packet due exactly at the burst's ON end, or at the set's end,
+        is not emitted. Scripted draws: one burst, starting at the set's
+        start, ON for exactly the 60-cycle location, 20 cycles apart."""
+
+        class Scripted(random.Random):
+            draws = iter([0.999999, 0.0, 0.0, 0.0])
+
+            def random(self):
+                return next(self.draws)
+
+        source_set = OnOffSourceSet(
+            Scripted(0), sources=1, target_rate=1e-4, start=1_000, end=end,
+            on_location=60.0, peak_interval=20.0,
+        )
+        assert source_set.mode == "poisson_burst"
+        assert emit(source_set) == [1_000 + t for t in expected]
+
+    def test_source_without_bursts_draws_once(self):
+        """A source whose Poisson count is zero costs exactly one draw."""
+        source_set = build(7, 1, 0.001, 10_000, 1.4, 60.0, 20.0)
+        assert source_set is not None and source_set.exhausted
+        rng = random.Random(7)
+        rng.random()
+        assert source_set.rng.getstate() == rng.getstate()
+
+
+class TestSetupMemory:
+    def test_paper_scale_workload_setup_stays_small(self):
+        """Setting up the paper's 100-task workload at 1.5 pkt/cycle holds
+        per-burst state, not every session's packet times (about 19 MiB
+        when those were built eagerly)."""
+        topology = Topology(PAPER_SCALE.radix, 2)
+        config = PAPER_SCALE.workload(1.5, average_tasks=100)
+        tracemalloc.start()
+        try:
+            workload = make_traffic(topology, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert workload.tasks_started == 100
+        assert peak < 6 * 2**20
+

@@ -60,12 +60,14 @@ class TestMeshDOR:
         with pytest.raises(RoutingError):
             routing.route_port(3, 3)
 
-    def test_large_topology_skips_table(self):
-        topology = Topology(6, 4)  # 1296 nodes > table limit
+    def test_large_topology_routes_lazily(self):
+        topology = Topology(6, 4)  # 1296 nodes
         routing = DimensionOrderRouting(topology, 2)
-        assert routing._table is None
+        assert routing._route_cache == {}  # nothing computed up front
         src, dst = 0, topology.node_count - 1
         assert walk_route(routing, topology, src, dst) == topology.distance(src, dst)
+        # One cached answer per hop asked about, not a node x node table.
+        assert len(routing._route_cache) == topology.distance(src, dst)
 
 
 class TestTorusDOR:
@@ -108,6 +110,33 @@ class TestTorusDOR:
         topology = Topology(4, 2, wraparound=True)
         with pytest.raises(ConfigError):
             DimensionOrderRouting(topology, 1)
+
+
+class TestRouteCache:
+    """DOR answers from one lazily filled cache; every answer it gives,
+    on first ask and from the cache, is the direct computation's."""
+
+    @pytest.mark.parametrize(
+        "topology",
+        [Topology(8, 2), Topology(4, 2, wraparound=True)],
+        ids=["mesh8x8", "torus4x4"],
+    )
+    def test_cached_answers_equal_direct_computation(self, topology):
+        routing = DimensionOrderRouting(topology, 2)
+        reference = DimensionOrderRouting(topology, 2)
+        pairs = [
+            (src, dst)
+            for src in range(topology.node_count)
+            for dst in range(topology.node_count)
+            if src != dst
+        ]
+        for _sweep in range(2):  # the first fills the cache, the second reads it
+            for src, dst in pairs:
+                assert routing.route_port(src, dst) == (
+                    reference._compute_route_port(src, dst)
+                )
+        assert len(routing._route_cache) == len(pairs)
+        assert reference._route_cache == {}
 
 
 class TestMinimalAdaptive:
@@ -174,11 +203,9 @@ class TestBoundedCaches:
     and every answer (cached, evicted-then-recomputed) stays correct."""
 
     def test_dor_cache_respects_limit(self, monkeypatch):
-        monkeypatch.setattr(DimensionOrderRouting, "_TABLE_LIMIT", 0)
         monkeypatch.setattr(DimensionOrderRouting, "_CACHE_LIMIT", 4)
         topology = Topology(3, 2)
         routing = DimensionOrderRouting(topology, 2)
-        assert routing._table is None
         pairs = [
             (src, dst)
             for src in range(topology.node_count)
@@ -195,7 +222,6 @@ class TestBoundedCaches:
                 assert len(routing._route_cache) <= 4
 
     def test_dor_cache_hits_do_not_evict(self, monkeypatch):
-        monkeypatch.setattr(DimensionOrderRouting, "_TABLE_LIMIT", 0)
         monkeypatch.setattr(DimensionOrderRouting, "_CACHE_LIMIT", 4)
         routing = DimensionOrderRouting(Topology(3, 2), 2)
         for _ in range(10):
@@ -229,7 +255,6 @@ class TestBoundedCaches:
 
         config = small_config(rate=0.3, warmup=200, measure=600)
         baseline = to_json(Simulator(config).run())
-        monkeypatch.setattr(DimensionOrderRouting, "_TABLE_LIMIT", 0)
         monkeypatch.setattr(DimensionOrderRouting, "_CACHE_LIMIT", 2)
         squeezed = to_json(Simulator(config).run())
         assert squeezed == baseline

@@ -5,6 +5,7 @@ import pytest
 from repro.config import DVSControlConfig
 from repro.errors import ConfigError, SimulationError
 from repro.instrument.bus import Observer
+from repro.network.engine import SimulationEngine
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceReplaySource
 
@@ -259,3 +260,28 @@ class TestProbes:
         simulator.run_cycles(2_000)
         assert probe.ages
         assert all(age >= 0 for age in probe.ages)
+
+
+class TestDueCycles:
+    def test_a_due_cycle_steps_without_computing_the_horizon(self, monkeypatch):
+        """With events in the ring slot at ``now`` the horizon can only be
+        ``now``: the kernel steps at once and never computes it there."""
+        seen = {"due": 0, "horizons": 0}
+        horizon = SimulationEngine._quiescent_horizon
+        step = SimulationEngine.step
+
+        def checked_horizon(engine):
+            seen["horizons"] += 1
+            assert not engine._ring[engine.now & engine._ring_mask]
+            return horizon(engine)
+
+        def counted_step(engine):
+            if not engine._active_list and engine._ring[engine.now & engine._ring_mask]:
+                seen["due"] += 1
+            step(engine)
+
+        monkeypatch.setattr(SimulationEngine, "_quiescent_horizon", checked_horizon)
+        monkeypatch.setattr(SimulationEngine, "step", counted_step)
+        Simulator(small_config(policy="history", rate=0.05)).run()
+        assert seen["due"] > 0 and seen["horizons"] > 0
+

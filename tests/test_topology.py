@@ -61,6 +61,26 @@ class TestMesh8x8:
         assert topo.ports_per_router == 4
 
 
+class TestNodesWithin:
+    """nodes_within inlines the hop distance; it must select exactly the
+    nodes the checked distance() puts within the radius, in id order."""
+
+    @pytest.mark.parametrize(
+        "topo",
+        [Topology(8, 2), Topology(5, 2, wraparound=True), Topology(4, 3)],
+        ids=["mesh8x8", "torus5x5", "mesh4x4x4"],
+    )
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4])
+    def test_matches_distance_definition(self, topo, radius):
+        for center in range(topo.node_count):
+            expected = [
+                node
+                for node in range(topo.node_count)
+                if node != center and topo.distance(center, node) <= radius
+            ]
+            assert topo.nodes_within(center, radius) == expected
+
+
 class TestTorus:
     def test_wraparound_neighbors(self):
         topo = Topology(4, 2, wraparound=True)
