@@ -81,6 +81,28 @@ CODE_EPOCH = "pr9-integer-femtojoule-energy"
 _DISABLE_VALUES = frozenset({"0", "off", "no", "none", "disabled", "false"})
 
 
+def write_atomic(path: Path, payload: bytes) -> None:
+    """Write *payload* to *path* via temp file + atomic ``os.replace``.
+
+    Two processes storing the same key concurrently each write their own
+    temp file and race on the final rename; a reader observes either no
+    entry or one complete entry, never interleaved bytes. The sweep cache
+    and the shared result store both write entries through here.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class RemoteResultStore:
     """Best-effort HTTP client for a shared result store.
 
@@ -233,7 +255,7 @@ class SweepCache:
             return None
         self.remote_hits += 1
         try:
-            self._write_atomic(path, payload)
+            write_atomic(path, payload)
         except OSError:
             pass
         return entry.get("result")
@@ -245,27 +267,6 @@ class SweepCache:
             path.replace(path.with_suffix(".corrupt"))
         except OSError:
             pass
-
-    @staticmethod
-    def _write_atomic(path: Path, payload: bytes) -> None:
-        """Write *payload* to *path* via temp file + atomic ``os.replace``.
-
-        Two processes storing the same key concurrently each write their
-        own temp file and race on the final rename; a reader observes
-        either no entry or one complete entry, never interleaved bytes.
-        """
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def store(self, config: SimulationConfig, result: object) -> None:
         """Persist *result* for *config*; best-effort (never raises OSError).
@@ -284,7 +285,7 @@ class SweepCache:
         )
         path = self._path(fingerprint)
         try:
-            self._write_atomic(path, payload)
+            write_atomic(path, payload)
             inject_store_fault(fingerprint, path)
         except OSError:
             pass

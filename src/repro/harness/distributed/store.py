@@ -18,8 +18,9 @@ validate payloads, and treat the server as a dumb, durable byte store.
 Any previously computed ``(epoch, config)`` point uploaded by one host
 is a cache hit for every other host and every later campaign.
 
-Robustness mirrors the on-disk cache: PUTs land via temp file + atomic
-``os.replace``, so two workers storing the same key concurrently never
+Robustness mirrors the on-disk cache: PUTs land through the same
+:func:`~repro.harness.cache.write_atomic` (temp file + atomic
+``os.replace``), so two workers storing the same key concurrently never
 interleave partial writes and a crashed upload leaves no torn entry
 behind; bodies that do not match their declared ``Content-Length`` are
 rejected before anything touches disk. The server never *validates*
@@ -36,11 +37,11 @@ entries under the same key).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
+
+from ..cache import write_atomic
 
 #: Length of a hex sha256 key.
 _KEY_HEX_LEN = 64
@@ -125,20 +126,8 @@ class ResultStoreHandler(BaseHTTPRequestHandler):
             # disk, so a concurrent reader can never observe the tear.
             self._reply(400, b"short body")
             return
-        path = self._entry_path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(body)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(self._entry_path(key), body)
         except OSError:
             self._reply(507, b"store failed")
             return

@@ -10,11 +10,7 @@ learns what is being measured.
 """
 
 from .bus import InstrumentBus, Observer, TransitionEvent
-from .observers import (
-    MeasurementMeter,
-    ProbeObserver,
-    SeriesObserver,
-)
+from .observers import MeasurementMeter, SeriesObserver
 from .trace import TraceRecorder
 
 __all__ = [
@@ -22,7 +18,6 @@ __all__ = [
     "Observer",
     "TransitionEvent",
     "MeasurementMeter",
-    "ProbeObserver",
     "SeriesObserver",
     "TraceRecorder",
 ]

@@ -2,13 +2,13 @@
 
 Each class here adapts one of the long-standing collectors
 (:class:`~repro.metrics.latency.LatencyCollector`,
-:class:`~repro.metrics.timeseries.WindowedSeries`,
-:class:`~repro.metrics.utilization.UtilizationProbe`) to the
+:class:`~repro.metrics.timeseries.WindowedSeries`) to the
 :class:`~repro.instrument.bus.Observer` protocol, so the cycle kernel
-stays measurement-free and new observables can ride the same seam. The
-:class:`~repro.power.accounting.PowerAccountant` needs no observer: it
-integrates energy lazily from the channels and counts transitions from
-their own counters.
+stays measurement-free and new observables can ride the same seam. A
+:class:`~repro.metrics.utilization.UtilizationProbe` is an observer
+itself. The :class:`~repro.power.accounting.PowerAccountant` needs no
+observer: it integrates energy lazily from the channels and counts
+transitions from their own counters.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..metrics.latency import LatencyCollector
 from ..metrics.timeseries import WindowedSeries
-from ..metrics.utilization import UtilizationProbe
 from ..power.accounting import PowerAccountant
 from .bus import Observer
 
@@ -132,15 +131,3 @@ class SeriesObserver(Observer):
         self._offered = 0
         self._ejected = 0
 
-
-class ProbeObserver(Observer):
-    """Drives one :class:`UtilizationProbe`'s window clock from the bus."""
-
-    __slots__ = ("probe", "window_cycles")
-
-    def __init__(self, probe: UtilizationProbe) -> None:
-        self.probe = probe
-        self.window_cycles = probe.window_cycles
-
-    def on_window_close(self, now: int) -> None:
-        self.probe.close_window(now)

@@ -5,18 +5,21 @@ feeds, sampling link utilization and input-buffer utilization every
 ``window_cycles`` (the paper profiles with H=50) and collecting the buffer
 ages of departing flits. It reads the same cumulative counters the DVS
 controller uses, so it can coexist with (or replace) a controller on the
-same channel without interference.
+same channel without interference. The probe is itself an instrument-bus
+observer: attached to a simulator's bus, it closes a window every
+``window_cycles``.
 """
 
 from __future__ import annotations
 
 from ..core.dvs_link import DVSChannel
 from ..errors import ConfigError
+from ..instrument.bus import Observer
 from ..network.flowcontrol import OccupancyTracker
 from .histogram import Histogram
 
 
-class UtilizationProbe:
+class UtilizationProbe(Observer):
     """Windowed LU/BU sampler plus a buffer-age tap for one channel."""
 
     __slots__ = (
@@ -57,7 +60,7 @@ class UtilizationProbe:
         """Router age hook: a flit of this port departed after *age* cycles."""
         self.ages.append(age)
 
-    def close_window(self, now: int) -> None:
+    def on_window_close(self, now: int) -> None:
         """Record this window's LU and BU samples."""
         busy_total = self.channel.busy_cycles_total
         busy = busy_total - self._last_busy

@@ -14,8 +14,8 @@ measured quantity is an observer on the engine's
   ejected counts and packet latencies,
 * an optional :class:`~repro.instrument.observers.SeriesObserver` when a
   ``series_window`` is requested,
-* one :class:`~repro.instrument.observers.ProbeObserver` per profiling
-  probe added through :meth:`Simulator.attach_probe`.
+* each :class:`~repro.metrics.utilization.UtilizationProbe` added
+  through :meth:`Simulator.attach_probe`.
 
 Extra observers (e.g. a
 :class:`~repro.instrument.trace.TraceRecorder`) attach through
@@ -32,11 +32,7 @@ from dataclasses import dataclass, field
 from ..config import SimulationConfig
 from ..errors import ConfigError, SimulationError
 from ..instrument.bus import InstrumentBus
-from ..instrument.observers import (
-    MeasurementMeter,
-    ProbeObserver,
-    SeriesObserver,
-)
+from ..instrument.observers import MeasurementMeter, SeriesObserver
 from ..metrics.latency import LatencyCollector, LatencyStats
 from ..metrics.timeseries import WindowedSeries
 from ..metrics.utilization import UtilizationProbe
@@ -165,7 +161,7 @@ class Simulator(SimulationEngine):
         )
         downstream.age_hooks.setdefault(spec.dst_port, []).append(probe.on_age)
         self.probes.append(probe)
-        self.bus.attach(ProbeObserver(probe))
+        self.bus.attach(probe)
         # Probe windows have always closed before the series window on
         # shared boundary cycles; keep the series observer last.
         window_hooks = self.bus.window_hooks

@@ -1,14 +1,22 @@
-"""Traffic source interface and factory.
+"""Traffic source interface, the shared Poisson arrival process, factory.
 
 A :class:`TrafficSource` is polled once per router cycle by the simulator:
 :meth:`~TrafficSource.injections` returns the ``(src, dst)`` pairs of
 packets created that cycle (usually an empty list). Implementations keep
-their pending arrivals in a heap, so the common no-arrival case costs one
-comparison.
+their next arrival time (or a heap of them) at hand, so the common
+no-arrival case costs one comparison.
+
+The reference workloads (uniform, permutation, hotspot) share one
+network-wide Poisson arrival process, :class:`PoissonTraffic`, and differ
+only in how each packet picks its ``(src, dst)`` pair. The two-level task
+workload keeps one heap entry per session with packets left, and each
+session's ON/OFF source bank one heap entry per live burst, whichever of
+its two modes it runs in.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
 
@@ -73,6 +81,46 @@ class TrafficSource(ABC):
         """Bookkeeping helper for subclasses: tally and pass through."""
         self.packets_offered += len(pairs)
         return pairs
+
+
+class PoissonTraffic(TrafficSource):
+    """Network-wide Poisson packet arrivals at the configured rate.
+
+    The first arrival time is drawn at construction. Each arrival then
+    draws its packet's pair through :meth:`_pair` before the next
+    exponential inter-arrival gap, so a subclass supplies only its
+    ``(src, dst)`` rule. A rate of zero never injects and draws nothing.
+    """
+
+    def __init__(self, topology: Topology, config: WorkloadConfig):
+        super().__init__(topology, config)
+        self._next_time = 0.0
+        if config.injection_rate > 0.0:
+            self._next_time = self.rng.expovariate(config.injection_rate)
+
+    @abstractmethod
+    def _pair(self) -> tuple[int, int]:
+        """The ``(src, dst)`` pair of one new packet, drawn from ``rng``."""
+
+    def injections(self, now: int) -> list[tuple[int, int]]:
+        rate = self.config.injection_rate
+        if rate <= 0.0 or self._next_time > now:
+            return []
+        pairs: list[tuple[int, int]] = []
+        pair = self._pair
+        expovariate = self.rng.expovariate
+        while self._next_time <= now:
+            pairs.append(pair())
+            self._next_time += expovariate(rate)
+        return self._count(pairs)
+
+    def next_injection_cycle(self, now: int) -> int | float:
+        if self.config.injection_rate <= 0.0:
+            return math.inf
+        # First integer cycle where `_next_time <= now` holds; injections()
+        # is a pure no-op (no RNG draws) at every cycle before it.
+        next_cycle = math.ceil(self._next_time)
+        return next_cycle if next_cycle > now else now
 
 
 def make_traffic(topology: Topology, config: WorkloadConfig) -> TrafficSource:

@@ -10,15 +10,13 @@ of the network idles (and scales down).
 
 from __future__ import annotations
 
-import math
-
 from ..config import WorkloadConfig
 from ..errors import WorkloadError
 from ..network.topology import Topology
-from .base import TrafficSource
+from .base import PoissonTraffic
 
 
-class HotspotTraffic(TrafficSource):
+class HotspotTraffic(PoissonTraffic):
     """Uniform traffic with a configurable hotspot bias.
 
     Not constructible through :func:`repro.traffic.base.make_traffic`
@@ -47,34 +45,18 @@ class HotspotTraffic(TrafficSource):
             raise WorkloadError("hotspot fraction must be in [0, 1]")
         self.hotspots = tuple(hotspots)
         self.hotspot_fraction = hotspot_fraction
-        self._next_time = 0.0
-        if config.injection_rate > 0.0:
-            self._next_time = self.rng.expovariate(config.injection_rate)
 
-    def injections(self, now: int) -> list[tuple[int, int]]:
-        rate = self.config.injection_rate
-        if rate <= 0.0 or self._next_time > now:
-            return []
-        pairs: list[tuple[int, int]] = []
+    def _pair(self) -> tuple[int, int]:
         rng = self.rng
         node_count = self.topology.node_count
-        while self._next_time <= now:
-            if rng.random() < self.hotspot_fraction:
-                dst = rng.choice(self.hotspots)
-                src = rng.randrange(node_count - 1)
-                if src >= dst:
-                    src += 1
-            else:
-                src = rng.randrange(node_count)
-                dst = rng.randrange(node_count - 1)
-                if dst >= src:
-                    dst += 1
-            pairs.append((src, dst))
-            self._next_time += rng.expovariate(rate)
-        return self._count(pairs)
-
-    def next_injection_cycle(self, now: int) -> int | float:
-        if self.config.injection_rate <= 0.0:
-            return math.inf
-        next_cycle = math.ceil(self._next_time)
-        return next_cycle if next_cycle > now else now
+        if rng.random() < self.hotspot_fraction:
+            dst = rng.choice(self.hotspots)
+            src = rng.randrange(node_count - 1)
+            if src >= dst:
+                src += 1
+        else:
+            src = rng.randrange(node_count)
+            dst = rng.randrange(node_count - 1)
+            if dst >= src:
+                dst += 1
+        return src, dst

@@ -22,13 +22,16 @@ over-delivers by 2x or more on realistic horizons. If the requested rate
 is too high for the configured spacing, the spacing is tightened so the
 duty cycle stays below 0.9.
 
-Emission is lazy in both modes. A renewal source draws each OFF and ON
-period when its previous burst runs out. A Poisson-burst set makes all
-its draws when it is built (each source's burst count, then each burst's
-start and ON length) but keeps only every burst's next packet time and
-bound; :meth:`OnOffSourceSet.advance` adds the peak spacing once per
-emitted packet. A set therefore costs memory per burst rather than per
-packet time, and nothing for packets due after the simulation stops.
+Emission is lazy, and both modes share one representation: a heap with
+one ``(next packet time, index, bound)`` entry per live burst, where
+:meth:`OnOffSourceSet.advance` adds the peak spacing once per emitted
+packet. A Poisson-burst set makes all its draws when it is built (each
+source's burst count, then each burst's start and ON length) and cuts
+each bound at the set's end. A renewal set keeps one entry per source
+whose bound is the current burst's ON end; when a packet time reaches it,
+``advance`` draws that source's next OFF and ON periods. A set therefore
+costs memory per burst rather than per packet time, and nothing for
+packets due after the simulation stops.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Any, Iterator
 
 from ..errors import WorkloadError
 from .pareto import (
@@ -45,54 +47,6 @@ from .pareto import (
     pareto_sample,
     pareto_truncated_mean,
 )
-
-
-class _RenewalPacketStream:
-    """Unbounded stream of one renewal-mode source's packet times.
-
-    Each source starts mid-OFF at a random phase so the bank does not
-    fire in lockstep at task start. This used to be a generator function,
-    but live generators cannot be pickled or deepcopied (lint R11 flags
-    generator state in traffic classes), so the stream state lives in
-    plain attributes instead. The RNG draw order is
-    identical to the old generator's, including performing the initial
-    phase draw lazily at the first ``__next__`` (a generator body does
-    not run until first resumed), which the golden determinism tests pin.
-    """
-
-    __slots__ = ("owner", "t", "burst_end", "started")
-
-    def __init__(self, owner: "OnOffSourceSet"):
-        self.owner = owner
-        self.t = 0.0
-        self.burst_end = 0.0
-        self.started = False
-
-    def __iter__(self) -> "_RenewalPacketStream":
-        return self
-
-    def __next__(self) -> float:
-        owner = self.owner
-        rng = owner.rng
-        if not self.started:
-            self.started = True
-            phase = rng.random()
-            self.t = owner.start + phase * pareto_sample(
-                rng, owner.off_shape, owner.off_location
-            )
-            self.burst_end = self.t + pareto_sample(
-                rng, owner.on_shape, owner.on_location
-            )
-        while self.t >= self.burst_end:
-            self.t = self.burst_end + pareto_sample(
-                rng, owner.off_shape, owner.off_location
-            )
-            self.burst_end = self.t + pareto_sample(
-                rng, owner.on_shape, owner.on_location
-            )
-        time = self.t
-        self.t += owner.peak_interval
-        return time
 
 
 class OnOffSourceSet:
@@ -146,12 +100,10 @@ class OnOffSourceSet:
 
         per_source_rate = target_rate / sources
         peak_interval = float(peak_interval)
-        duty = per_source_rate * peak_interval
-        if duty >= 0.9:
+        if per_source_rate * peak_interval >= 0.9:
             # Requested rate too high for the configured spacing; emit
             # faster during bursts instead of saturating the duty cycle.
             peak_interval = 0.9 / per_source_rate
-            duty = 0.9
         self.peak_interval = peak_interval
 
         # Renewal-reward calibration with lifetime-truncated means: a burst
@@ -186,19 +138,11 @@ class OnOffSourceSet:
             self.off_location = pareto_location_for_mean(off_shape, mean_off)
             self.bursts_per_source = per_source_rate * lifetime / packets_per_burst
 
-        # Renewal mode: one (next time, source index, stream) entry per
-        # source. Poisson-burst mode: one (next time, burst index, bound)
-        # entry per burst.
-        self._heap: list[tuple[float, int, Any]]
-        if self.mode == "renewal":
-            self._heap = []
-            for index in range(sources):
-                gen = _RenewalPacketStream(self)
-                first = self._next_within_lifetime(gen)
-                if first is not None:
-                    self._heap.append((first, index, gen))
-        else:
-            self._heap = self._poisson_bursts(sources)
+        self._heap = (
+            self._renewal_bursts(sources)
+            if self.mode == "renewal"
+            else self._poisson_bursts(sources)
+        )
         heapq.heapify(self._heap)
         self.packets_emitted = 0
 
@@ -215,33 +159,64 @@ class OnOffSourceSet:
         """Count of packets due at cycles <= *now*; removes them."""
         count = 0
         heap = self._heap
-        if self.mode == "renewal":
-            while heap and heap[0][0] <= now:
-                _, index, gen = heapq.heappop(heap)
-                count += 1
-                nxt = self._next_within_lifetime(gen)
-                if nxt is not None:
-                    heapq.heappush(heap, (nxt, index, gen))
-        else:
-            interval = self.peak_interval
-            while heap and heap[0][0] <= now:
-                time, index, bound = heap[0]
-                count += 1
-                time += interval
-                if time < bound:
-                    heapq.heapreplace(heap, (time, index, bound))
-                else:
+        interval = self.peak_interval
+        end = self.end
+        renewal = self.mode == "renewal"
+        while heap and heap[0][0] <= now:
+            time, index, bound = heap[0]
+            count += 1
+            time += interval
+            if time >= bound:
+                # A Poisson burst is over; a renewal source moves on to
+                # its next ON period, which may start after the end.
+                if not renewal:
                     heapq.heappop(heap)
+                    continue
+                time, bound = self._next_on_period(time, bound)
+            if time < end:
+                heapq.heapreplace(heap, (time, index, bound))
+            else:
+                heapq.heappop(heap)
         self.packets_emitted += count
         return count
 
     # ------------------------------------------------------------------
 
-    def _next_within_lifetime(self, gen: Iterator[float]) -> float | None:
-        time = next(gen, None)
-        if time is None or time >= self.end:
-            return None
-        return time
+    def _renewal_bursts(self, sources: int) -> list[tuple[float, int, float]]:
+        """One ``(first time, source index, ON end)`` entry per renewal source.
+
+        Each source starts mid-OFF at a random phase so the bank does not
+        fire in lockstep at task start; in source order it draws the
+        phase, an OFF length and an ON length. The bound is the burst's ON
+        end, not cut at the set's end: :meth:`advance` draws the source's
+        next OFF and ON periods once a packet time reaches it. A source
+        whose first packet falls at or after the end emits nothing.
+        """
+        rng = self.rng
+        heap: list[tuple[float, int, float]] = []
+        for index in range(sources):
+            phase = rng.random()
+            time = self.start + phase * pareto_sample(
+                rng, self.off_shape, self.off_location
+            )
+            bound = time + pareto_sample(rng, self.on_shape, self.on_location)
+            time, bound = self._next_on_period(time, bound)
+            if time < self.end:
+                heap.append((time, index, bound))
+        return heap
+
+    def _next_on_period(self, time: float, bound: float) -> tuple[float, float]:
+        """A renewal source's next packet time and ON end from *time*.
+
+        While *time* is at or past the ON end *bound*, the source draws
+        an OFF period starting at the bound and then the ON period after
+        it, and emits first at that ON period's start.
+        """
+        rng = self.rng
+        while time >= bound:
+            time = bound + pareto_sample(rng, self.off_shape, self.off_location)
+            bound = time + pareto_sample(rng, self.on_shape, self.on_location)
+        return time, bound
 
     def _poisson_bursts(self, sources: int) -> list[tuple[float, int, float]]:
         """One ``(first time, index, bound)`` entry per Poisson-mode burst.
@@ -274,7 +249,7 @@ class OnOffSourceSet:
                 burst_start = start + draw() * lifetime
                 bound = burst_start + pareto_sample(rng, on_shape, on_location)
                 if bound > end:
-                    bound = end
+                    bound = float(end)
                 if burst_start < bound:
                     bursts.append((burst_start, len(bursts), bound))
         return bursts

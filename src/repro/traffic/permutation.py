@@ -25,7 +25,7 @@ import math
 from ..config import WorkloadConfig
 from ..errors import WorkloadError
 from ..network.topology import Topology
-from .base import TrafficSource
+from .base import PoissonTraffic
 
 
 def _transpose(topology: Topology, node: int) -> int:
@@ -72,7 +72,7 @@ PERMUTATIONS = {
 }
 
 
-class PermutationTraffic(TrafficSource):
+class PermutationTraffic(PoissonTraffic):
     """Fixed-destination traffic under a named permutation."""
 
     def __init__(self, topology: Topology, config: WorkloadConfig):
@@ -92,24 +92,7 @@ class PermutationTraffic(TrafficSource):
             raise WorkloadError(
                 f"permutation {config.permutation!r} is the identity here"
             )
-        self._next_time = 0.0
-        if config.injection_rate > 0.0:
-            self._next_time = self.rng.expovariate(config.injection_rate)
 
-    def injections(self, now: int) -> list[tuple[int, int]]:
-        rate = self.config.injection_rate
-        if rate <= 0.0 or self._next_time > now:
-            return []
-        pairs: list[tuple[int, int]] = []
-        rng = self.rng
-        while self._next_time <= now:
-            src = rng.choice(self.active_sources)
-            pairs.append((src, self.destinations[src]))
-            self._next_time += rng.expovariate(rate)
-        return self._count(pairs)
-
-    def next_injection_cycle(self, now: int) -> int | float:
-        if self.config.injection_rate <= 0.0:
-            return math.inf
-        next_cycle = math.ceil(self._next_time)
-        return next_cycle if next_cycle > now else now
+    def _pair(self) -> tuple[int, int]:
+        src = self.rng.choice(self.active_sources)
+        return src, self.destinations[src]

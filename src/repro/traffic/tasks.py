@@ -13,6 +13,10 @@ Each session's average rate is drawn uniformly within +/-50% of the fair
 share ``injection_rate / average_tasks``, per the paper's "average packet
 injection rate across different communication task sessions is uniformly
 distributed within a specified range".
+
+In both of its modes a source bank keeps one heap entry per live burst.
+The workload queues each session that has packets left exactly once,
+keyed by its bank's next packet time, and drops it after its last packet.
 """
 
 from __future__ import annotations
@@ -32,12 +36,11 @@ from .onoff import OnOffSourceSet
 class _TaskSession:
     """One live communication session."""
 
-    __slots__ = ("src", "dst", "end", "sources")
+    __slots__ = ("src", "dst", "sources")
 
-    def __init__(self, src: int, dst: int, end: int, sources: OnOffSourceSet):
+    def __init__(self, src: int, dst: int, sources: OnOffSourceSet):
         self.src = src
         self.dst = dst
-        self.end = end
         self.sources = sources
 
 
@@ -67,8 +70,8 @@ class TwoLevelWorkload(TrafficSource):
             topology, config.locality_radius, config.locality_probability
         )
 
-        self._sessions: list[_TaskSession] = []
-        #: Min-heap of (next packet time, tie-break, session).
+        #: Min-heap of (next packet time, tie-break, session), one entry
+        #: per session with packets left.
         self._queue: list[tuple[float, int, _TaskSession]] = []
         self._tie = 0
         self._next_task_time = 0.0
@@ -100,21 +103,19 @@ class TwoLevelWorkload(TrafficSource):
         dst = self.locality.choose(src, self.rng)
         duration = self._draw_duration()
         remaining = max(1, int(round(duration * (1.0 - elapsed_fraction))))
-        end = now + remaining
         rate = self.per_task_rate * (0.5 + self.rng.random())
         sources = OnOffSourceSet(
             self.rng,
             sources=self.config.onoff_sources_per_task,
             target_rate=rate,
             start=now,
-            end=end,
+            end=now + remaining,
             on_shape=self.config.on_shape,
             off_shape=self.config.off_shape,
             on_location=self.config.on_location_cycles,
             peak_interval=self.config.peak_interval_cycles,
         )
-        session = _TaskSession(src, dst, end, sources)
-        self._sessions.append(session)
+        session = _TaskSession(src, dst, sources)
         self.tasks_started += 1
         if not sources.exhausted:
             self._push(session)
@@ -127,8 +128,8 @@ class TwoLevelWorkload(TrafficSource):
 
     @property
     def live_sessions(self) -> int:
-        """Sessions currently inside their lifetime (approximate gauge)."""
-        return sum(1 for s in self._sessions if not s.sources.exhausted)
+        """Sessions with packets left to emit."""
+        return len(self._queue)
 
     def injections(self, now: int) -> list[tuple[int, int]]:
         # Level one: new task sessions.

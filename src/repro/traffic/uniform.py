@@ -11,42 +11,16 @@ ablations.
 
 from __future__ import annotations
 
-import math
-
-from ..config import WorkloadConfig
-from ..network.topology import Topology
-from .base import TrafficSource
+from .base import PoissonTraffic
 
 
-class UniformRandomTraffic(TrafficSource):
+class UniformRandomTraffic(PoissonTraffic):
     """Poisson arrivals, uniform random (src, dst) pairs."""
 
-    def __init__(self, topology: Topology, config: WorkloadConfig):
-        super().__init__(topology, config)
-        self._next_time = 0.0
-        if config.injection_rate > 0.0:
-            self._next_time = self.rng.expovariate(config.injection_rate)
-
-    def injections(self, now: int) -> list[tuple[int, int]]:
-        rate = self.config.injection_rate
-        if rate <= 0.0 or self._next_time > now:
-            return []
-        pairs: list[tuple[int, int]] = []
+    def _pair(self) -> tuple[int, int]:
         node_count = self.topology.node_count
-        rng = self.rng
-        while self._next_time <= now:
-            src = rng.randrange(node_count)
-            dst = rng.randrange(node_count - 1)
-            if dst >= src:
-                dst += 1
-            pairs.append((src, dst))
-            self._next_time += rng.expovariate(rate)
-        return self._count(pairs)
-
-    def next_injection_cycle(self, now: int) -> int | float:
-        if self.config.injection_rate <= 0.0:
-            return math.inf
-        # First integer cycle where `_next_time <= now` holds; injections()
-        # is a pure no-op (no RNG draws) at every cycle before it.
-        next_cycle = math.ceil(self._next_time)
-        return next_cycle if next_cycle > now else now
+        src = self.rng.randrange(node_count)
+        dst = self.rng.randrange(node_count - 1)
+        if dst >= src:
+            dst += 1
+        return src, dst

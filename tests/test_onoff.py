@@ -199,11 +199,21 @@ def build(seed, sources, bursts, lifetime, on_shape, on_location, interval):
     return source_set if source_set.mode == "poisson_burst" else None
 
 
+def assert_plain_entries(source_set):
+    """Every heap entry is a ``(time, index, bound)`` tuple of plain
+    numbers, in either mode."""
+    assert all(
+        tuple(map(type, entry)) == (float, int, float)
+        for entry in source_set._heap
+    )
+
+
 def check_lazy_against_eager(source_set, seed, sources, split):
     """Lazy emission from *source_set* (*sources* sources, built from
     ``Random(seed)``) equals the eager reference's; returns each source's
     reference bursts."""
     built_state = source_set.rng.getstate()
+    assert_plain_entries(source_set)
 
     # The reference replays construction's draws from the same seed.
     replay = copy.copy(source_set)
@@ -221,6 +231,7 @@ def check_lazy_against_eager(source_set, seed, sources, split):
 
     # Exact times; cut mid-stream, round-trip through pickle, go on with both.
     head = emit(source_set, limit=int(split * len(expected)))
+    assert_plain_entries(source_set)
     clone = pickle.loads(pickle.dumps(source_set))
     assert head + emit(source_set) == expected
     assert head + emit(clone) == expected
@@ -316,6 +327,225 @@ class TestLazyBursts:
         rng = random.Random(7)
         rng.random()
         assert source_set.rng.getstate() == rng.getstate()
+
+
+# -- renewal sources against the stream reference ---------------------------
+
+
+class _RenewalPacketStream:
+    """Reference: one renewal-mode source's packet times as a stream.
+
+    Renewal sets used to keep one such stream per source in their heap
+    (each pointing back at its set); they now keep a plain ``(time,
+    index, ON end)`` entry and draw the next OFF and ON periods in
+    ``advance``. The source starts mid-OFF at a random phase, drawn at the
+    first ``__next__``.
+    """
+
+    __slots__ = ("owner", "t", "burst_end", "started")
+
+    def __init__(self, owner):
+        self.owner = owner
+        self.t = 0.0
+        self.burst_end = 0.0
+        self.started = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        owner = self.owner
+        rng = owner.rng
+        if not self.started:
+            self.started = True
+            phase = rng.random()
+            self.t = owner.start + phase * pareto_sample(
+                rng, owner.off_shape, owner.off_location
+            )
+            self.burst_end = self.t + pareto_sample(
+                rng, owner.on_shape, owner.on_location
+            )
+        while self.t >= self.burst_end:
+            self.t = self.burst_end + pareto_sample(
+                rng, owner.off_shape, owner.off_location
+            )
+            self.burst_end = self.t + pareto_sample(
+                rng, owner.on_shape, owner.on_location
+            )
+        time = self.t
+        self.t += owner.peak_interval
+        return time
+
+
+class ReferenceRenewalSet:
+    """Reference: a renewal-mode set built from per-source streams.
+
+    Copies its parameters from the set under test and replays its
+    construction from ``Random(seed)``. It also counts how sources end,
+    so tests can see what a case covers: a first packet at or after the
+    end (``late_sources``), an ON period the end cuts short
+    (``cut_bursts``), or a next ON period drawn to start at or after the
+    end (``late_bursts``).
+    """
+
+    def __init__(self, template, seed, sources):
+        self.rng = random.Random(seed)
+        for name in ("start", "end", "on_shape", "off_shape", "on_location",
+                     "off_location", "peak_interval"):
+            setattr(self, name, getattr(template, name))
+        self.late_sources = 0
+        self.cut_bursts = 0
+        self.late_bursts = 0
+        self.packets_emitted = 0
+        self._heap = []
+        for index in range(sources):
+            stream = _RenewalPacketStream(self)
+            first = self._next_within_lifetime(stream)
+            if first is not None:
+                self._heap.append((first, index, stream))
+        heapq.heapify(self._heap)
+
+    @property
+    def next_time(self):
+        return self._heap[0][0] if self._heap else math.inf
+
+    @property
+    def exhausted(self):
+        return not self._heap
+
+    def advance(self, now):
+        count = 0
+        heap = self._heap
+        while heap and heap[0][0] <= now:
+            _, index, stream = heapq.heappop(heap)
+            count += 1
+            nxt = self._next_within_lifetime(stream)
+            if nxt is not None:
+                heapq.heappush(heap, (nxt, index, stream))
+        self.packets_emitted += count
+        return count
+
+    def _next_within_lifetime(self, stream):
+        started = stream.started
+        burst_end = stream.burst_end
+        time = next(stream)
+        if time < self.end:
+            return time
+        if not started:
+            self.late_sources += 1
+        elif stream.burst_end == burst_end:
+            self.cut_bursts += 1  # no new ON period: the end fell inside one
+        else:
+            self.late_bursts += 1
+        return None
+
+
+def build_renewal(seed, sources, rate, lifetime, on_shape, off_shape,
+                  on_location, interval):
+    """A renewal-mode set of *sources* sources at *rate* packets per cycle
+    each, or None when the parameters select Poisson-burst mode or no set
+    at all."""
+    start = 1_000
+    try:
+        source_set = OnOffSourceSet(
+            random.Random(seed),
+            sources=sources,
+            target_rate=sources * rate,
+            start=start,
+            end=start + lifetime,
+            on_shape=on_shape,
+            off_shape=off_shape,
+            on_location=on_location,
+            peak_interval=interval,
+        )
+    except WorkloadError:
+        return None
+    return source_set if source_set.mode == "renewal" else None
+
+
+def check_heap_against_streams(source_set, seed, sources, split):
+    """Emission from renewal *source_set* (*sources* sources, built from
+    ``Random(seed)``) equals the stream reference's, draw for draw;
+    returns the exhausted reference."""
+    built_state = source_set.rng.getstate()
+    assert_plain_entries(source_set)
+    reference = ReferenceRenewalSet(source_set, seed, sources)
+    assert reference.rng.getstate() == built_state
+
+    # Integer cycles, as the workload polls it: the same count each cycle.
+    polled = copy.deepcopy(source_set)
+    polled_reference = copy.deepcopy(reference)
+    expected = emit(reference)
+    for cycle in sorted({math.ceil(t) for t in expected}):
+        assert polled.advance(cycle) == polled_reference.advance(cycle)
+    assert polled.exhausted and polled_reference.exhausted
+
+    # Exact times; cut mid-stream, round-trip through pickle, go on with both.
+    head = emit(source_set, limit=int(split * len(expected)))
+    assert_plain_entries(source_set)
+    clone = pickle.loads(pickle.dumps(source_set))
+    assert head + emit(source_set) == expected
+    assert head + emit(clone) == expected
+    final_state = reference.rng.getstate()
+    for done in (source_set, clone, polled, polled_reference):
+        assert done.rng.getstate() == final_state
+        assert done.packets_emitted == len(expected)
+    return reference
+
+
+#: Cases the renewal property always runs: the first has a source whose
+#: first packet falls at or after the end, the second a burst cut short by
+#: the end and sources whose next ON period starts after it.
+RENEWAL_CASES = [
+    dict(seed=226, sources=8, rate=0.009, lifetime=1_319, on_shape=1.9,
+         off_shape=1.43, on_location=46.9, interval=19.2, split=0.5),
+    dict(seed=289, sources=12, rate=0.022, lifetime=258, on_shape=1.08,
+         off_shape=1.17, on_location=22.0, interval=21.2, split=0.3),
+]
+
+
+class TestRenewalHeap:
+    @settings(max_examples=100, deadline=None)
+    @example(**RENEWAL_CASES[0])
+    @example(**RENEWAL_CASES[1])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sources=st.integers(1, 16),
+        rate=st.floats(0.001, 0.3),
+        lifetime=st.integers(50, 5_000),
+        on_shape=st.floats(1.05, 1.95),
+        off_shape=st.floats(1.05, 1.95),
+        on_location=st.floats(1.0, 200.0),
+        interval=st.floats(0.5, 60.0),
+        split=st.floats(0.0, 1.0),
+    )
+    def test_emission_and_draws_match_stream_reference(
+        self, seed, sources, rate, lifetime, on_shape, off_shape,
+        on_location, interval, split,
+    ):
+        source_set = build_renewal(
+            seed, sources, rate, lifetime, on_shape, off_shape, on_location,
+            interval,
+        )
+        assume(source_set is not None)
+        check_heap_against_streams(source_set, seed, sources, split)
+
+    @pytest.mark.parametrize(
+        "case, covers",
+        zip(RENEWAL_CASES, [("late_sources",), ("cut_bursts", "late_bursts")]),
+        ids=["first-burst-after-end", "burst-cut-by-end"],
+    )
+    def test_pinned_cases_reach_the_end(self, case, covers):
+        """The pinned cases are not vacuous."""
+        params = dict(case)
+        seed, split = params.pop("seed"), params.pop("split")
+        source_set = build_renewal(seed, **params)
+        assert source_set is not None
+        reference = check_heap_against_streams(
+            source_set, seed, params["sources"], split
+        )
+        for outcome in covers:
+            assert getattr(reference, outcome) > 0, outcome
 
 
 class TestSetupMemory:

@@ -83,6 +83,28 @@ class TestServer:
         assert store.stats()["entries"] == 0
         assert RemoteResultStore(store.url).get(_key(3)) is None
 
+    def test_failed_write_replies_507_and_leaves_no_temp_file(
+        self, store, tmp_path, monkeypatch
+    ):
+        """The store writes through the sweep cache's atomic writer: a
+        write that fails midway answers 507 and cleans up its temp file."""
+
+        def boom(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.harness.cache.os.replace", boom)
+        host, port = store.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            connection.request("PUT", f"/entry/{_key(5)}", body=b"payload")
+            assert connection.getresponse().status == 507
+        finally:
+            connection.close()
+        monkeypatch.undo()
+        assert store.stats() == {"entries": 0, "bytes": 0, "stored": 0,
+                                 "served": 0}
+        assert not list((tmp_path / "store").glob("**/.tmp-*"))
+
     def test_oversized_upload_is_refused_without_reading_it(self, store):
         host, port = store.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=5)

@@ -1,10 +1,13 @@
 """Tests for uniform random and permutation traffic."""
 
+import random
+
 import pytest
 
 from repro.config import WorkloadConfig
 from repro.errors import WorkloadError
 from repro.network.topology import Topology
+from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.permutation import PERMUTATIONS, PermutationTraffic
 from repro.traffic.uniform import UniformRandomTraffic
 
@@ -111,3 +114,76 @@ class TestPermutationTraffic:
                 topology,
                 WorkloadConfig(kind="permutation", permutation="nope"),
             )
+
+
+# -- the shared Poisson arrival process against the loops it replaced --------
+
+
+def separate_loop(kind, topology, config, horizon, hotspots=(5,), fraction=0.3):
+    """Reference: the arrival loop each source ran on its own before the
+    three shared one base class. Returns every cycle's pairs and the final
+    RNG state."""
+    rng = random.Random(config.seed)
+    rate = config.injection_rate
+    node_count = topology.node_count
+    if kind in PERMUTATIONS:
+        destinations = [PERMUTATIONS[kind](topology, n) for n in range(node_count)]
+        active = [n for n in range(node_count) if destinations[n] != n]
+    next_time = rng.expovariate(rate) if rate > 0.0 else 0.0
+    cycles = []
+    for now in range(horizon):
+        pairs = []
+        while rate > 0.0 and next_time <= now:
+            if kind == "uniform":
+                src = rng.randrange(node_count)
+                dst = rng.randrange(node_count - 1)
+                if dst >= src:
+                    dst += 1
+            elif kind == "hotspot":
+                if rng.random() < fraction:
+                    dst = rng.choice(hotspots)
+                    src = rng.randrange(node_count - 1)
+                    if src >= dst:
+                        src += 1
+                else:
+                    src = rng.randrange(node_count)
+                    dst = rng.randrange(node_count - 1)
+                    if dst >= src:
+                        dst += 1
+            else:
+                src = rng.choice(active)
+                dst = destinations[src]
+            pairs.append((src, dst))
+            next_time += rng.expovariate(rate)
+        cycles.append(pairs)
+    return cycles, rng.getstate()
+
+
+def make_source(kind, topology, config):
+    if kind == "uniform":
+        return UniformRandomTraffic(topology, config)
+    if kind == "hotspot":
+        return HotspotTraffic(topology, config, hotspots=(5,), hotspot_fraction=0.3)
+    return PermutationTraffic(topology, config)
+
+
+class TestSharedArrivalProcess:
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 2.5])
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize(
+        "kind", ["uniform", "transpose", "bit_complement", "hotspot"]
+    )
+    def test_pairs_and_draws_match_the_separate_loop(self, kind, seed, rate):
+        topology = Topology(4, 2)
+        pattern = {"kind": "permutation", "permutation": kind}
+        config = WorkloadConfig(
+            injection_rate=rate,
+            seed=seed,
+            **(pattern if kind in PERMUTATIONS else {"kind": "uniform"}),
+        )
+        horizon = 5_000
+        expected, final_state = separate_loop(kind, topology, config, horizon)
+        source = make_source(kind, topology, config)
+        assert [source.injections(now) for now in range(horizon)] == expected
+        assert source.rng.getstate() == final_state
+        assert source.packets_offered == sum(map(len, expected))
