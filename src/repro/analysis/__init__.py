@@ -4,10 +4,10 @@ Two independent layers keep the simulator's correctness contracts from
 silently rotting as the codebase grows (see ``docs/static_analysis.md``):
 
 * :mod:`repro.analysis.lint` — **repro-lint**, a multi-pass static
-  analysis framework with repo-specific rules R1-R11. Per-file AST rules
+  analysis framework with repo-specific rules R1-R11. Syntactic AST rules
   (determinism of simulation code, fast-forward safety of observers,
-  totality of the sweep-cache key) run alongside interprocedural passes
-  built on the shared :mod:`~repro.analysis.model` project model:
+  totality of the sweep-cache key) run alongside interprocedural passes,
+  all built on the shared :mod:`~repro.analysis.model` project model:
   determinism taint (:mod:`~repro.analysis.taint`), unit/dimension
   checking (:mod:`~repro.analysis.dimensions`), and worker isolation
   (:mod:`~repro.analysis.isolation`). Known findings live in a committed

@@ -10,7 +10,9 @@ makes it machine-checked, in two parts:
 (:data:`WORKER_ENTRY_POINTS`: ``run_point``, ``run_chunk``,
 ``run_worker_chunk``), walk the project call graph and flag every
 reachable function that stores a ``global`` or mutates a module-level
-mutable container. A worker that writes process-global state produces
+mutable container (found by the project model's
+:func:`~repro.analysis.model.module_state_writes`, the scanner R8 uses
+too). A worker that writes process-global state produces
 results that depend on what else ran in that worker — exactly the
 cross-talk the pool backend's determinism guarantee forbids. Findings
 carry the shortest call chain from the entry point.
@@ -34,12 +36,15 @@ from __future__ import annotations
 import ast
 
 from .model import (
+    CallSite,
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
     ProjectModel,
+    StateWrite,
     Violation,
     dotted_name,
+    module_state_writes,
 )
 
 #: Functions treated as worker entry points (matched by unqualified name).
@@ -48,65 +53,12 @@ from .model import (
 #: the same isolation contract as pool workers.
 WORKER_ENTRY_POINTS = ("run_point", "run_chunk", "run_worker_chunk")
 
-#: Method names that mutate their receiver in place.
-MUTATOR_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "add", "update", "setdefault",
-        "pop", "popitem", "remove", "discard", "clear", "appendleft",
-        "extendleft", "sort", "reverse",
-    }
-)
-
 #: Path fragment selecting traffic-source classes for the pickled set.
 TRAFFIC_SCOPE = "repro/traffic/"
 
 
 def _chain_text(chain: tuple[str, ...]) -> str:
     return " -> ".join(chain)
-
-
-def _function_locals(function: FunctionInfo) -> set[str]:
-    """Names that are provably local bindings inside *function*."""
-    local: set[str] = set()
-    args = function.node.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        local.add(arg.arg)
-    if args.vararg:
-        local.add(args.vararg.arg)
-    if args.kwarg:
-        local.add(args.kwarg.arg)
-    declared_global: set[str] = set()
-    for node in ast.walk(function.node):
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            declared_global.update(node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                for sub in ast.walk(target):
-                    # Only Store-context names bind: in ``x[k] = v`` or
-                    # ``x.attr = v`` the base ``x`` is a *read* of an
-                    # existing name, not a new local.
-                    if isinstance(sub, ast.Name) and isinstance(
-                        sub.ctx, ast.Store
-                    ):
-                        local.add(sub.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    local.add(sub.id)
-        elif isinstance(node, ast.comprehension):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    local.add(sub.id)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is not None:
-                    for sub in ast.walk(item.optional_vars):
-                        if isinstance(sub, ast.Name):
-                            local.add(sub.id)
-    return local - declared_global
 
 
 def _global_stores(function: FunctionInfo) -> list[tuple[int, int, str]]:
@@ -129,52 +81,16 @@ def _global_stores(function: FunctionInfo) -> list[tuple[int, int, str]]:
     return stores
 
 
-def _global_mutations(function: FunctionInfo) -> list[tuple[int, int, str, str]]:
-    """(line, col, name, how) for in-place mutations of module globals."""
-    module = function.module
-    local = _function_locals(function)
-    candidates = set(module.mutable_globals) - local
-    if not candidates:
-        return []
-    mutations: list[tuple[int, int, str, str]] = []
-    for node in ast.walk(function.node):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            if (
-                isinstance(receiver, ast.Name)
-                and receiver.id in candidates
-                and node.func.attr in MUTATOR_METHODS
-            ):
-                mutations.append(
-                    (node.lineno, node.col_offset, receiver.id,
-                     f".{node.func.attr}(...)")
-                )
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in candidates
-                ):
-                    mutations.append(
-                        (node.lineno, node.col_offset, target.value.id,
-                         "[...] = ...")
-                    )
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id in candidates
-                ):
-                    mutations.append(
-                        (node.lineno, node.col_offset, target.value.id,
-                         "del [...]")
-                    )
-    return mutations
+def _write_text(write: StateWrite) -> str:
+    """How a finding shows *write*: ``_G.append(...)``, ``_G[...] = ...``."""
+    if write.method is not None:
+        return f"{write.root}.{write.method}(...)"
+    access = (
+        f".{write.target.attr}" if isinstance(write.target, ast.Attribute) else "[...]"
+    )
+    if isinstance(write.node, ast.Delete):
+        return f"del {write.root}{access}"
+    return f"{write.root}{access} = ..."
 
 
 def check(model: ProjectModel) -> list[Violation]:
@@ -211,13 +127,13 @@ def _check_reachability(model: ProjectModel) -> list[Violation]:
                     "mutate process-global state",
                 )
             )
-        for line, col, name, how in _global_mutations(function):
+        for write in module_state_writes(function.node, function.module.mutable_globals):
             violations.append(
                 Violation(
-                    path, line, col, "R11",
-                    f"{where} mutates module-level container {name!r} "
-                    f"({name}{how}) and is reachable from a worker entry "
-                    f"point via {via}; workers must not mutate "
+                    path, write.node.lineno, write.node.col_offset, "R11",
+                    f"{where} mutates module-level container {write.root!r} "
+                    f"({_write_text(write)}) and is reachable from a worker "
+                    f"entry point via {via}; workers must not mutate "
                     "process-global state",
                 )
             )
@@ -271,8 +187,6 @@ def _generator_valued(
         if name == "iter" and value.args:
             return _generator_valued(model, function, value.args[0])
         if name is not None:
-            from .model import CallSite
-
             resolved = model.resolve_call(
                 function, CallSite(name, value, value.lineno, value.col_offset)
             )

@@ -6,10 +6,14 @@ the sweep harness's parallel backends made correctness depend on contracts
 that ordinary linters cannot see. This framework encodes them as eleven
 rules over the stdlib :mod:`ast` (no third-party dependencies). All rules
 run off one shared :class:`~repro.analysis.model.ProjectModel` — the file
-set is parsed and indexed exactly once per run — and the interprocedural
+set is parsed and indexed exactly once per run — and take the facts they
+share from it: the nondeterminism classifier (R1, R8, R9), the
+simulation scope (R1, R9), the class lineage across modules (R3, R4,
+R8) and the module-state write scanner (R8, R11). The interprocedural
 rules (R9–R11) additionally walk its call graph.
 
-Per-file rules (ported from the original single-file linter):
+Syntactic rules, checked module by module (ported from the original
+single-file linter):
 
 ``R1`` unseeded-randomness-or-wall-clock
     Simulation-semantics code (``repro/network/``, ``repro/traffic/``,
@@ -27,15 +31,17 @@ Per-file rules (ported from the original single-file linter):
 
 ``R3`` traffic-source-contract
     Every :class:`~repro.traffic.base.TrafficSource` subclass must
-    override ``next_injection_cycle``: a source relying on the
-    conservative ``None`` default silently disables the quiescence
-    fast-forward for every workload it appears in.
+    override ``next_injection_cycle``, itself or through a parent in any
+    module: a source relying on the conservative ``None`` default
+    silently disables the quiescence fast-forward for every workload it
+    appears in.
 
 ``R4`` observer-skip-safety
     An observer overriding ``on_cycle`` must either also define
     ``on_idle_span`` (making it safe to skip quiescent spans) or declare
-    ``unskippable = True`` — an explicit statement that disabling the
-    fast-forward is intended, not an accident.
+    ``unskippable = True``, itself or through a parent other than
+    ``Observer`` — an explicit statement that disabling the fast-forward
+    is intended, not an accident.
 
 ``R5`` config-not-json-serializable
     Fields of ``*Config`` dataclasses must be JSON-serializable types
@@ -60,10 +66,12 @@ Per-file rules (ported from the original single-file linter):
     that re-raise ``KeyboardInterrupt`` and ``SystemExit``.
 
 ``R8`` policy-purity
-    ``decide()`` on a :class:`~repro.core.policy.DVSPolicy` subclass must
-    be a pure function of its inputs and ``self``: no unseeded
-    randomness, no wall-clock reads, no ``global``/``nonlocal``, no
-    stores to or mutation of module-level state.
+    ``decide()`` on a :class:`~repro.core.policy.DVSPolicy` subclass (a
+    direct one or through parents in other modules) must be a pure
+    function of its inputs and ``self``: no unseeded randomness (seeded
+    constructors are fine, as for R1), no wall-clock reads, no
+    ``global``/``nonlocal``, no stores to or mutation of module-level
+    state.
 
 Interprocedural rules (see their modules for the full story):
 
@@ -93,8 +101,9 @@ Suppressions and the baseline
     pragma covers the innermost enclosing statement's span. Unknown rule
     ids in pragmas are reported as warnings rather than silently
     accepted. A file whose first ten lines contain ``# repro-lint:
-    skip-file`` is not checked at all. Directories named ``fixtures`` or
-    ``__pycache__`` are skipped unless ``--include-fixtures`` is given.
+    skip-file`` is not checked at all. Directories named ``fixtures`` are
+    skipped unless ``--include-fixtures`` is given; ``__pycache__`` and
+    dot-directories below a directory argument always are.
     Pre-existing interprocedural findings live in the committed baseline
     (``.repro-lint-baseline.json``, loaded automatically when present;
     see :mod:`repro.analysis.baseline`): baseline-matched findings keep
@@ -124,15 +133,15 @@ from typing import Iterable, Iterator, Sequence
 from . import baseline as baseline_io
 from . import dimensions, isolation, sarif, taint
 from .model import (
-    NP_RANDOM_SEEDED_OK,
-    RANDOM_OK,
-    WALL_CLOCK_CALLS,
     ClassInfo,
     ModuleInfo,
     ProjectModel,
     Violation,
     decorator_name,
     dotted_name,
+    in_simulation_scope,
+    module_state_writes,
+    nondeterminism_kind,
 )
 
 #: Rule id -> short name (kept in sync with docs/static_analysis.md).
@@ -150,8 +159,6 @@ RULES = {
     "R11": "worker-isolation",
 }
 
-#: Path fragments selecting the files R1 applies to.
-R1_SCOPE = ("repro/network/", "repro/traffic/", "repro/core/")
 #: File names (under repro/network/) forming the R2 hot path.
 R2_FILES = ("engine.py", "router.py")
 #: Path fragments selecting the files R7 applies to.
@@ -196,12 +203,21 @@ _R6_NUMPY_OUT_AWARE = frozenset(
      "bitwise_xor", "left_shift", "right_shift", "take", "sum", "prod",
      "mean"}
 )
-#: Method names R8 treats as in-place mutation of the receiver.
-_R8_MUTATORS = frozenset(
-    {"append", "add", "update", "pop", "extend", "remove", "clear",
-     "setdefault", "popitem", "insert", "discard", "appendleft",
-     "extendleft", "sort", "reverse"}
-)
+#: R1's message per flavor of forbidden call (see :func:`_rng_or_clock`).
+_R1_MESSAGES = {
+    "random": "call to the shared global generator ({name}); draw from a "
+              "seeded random.Random instance instead",
+    "numpy": "call to the global numpy generator ({name}); use a seeded Generator",
+    "clock": "wall-clock read ({name}) in simulation code; use the "
+             "simulated router clock",
+}
+#: R8's message per flavor of forbidden call, before the purity suffix.
+_R8_MESSAGES = {
+    "random": "unseeded randomness ({name}) in {where}; draw from a seeded "
+              "random.Random held on self",
+    "numpy": "global numpy generator ({name}) in {where}",
+    "clock": "wall-clock read ({name}) in {where}",
+}
 #: Exception names R7 treats as dangerously broad when caught.
 _R7_BROAD = frozenset({"Exception", "BaseException"})
 #: The interrupts a broad handler must provably let through.
@@ -218,11 +234,36 @@ _R6_LITERALS: tuple[tuple[type, str], ...] = (
 )
 
 
+def _rng_or_clock(node: ast.Call) -> tuple[str, str] | None:
+    """``(flavor, name)`` if R1 and R8 forbid call *node*, else ``None``.
+
+    The flavor is ``random`` (a draw from the shared global generator),
+    ``numpy`` (the global numpy generator) or ``clock`` (a wall-clock
+    read): the ``rng`` and ``clock`` kinds of :func:`nondeterminism_kind`,
+    so seeded constructors are clean here exactly as they are for R9.
+    """
+    name = dotted_name(node.func)
+    if name is None:
+        return None
+    found = nondeterminism_kind(name, node)
+    if found is None or found[0] not in ("rng", "clock"):
+        return None
+    if found[0] == "clock":
+        return "clock", name
+    return ("random" if name.startswith("random.") else "numpy"), name
+
+
+def _is_true(value: ast.expr | None) -> bool:
+    """Whether *value* is the literal ``True`` (R4's ``unskippable = True``)."""
+    return isinstance(value, ast.Constant) and value.value is True
+
+
 class Linter:
     """Builds the project model once, then applies every rule.
 
-    Per-file rules (R1–R8) run per module; the interprocedural passes
-    (R9–R11) run once over the whole :class:`ProjectModel`. Suppressed
+    The syntactic rules (R1–R8) run module by module, R3, R4 and R8
+    reading class lineage from the whole model; the interprocedural
+    passes (R9–R11) run once over the whole :class:`ProjectModel`. Suppressed
     findings are tallied per rule in :attr:`suppressed_counts`; unknown
     rule ids in pragmas land in :attr:`warnings`.
     """
@@ -245,7 +286,7 @@ class Linter:
             path = Path(path)
             if path.is_dir():
                 for file in sorted(path.rglob("*.py")):
-                    if self._excluded(file):
+                    if self._excluded(file, path):
                         continue
                     self.add_file(file)
             elif path.suffix == ".py":
@@ -253,9 +294,16 @@ class Linter:
             else:
                 self._errors.append(f"{path}: not a Python file or directory")
 
-    def _excluded(self, path: Path) -> bool:
+    def _excluded(self, path: Path, root: Path) -> bool:
+        """Whether *path*, found under the directory argument *root*, is skipped.
+
+        Dot-directories (``.git``, ``.venv``, ``.hypothesis``) count only
+        below *root*: a checkout under ``~/.cache`` or reached through
+        ``..`` is still linted.
+        """
         parts = set(path.parts)
-        if "__pycache__" in parts or any(p.startswith(".") for p in path.parts):
+        below = path.relative_to(root).parts
+        if "__pycache__" in parts or any(p.startswith(".") for p in below):
             return True
         return "fixtures" in parts and not self.include_fixtures
 
@@ -338,7 +386,7 @@ class Linter:
 
     def _check_file(self, module: ModuleInfo) -> Iterator[Violation]:
         path = module.path
-        if any(fragment in path for fragment in R1_SCOPE):
+        if in_simulation_scope(path):
             yield from self._rule_r1(module)
         if "repro/network/" in path and path.rsplit("/", 1)[-1] in R2_FILES:
             yield from self._rule_r2(module)
@@ -356,37 +404,11 @@ class Linter:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            message: str | None = None
-            if name.startswith("random.") and name.split(".", 1)[1] not in RANDOM_OK:
-                message = (
-                    f"call to the shared global generator ({name}); draw from a "
-                    "seeded random.Random instance instead"
-                )
-            elif name in WALL_CLOCK_CALLS:
-                message = (
-                    f"wall-clock read ({name}) in simulation code; use the "
-                    "simulated router clock"
-                )
-            else:
-                for prefix in ("numpy.random.", "np.random."):
-                    if name.startswith(prefix):
-                        tail = name[len(prefix):]
-                        seeded = (
-                            tail in NP_RANDOM_SEEDED_OK
-                            and bool(node.args or node.keywords)
-                        )
-                        if not seeded:
-                            message = (
-                                f"call to the global numpy generator ({name}); "
-                                "use a seeded Generator"
-                            )
-                        break
-            if message is not None:
-                yield Violation(module.display_path, node.lineno,
-                                node.col_offset, "R1", message)
+            found = _rng_or_clock(node)
+            if found is not None:
+                flavor, name = found
+                yield Violation(module.display_path, node.lineno, node.col_offset,
+                                "R1", _R1_MESSAGES[flavor].format(name=name))
 
     # -- R2: unordered iteration on the hot path -------------------------
 
@@ -547,13 +569,10 @@ class Linter:
 
     def _rule_r3(self, module: ModuleInfo) -> Iterator[Violation]:
         for info in module.classes.values():
-            if info.name == "TrafficSource":
+            lineage = self.model.subclass_lineage(module, info, "TrafficSource")
+            if lineage is None or self._is_abstract(info):
                 continue
-            if not module.inherits_from(info, "TrafficSource"):
-                continue
-            if self._is_abstract(info):
-                continue
-            if module.hierarchy_defines(info, "next_injection_cycle"):
+            if any(cls.defines("next_injection_cycle") for cls in lineage):
                 continue
             yield Violation(
                 module.display_path, info.node.lineno, info.node.col_offset, "R3",
@@ -576,15 +595,15 @@ class Linter:
 
     def _rule_r4(self, module: ModuleInfo) -> Iterator[Violation]:
         for info in module.classes.values():
-            if info.name == "Observer":
-                continue
             if "on_cycle" not in info.methods:
                 continue
-            if not module.inherits_from(info, "Observer"):
+            lineage = self.model.subclass_lineage(module, info, "Observer")
+            if lineage is None:
                 continue
-            if module.hierarchy_defines(info, "on_idle_span"):
-                continue
-            if module.hierarchy_assigns_true(info, "unskippable"):
+            if any(
+                cls.defines("on_idle_span") or _is_true(cls.assigns.get("unskippable"))
+                for cls in lineage
+            ):
                 continue
             yield Violation(
                 module.display_path, info.node.lineno, info.node.col_offset, "R4",
@@ -714,130 +733,57 @@ class Linter:
 
     # -- R8: DVS policy purity -------------------------------------------
 
-    @staticmethod
-    def _module_level_names(tree: ast.Module) -> frozenset[str]:
-        """Names bound by module top-level assignments."""
-        names: set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    for node in ast.walk(target):
-                        if isinstance(node, ast.Name):
-                            names.add(node.id)
-            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(stmt.target, ast.Name):
-                    names.add(stmt.target.id)
-        return frozenset(names)
-
     def _rule_r8(self, module: ModuleInfo) -> Iterator[Violation]:
-        module_names = self._module_level_names(module.tree)
         for info in module.classes.values():
-            if info.name == "DVSPolicy":
+            if "decide" not in info.methods:
                 continue
-            if not module.inherits_from(info, "DVSPolicy"):
+            if self.model.subclass_lineage(module, info, "DVSPolicy") is None:
                 continue
             for item in info.node.body:
                 if (
                     isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and item.name == "decide"
                 ):
-                    yield from self._r8_scan(module, info.name, item, module_names)
+                    yield from self._r8_scan(module, info.name, item)
 
     def _r8_scan(
         self,
         module: ModuleInfo,
         class_name: str,
         func: ast.FunctionDef | ast.AsyncFunctionDef,
-        module_names: frozenset[str],
     ) -> Iterator[Violation]:
+        path = module.display_path
         where = f"{class_name}.decide()"
         suffix = (
             "; decide() must be a pure function of its inputs and self "
             "(Serial vs ProcessPool bit-identity, sweep-cache soundness)"
         )
-        # Plain-name stores inside decide() create locals, never globals
-        # (R8 flags the `global` statement that would change that), so a
-        # local shadowing a module name is not a purity breach.
-        local = {
-            arg.arg
-            for arg in (
-                *func.args.posonlyargs,
-                *func.args.args,
-                *func.args.kwonlyargs,
-            )
-        }
-        for vararg in (func.args.vararg, func.args.kwarg):
-            if vararg is not None:
-                local.add(vararg.arg)
-        for node in ast.walk(func):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-                local.add(node.id)
-
-        def global_root(expr: ast.expr) -> str | None:
-            while isinstance(expr, (ast.Attribute, ast.Subscript)):
-                expr = expr.value
-            if (
-                isinstance(expr, ast.Name)
-                and expr.id in module_names
-                and expr.id not in local
-            ):
-                return expr.id
-            return None
-
         for node in ast.walk(func):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 keyword = "global" if isinstance(node, ast.Global) else "nonlocal"
-                yield Violation(
-                    module.display_path, node.lineno, node.col_offset, "R8",
-                    f"{keyword} statement in {where}{suffix}",
-                )
-            elif isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                root = global_root(node)
-                if root is not None:
-                    yield Violation(
-                        module.display_path, node.lineno, node.col_offset, "R8",
-                        f"store to module-level state {root!r} in {where}{suffix}",
-                    )
+                yield Violation(path, node.lineno, node.col_offset, "R8",
+                                f"{keyword} statement in {where}{suffix}")
             elif isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                if (
-                    name.startswith("random.")
-                    and name.split(".", 1)[1] not in RANDOM_OK
-                ):
-                    yield Violation(
-                        module.display_path, node.lineno, node.col_offset, "R8",
-                        f"unseeded randomness ({name}) in {where}; draw from a "
-                        f"seeded random.Random held on self{suffix}",
-                    )
-                elif name in WALL_CLOCK_CALLS:
-                    yield Violation(
-                        module.display_path, node.lineno, node.col_offset, "R8",
-                        f"wall-clock read ({name}) in {where}{suffix}",
-                    )
-                elif any(
-                    name.startswith(prefix)
-                    for prefix in ("numpy.random.", "np.random.")
-                ):
-                    yield Violation(
-                        module.display_path, node.lineno, node.col_offset, "R8",
-                        f"global numpy generator ({name}) in {where}{suffix}",
-                    )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _R8_MUTATORS
-                ):
-                    root = global_root(node.func.value)
-                    if root is not None:
-                        yield Violation(
-                            module.display_path, node.lineno,
-                            node.col_offset, "R8",
-                            f"mutation of module-level state {root!r} "
-                            f"(.{node.func.attr}()) in {where}{suffix}",
-                        )
+                found = _rng_or_clock(node)
+                if found is not None:
+                    flavor, name = found
+                    message = _R8_MESSAGES[flavor].format(name=name, where=where)
+                    yield Violation(path, node.lineno, node.col_offset, "R8",
+                                    message + suffix)
+        # Plain-name stores inside decide() bind locals, never globals (the
+        # `global` statement flagged above is what would change that), so
+        # a local shadowing a module name is not a purity breach.
+        for write in module_state_writes(func, module.module_assigns):
+            target = write.target
+            if write.method is None:
+                message = f"store to module-level state {write.root!r} in {where}"
+            else:
+                message = (
+                    f"mutation of module-level state {write.root!r} "
+                    f"(.{write.method}()) in {where}"
+                )
+            yield Violation(path, target.lineno, target.col_offset, "R8",
+                            message + suffix)
 
     def _annotation_serializable(self, annotation: ast.expr) -> bool:
         if isinstance(annotation, ast.Constant):

@@ -1,11 +1,10 @@
 """Shared project model for the static-analysis framework.
 
-Every pass in :mod:`repro.analysis` — the per-file syntactic rules
-R1–R8 that grew up in :mod:`repro.analysis.lint` and the
-interprocedural passes R9–R11 (:mod:`~repro.analysis.taint`,
-:mod:`~repro.analysis.dimensions`, :mod:`~repro.analysis.isolation`) —
-works off the structures built here, so the source tree is parsed and
-indexed exactly once per lint run:
+Every pass in :mod:`repro.analysis` — the syntactic rules R1–R8 in
+:mod:`repro.analysis.lint` and the interprocedural passes R9–R11
+(:mod:`~repro.analysis.taint`, :mod:`~repro.analysis.dimensions`,
+:mod:`~repro.analysis.isolation`) — works off the structures built here,
+so the source tree is parsed and indexed exactly once per lint run:
 
 * :class:`ModuleInfo` — one parsed file: AST, source lines, the
   suppression table (including multi-line statement spans), the class
@@ -13,7 +12,8 @@ indexed exactly once per lint run:
   import table mapping local names to absolute dotted targets, and the
   module-level assignment table with a mutability classification.
 * :class:`ProjectModel` — the file set: module lookup by dotted name
-  and by path, a project-wide class index, and the call-graph builder.
+  and by path, a project-wide class index, class lineage across modules
+  (:meth:`ProjectModel.lineage`), and the call-graph builder.
   Call resolution is *alias-aware*: a local bound to a function
   (``runner = run_simulation``) or to an instance of a known class
   (``sim = Simulator(cfg)`` followed by ``sim.run()``), and instance
@@ -25,6 +25,12 @@ indexed exactly once per lint run:
   committed baseline workflow accounts for (see
   docs/static_analysis.md).
 
+The facts several rules share are defined here once: the
+nondeterminism classifier (:func:`nondeterminism_kind`, R1/R8/R9), the
+simulation scope (:data:`SIMULATION_SCOPE`, R1/R9), the class lineage
+(R3/R4/R8 and method resolution), and the module-state write scanner
+(:func:`module_state_writes`, R8/R11).
+
 Everything here is stdlib-only on purpose: the linter must run in CI
 and pre-commit before any dependency is importable.
 """
@@ -35,7 +41,7 @@ import ast
 import dataclasses
 import re
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Matches ``# repro-lint: ignore[R2]`` / ``ignore[R1,R4]`` pragmas.
 SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9,\s]+)\]")
@@ -43,9 +49,14 @@ SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*ignore\[([A-Za-z0-9,\s]+)\]")
 SKIP_FILE_RE = re.compile(r"#\s*repro-lint:\s*skip-file")
 
 # -- shared rule vocabulary --------------------------------------------------
-# The determinism rules (per-file R1/R8 in lint.py, interprocedural R9 in
-# taint.py) agree on what counts as a nondeterminism source; the tables
-# live here so the definitions cannot drift apart.
+# The determinism rules (R1/R8 in lint.py, interprocedural R9 in taint.py)
+# agree on what counts as a nondeterminism source; the tables live here so
+# the definitions cannot drift apart.
+
+#: Path fragments selecting simulation-semantics code, which must be a pure
+#: function of its seeded config: R1 reports direct rng/clock reads there,
+#: R9 everything else that reaches it.
+SIMULATION_SCOPE = ("repro/network/", "repro/traffic/", "repro/core/")
 
 #: Wall-clock call chains banned in simulation-semantics code.
 WALL_CLOCK_CALLS = frozenset(
@@ -98,6 +109,19 @@ FILESYSTEM_CALLS = frozenset(
 FILESYSTEM_METHODS = frozenset(
     {"read_text", "read_bytes", "write_text", "write_bytes"}
 )
+#: Method names that mutate their receiver in place (R8, R11).
+MUTATOR_METHODS = frozenset(
+    {
+        "append", "extend", "insert", "add", "update", "setdefault",
+        "pop", "popitem", "remove", "discard", "clear", "appendleft",
+        "extendleft", "sort", "reverse",
+    }
+)
+
+
+def in_simulation_scope(path: str) -> bool:
+    """Whether *path* is simulation-semantics code (:data:`SIMULATION_SCOPE`)."""
+    return any(fragment in path for fragment in SIMULATION_SCOPE)
 
 
 def nondeterminism_kind(name: str, node: ast.Call) -> tuple[str, str] | None:
@@ -206,6 +230,10 @@ class ClassInfo:
     #: name. Feeds alias-aware resolution of ``self.<attr>.method()``.
     attr_classes: dict[str, str] = dataclasses.field(default_factory=dict)
 
+    def defines(self, member: str) -> bool:
+        """Whether the class body itself defines or assigns *member*."""
+        return member in self.methods or member in self.assigns
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class CallSite:
@@ -267,6 +295,96 @@ def _owning_function(
             )
             stack.append((child, child_owner))
     return None
+
+
+# -- module-state writes (R8, R11) -------------------------------------------
+
+
+def _function_locals(node: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
+    """Names that are provably local bindings inside *node*.
+
+    The parameters and every name the body stores to (assignment, loop,
+    ``with``, comprehension and walrus targets), less the names a
+    ``global`` or ``nonlocal`` statement hands to an outer scope.
+    """
+    args = node.args
+    local = {
+        arg.arg
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg)
+        if arg is not None
+    }
+    declared: set[str] = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, (ast.Global, ast.Nonlocal)):
+            declared.update(sub.names)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            local.add(sub.id)
+    return frozenset(local - declared)
+
+
+def _root_name(expr: ast.expr) -> str | None:
+    """``x`` for ``x``, ``x.a``, ``x[k]`` or any chain of those, else ``None``."""
+    while isinstance(expr, (ast.Attribute, ast.Subscript)):
+        expr = expr.value
+    return expr.id if isinstance(expr, ast.Name) else None
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class StateWrite:
+    """One write through a module-level name (see :func:`module_state_writes`)."""
+
+    #: The module-level name written through.
+    root: str
+    #: The statement or comprehension that stores or deletes, or the
+    #: mutator call.
+    node: ast.stmt | ast.expr
+    #: The stored or deleted ``Attribute``/``Subscript``, or the mutator call.
+    target: ast.expr
+    #: The mutator method called; ``None`` for a store or a delete.
+    method: str | None = None
+
+
+def _written_targets(node: ast.AST) -> list[ast.expr]:
+    """The target expressions *node* stores to or deletes, if any."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        return node.targets
+    if isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For, ast.AsyncFor)):
+        return [node.target]
+    if isinstance(node, (ast.With, ast.AsyncWith)):
+        return [item.optional_vars for item in node.items if item.optional_vars is not None]
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return [generator.target for generator in node.generators]
+    return []
+
+
+def module_state_writes(
+    function: ast.FunctionDef | ast.AsyncFunctionDef, names: Iterable[str]
+) -> Iterator[StateWrite]:
+    """Writes in *function* through a name of *names* it does not bind locally.
+
+    A write is a store to or delete of an attribute or item reached from
+    the name (``x[k] = v``, ``x.a.b = v``, ``del x[k]``) or a call of one
+    of :data:`MUTATOR_METHODS` on it (``x.append(v)``, ``x[k].add(v)``).
+    R8 passes every module-level name, R11 the mutable globals.
+    """
+    candidates = set(names) - _function_locals(function)
+    if not candidates:
+        return
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            root = _root_name(node.func.value)
+            if root is not None and root in candidates and node.func.attr in MUTATOR_METHODS:
+                yield StateWrite(root, node, node, node.func.attr)
+            continue
+        for target in _written_targets(node):
+            for sub in ast.walk(target):
+                if isinstance(sub, (ast.Attribute, ast.Subscript)) and not isinstance(
+                    sub.ctx, ast.Load
+                ):
+                    root = _root_name(sub)
+                    if root is not None and root in candidates:
+                        yield StateWrite(root, node, sub)
 
 
 class ModuleInfo:
@@ -529,58 +647,6 @@ class ModuleInfo:
                 return True
         return False
 
-    # -- class-hierarchy helpers (per-file; cross-file bases match by name)
-
-    def inherits_from(self, info: ClassInfo, root: str) -> bool:
-        seen: set[str] = set()
-        stack = list(info.bases)
-        while stack:
-            base = stack.pop()
-            last = base.split(".")[-1]
-            if last == root:
-                return True
-            if last in seen:
-                continue
-            seen.add(last)
-            parent = self.classes.get(last)
-            if parent is not None:
-                stack.extend(parent.bases)
-        return False
-
-    def hierarchy_defines(self, info: ClassInfo, member: str) -> bool:
-        """Whether *info* or any in-file ancestor defines *member*."""
-        seen: set[str] = set()
-        stack: list[ClassInfo] = [info]
-        while stack:
-            current = stack.pop()
-            if current.name in seen:
-                continue
-            seen.add(current.name)
-            if member in current.methods or member in current.assigns:
-                return True
-            for base in current.bases:
-                parent = self.classes.get(base.split(".")[-1])
-                if parent is not None:
-                    stack.append(parent)
-        return False
-
-    def hierarchy_assigns_true(self, info: ClassInfo, attr: str) -> bool:
-        seen: set[str] = set()
-        stack: list[ClassInfo] = [info]
-        while stack:
-            current = stack.pop()
-            if current.name in seen:
-                continue
-            seen.add(current.name)
-            value = current.assigns.get(attr)
-            if isinstance(value, ast.Constant) and value.value is True:
-                return True
-            for base in current.bases:
-                parent = self.classes.get(base.split(".")[-1])
-                if parent is not None:
-                    stack.append(parent)
-        return False
-
 
 class ProjectModel:
     """The parsed file set plus cross-file indexes and the call graph."""
@@ -610,33 +676,63 @@ class ProjectModel:
         """All functions whose unqualified name is *name*."""
         return [f for f in self.functions.values() if f.name == name]
 
+    # -- class lineage -----------------------------------------------------
+
+    def lineage(
+        self, classes: Iterable[tuple[ModuleInfo, ClassInfo]]
+    ) -> Iterator[tuple[ModuleInfo, ClassInfo]]:
+        """Breadth-first walk over *classes* and their ancestors, each once.
+
+        A base resolves by its last name through :attr:`class_index`, so it
+        reaches every class of that name in the file set, whichever module
+        defines it; a base outside the file set ends its branch.
+        """
+        seen: set[tuple[str, str]] = set()
+        queue: deque[tuple[ModuleInfo, ClassInfo]] = deque(classes)
+        while queue:
+            module, info = queue.popleft()
+            key = (module.module_name, info.name)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield module, info
+            for base in info.bases:
+                queue.extend(self.class_index.get(base.split(".")[-1], ()))
+
+    def subclass_lineage(
+        self, module: ModuleInfo, info: ClassInfo, root: str
+    ) -> list[ClassInfo] | None:
+        """*info* and its ancestors except *root*, or ``None`` unless *info*
+        subclasses a class named *root* (R3, R4 and R8 contract roots).
+
+        The root is left out because its members are the defaults a
+        contract rule exists to catch: ``TrafficSource``'s
+        ``next_injection_cycle`` returning ``None``, ``Observer``'s no-op
+        ``on_idle_span``. A member counts only where another class defines it.
+        """
+        if info.name == root:
+            return None
+        classes = [cls for _, cls in self.lineage([(module, info)])]
+        if not any(base.split(".")[-1] == root for cls in classes for base in cls.bases):
+            return None
+        return [cls for cls in classes if cls.name != root]
+
     # -- resolution --------------------------------------------------------
 
     def _class_method(
         self, class_name: str, method: str, hint: ModuleInfo | None = None
     ) -> FunctionInfo | None:
         """Resolve ``ClassName.method`` through the project class index,
-        walking base classes by name. Prefers classes in *hint*'s module."""
+        walking the class lineage. Prefers classes in *hint*'s module."""
         candidates = self.class_index.get(class_name, [])
         if hint is not None:
             candidates = sorted(
                 candidates, key=lambda pair: pair[0] is not hint
             )
-        seen: set[str] = set()
-        queue: deque[tuple[ModuleInfo, ClassInfo]] = deque(candidates)
-        while queue:
-            module, info = queue.popleft()
-            key = f"{module.module_name}.{info.name}"
-            if key in seen:
-                continue
-            seen.add(key)
+        for module, info in self.lineage(candidates):
             found = module.functions.get(f"{info.name}.{method}")
             if found is not None:
                 return found
-            for base in info.bases:
-                base_last = base.split(".")[-1]
-                for pair in self.class_index.get(base_last, []):
-                    queue.append(pair)
         return None
 
     def _resolve_absolute(self, target: str) -> FunctionInfo | None:

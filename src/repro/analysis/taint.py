@@ -1,13 +1,16 @@
 """R9: interprocedural determinism taint.
 
 R1 bans *direct* unseeded-randomness and wall-clock calls in
-simulation-semantics code (``repro/network/``, ``repro/traffic/``,
-``repro/core/``). R9 generalizes the contract through the call graph of
-the shared :class:`~repro.analysis.model.ProjectModel`:
+simulation-semantics code (:data:`~repro.analysis.model.SIMULATION_SCOPE`:
+``repro/network/``, ``repro/traffic/``, ``repro/core/``). R9 generalizes
+the contract through the call graph of the shared
+:class:`~repro.analysis.model.ProjectModel`:
 
 * a function anywhere in the file set that reads a nondeterminism
   source — the shared global RNG, the wall clock, ``os.environ``, or
-  the filesystem — is *tainted* with that kind;
+  the filesystem, as classified by
+  :func:`~repro.analysis.model.nondeterminism_kind`, the classifier R1
+  and R8 use too — is *tainted* with that kind;
 * taint propagates callee-to-caller to a fixed point, so a seeded-RNG
   leak hidden behind one (or five) helper calls is as visible as a
   direct call;
@@ -29,15 +32,12 @@ import dataclasses
 
 from .model import (
     FunctionInfo,
-    ModuleInfo,
     ProjectModel,
     Violation,
     dotted_name,
+    in_simulation_scope,
     nondeterminism_kind,
 )
-
-#: Path fragments selecting the files whose functions must stay clean.
-TAINT_SCOPE = ("repro/network/", "repro/traffic/", "repro/core/")
 
 _KIND_LABEL = {
     "rng": "unseeded randomness",
@@ -142,16 +142,12 @@ class TaintAnalysis:
         return chain
 
 
-def _in_scope(module: ModuleInfo) -> bool:
-    return any(fragment in module.path for fragment in TAINT_SCOPE)
-
-
 def check(model: ProjectModel) -> list[Violation]:
     """Run R9 over *model*; returns sorted violations."""
     analysis = TaintAnalysis(model)
     violations: list[Violation] = []
     for module in model.iter_modules():
-        if not _in_scope(module):
+        if not in_simulation_scope(module.path):
             continue
         for function in module.functions.values():
             violations.extend(_check_function(model, analysis, function))
@@ -193,7 +189,7 @@ def _check_function(
         resolved = model.resolve_call(function, call)
         if resolved is None or resolved.qualname == function.qualname:
             continue
-        if _in_scope(resolved.module):
+        if in_simulation_scope(resolved.module.path):
             continue
         callee_kinds = analysis.tainted.get(resolved.qualname)
         if not callee_kinds:

@@ -145,24 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated offered rates")
     sweep.add_argument("--scale", default=None)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--processes", type=int, default=1,
-                       help="worker processes for the sweep (1 = serial)")
-    _add_distributed_options(sweep)
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="ignore the on-disk sweep result cache")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume an interrupted campaign: requires the sweep "
-                       "cache, replays checkpointed points, recomputes only "
-                       "the missing ones")
-    sweep.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="attempts per point before it counts as failed "
-                       "(default 2: one retry with backoff)")
-    sweep.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-point wall-clock budget; exceeding it fails "
-                       "the attempt (retried like any other failure)")
-    sweep.add_argument("--keep-going", action="store_true",
-                       help="degrade to partial results plus a failure summary "
-                       "instead of aborting when points fail")
+    _add_campaign_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     pareto = sub.add_parser(
@@ -176,21 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: every registered policy)")
     pareto.add_argument("--scale", default=None)
     pareto.add_argument("--seed", type=int, default=1)
-    pareto.add_argument("--processes", type=int, default=1,
-                        help="worker processes for the campaign (1 = serial)")
-    _add_distributed_options(pareto)
-    pareto.add_argument("--no-cache", action="store_true",
-                        help="ignore the on-disk sweep result cache")
-    pareto.add_argument("--resume", action="store_true",
-                        help="resume an interrupted campaign from the sweep "
-                        "cache, recomputing only the missing points")
-    pareto.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="attempts per point before it counts as failed")
-    pareto.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-point wall-clock budget")
-    pareto.add_argument("--keep-going", action="store_true",
-                        help="degrade to partial results plus a failure "
-                        "summary instead of aborting when points fail")
+    _add_campaign_options(pareto)
     pareto.add_argument("--json", default=None, metavar="PATH",
                         help="write the full campaign (points + frontier) to PATH")
     pareto.add_argument("--csv", default=None, metavar="PATH",
@@ -376,6 +345,28 @@ def _parse_rates(raw: str) -> tuple[float, ...]:
 def _fabric_progress(line: str) -> None:
     """Live fabric events (registrations, losses, steals) on stderr."""
     print(f"[distributed] {line}", file=sys.stderr)
+
+
+def _add_campaign_options(parser: argparse.ArgumentParser) -> None:
+    """The execution and failure-handling flags every campaign command takes."""
+    parser.add_argument("--processes", type=int, default=1,
+                        help="worker processes for the campaign (1 = serial)")
+    _add_distributed_options(parser)
+    parser.add_argument("--no-cache", action="store_true",
+                        help="ignore the on-disk sweep result cache")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume an interrupted campaign: requires the sweep "
+                        "cache, replays checkpointed points, recomputes only "
+                        "the missing ones")
+    parser.add_argument("--retries", type=int, default=None, metavar="N",
+                        help="attempts per point before it counts as failed "
+                        "(default 2: one retry with backoff)")
+    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                        help="per-point wall-clock budget; exceeding it fails "
+                        "the attempt (retried like any other failure)")
+    parser.add_argument("--keep-going", action="store_true",
+                        help="degrade to partial results plus a failure summary "
+                        "instead of aborting when points fail")
 
 
 def _add_distributed_options(parser: argparse.ArgumentParser) -> None:

@@ -49,17 +49,11 @@ class CoinFlipPolicy(DVSPolicy):  # one R8 violation in decide()
             return DVSAction.STEP_DOWN
         return DVSAction.HOLD
 
-    def reset(self):
-        pass
-
 
 class AuditedPolicy(DVSPolicy):  # suppressed R8: must NOT be reported
     def decide(self, inputs):
         _DECISION_LOG.append(inputs)  # repro-lint: ignore[R8]
         return DVSAction.HOLD
-
-    def reset(self):
-        pass
 
 
 class SeededPolicy(DVSPolicy):  # clean: seeded generator on self is pure
@@ -70,9 +64,6 @@ class SeededPolicy(DVSPolicy):  # clean: seeded generator on self is pure
         if self._rng.random() < 0.5:
             return DVSAction.STEP_DOWN
         return DVSAction.HOLD
-
-    def reset(self):
-        self._rng = random.Random(7)
 
 
 def collect_ready(queues) -> int:  # repro-hot

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -28,6 +29,36 @@ class TestParser:
             "fig16b", "fig17a", "fig17b", "headline",
         ):
             assert name in FIGURES
+
+    def test_sweep_and_pareto_declare_the_same_campaign_flags(self):
+        dests = ("processes", "backend", "workers", "dist_host", "dist_port",
+                 "no_cache", "resume", "retries", "timeout", "keep_going")
+        every_flag = ["--processes", "3", "--backend", "distributed",
+                      "--workers", "2", "--dist-host", "0.0.0.0",
+                      "--dist-port", "9000", "--no-cache", "--resume",
+                      "--retries", "4", "--timeout", "1.5", "--keep-going"]
+        parser = build_parser()
+        for argv in ([], every_flag):
+            sweep = vars(parser.parse_args(["sweep", *argv]))
+            pareto = vars(parser.parse_args(["pareto", *argv]))
+            assert {d: sweep[d] for d in dests} == {d: pareto[d] for d in dests}
+        assert sweep["processes"] == 3 and sweep["timeout"] == 1.5
+        assert sweep["keep_going"] and sweep["resume"] and sweep["no_cache"]
+
+        commands = next(
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+
+        def declared(command):
+            return {
+                action.dest: (action.option_strings, action.default, action.type,
+                              action.metavar, action.help)
+                for action in commands[command]._actions if action.dest in dests
+            }
+
+        assert sorted(declared("sweep")) == sorted(dests)
+        assert declared("sweep") == declared("pareto")
 
 
 class TestCommands:

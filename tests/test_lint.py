@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -140,6 +141,38 @@ class TestFixtureViolations:
         bad.write_text("def broken(:\n")
         assert main([str(bad)]) == 2
         assert "syntax error" in capsys.readouterr().err
+
+
+class TestPathArguments:
+    """Only the part of a path below a directory argument decides whether
+    a file is skipped as a dot-directory."""
+
+    def test_checkout_under_a_dot_directory_is_linted(self, tmp_path):
+        expected = sorted(
+            v.rule for v in lint_paths([FIXTURES], include_fixtures=True)[0]
+        )
+        copy = tmp_path / ".hidden" / "lint"
+        shutil.copytree(FIXTURES, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        # A dot-directory *inside* the tree is still skipped.
+        venv = copy / ".venv" / "repro" / "network"
+        venv.mkdir(parents=True)
+        (venv / "clock.py").write_text(
+            "import time\n\n\ndef stamp():\n    return time.time()\n"
+        )
+        violations, errors = lint_paths([copy], include_fixtures=True)
+        assert errors == []
+        assert sorted(v.rule for v in violations) == expected
+
+    def test_relative_argument_through_dot_dot_is_linted(self, monkeypatch):
+        expected = sorted(
+            v.rule for v in lint_paths([FIXTURES], include_fixtures=True)[0]
+        )
+        monkeypatch.chdir(REPO_ROOT / "docs")
+        violations, errors = lint_paths(
+            ["../tests/fixtures/lint"], include_fixtures=True
+        )
+        assert errors == []
+        assert sorted(v.rule for v in violations) == expected
 
 
 class TestRuleR1:
@@ -617,6 +650,22 @@ class TestRuleR8:
         assert any("_HISTORY" in m and "mutation" in m for m in r8)
         assert any("_LAST" in m and "store" in m for m in r8)
 
+    def test_mutation_through_an_item_flagged(self):
+        source = """
+            from repro.core.policy import DVSAction, DVSPolicy
+
+            _HISTORY = {"lu": []}
+
+            class Leaky(DVSPolicy):
+                def decide(self, inputs):
+                    _HISTORY["lu"].append(inputs.link_utilization)
+                    return DVSAction.HOLD
+            """
+        violations = _lint_source(source, "src/repro/plugins/x.py")
+        r8 = [v.message for v in violations if v.rule == "R8"]
+        assert len(r8) == 1
+        assert "'_HISTORY' (.append())" in r8[0]
+
     def test_local_shadowing_module_name_is_clean(self):
         source = """
             from repro.core.policy import DVSAction, DVSPolicy
@@ -662,6 +711,213 @@ class TestRuleR8:
         )
         assert errors == []
         assert [v for v in violations if v.rule == "R8"] == []
+
+    def test_seeded_numpy_generator_is_clean_as_for_r1(self):
+        source = """
+            import numpy as np
+
+            from repro.core.policy import DVSAction, DVSPolicy
+
+            class Seeded(DVSPolicy):
+                def decide(self, inputs):
+                    rng = np.random.default_rng(inputs.window_cycles)
+                    if rng.random() < 0.5:
+                        return DVSAction.STEP_DOWN
+                    return DVSAction.HOLD
+
+            class Global(DVSPolicy):
+                def decide(self, inputs):
+                    if np.random.rand() < 0.5:
+                        return DVSAction.STEP_DOWN
+                    return DVSAction.HOLD
+            """
+        violations = _lint_source(source, "src/repro/plugins/x.py")
+        r8 = [v for v in violations if v.rule == "R8"]
+        assert len(r8) == 1
+        assert "Global.decide()" in r8[0].message
+        assert "numpy" in r8[0].message
+
+
+class TestClassLineage:
+    """R3, R4 and R8 follow a class's ancestors into other modules, and
+    only a class other than the contract root can satisfy a contract."""
+
+    @staticmethod
+    def _flagged(violations: list[Violation], rule: str) -> list[str]:
+        """Class names the *rule* findings quote, in report order."""
+        return [v.message.split("'")[1] for v in violations if v.rule == rule]
+
+    def test_r3_flags_each_level_of_a_cross_module_hierarchy(self):
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/mid.py": """
+                    from repro.traffic.base import TrafficSource
+
+                    class Mid(TrafficSource):
+                        def injections(self, now):
+                            return []
+                    """,
+                "src/repro/plugins/leaf.py": """
+                    from repro.plugins.mid import Mid
+
+                    class Leaf(Mid):
+                        pass
+                    """,
+            }
+        )
+        assert self._flagged(violations, "R3") == ["Leaf", "Mid"]
+
+    def test_r4_follows_an_observer_base_in_another_module(self):
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/base.py": """
+                    from repro.instrument.bus import Observer
+
+                    class Base(Observer):
+                        pass
+                    """,
+                "src/repro/plugins/ticker.py": """
+                    from repro.plugins.base import Base
+
+                    class Ticker(Base):
+                        def on_cycle(self, now):
+                            pass
+                    """,
+            }
+        )
+        assert self._flagged(violations, "R4") == ["Ticker"]
+
+    def test_r8_follows_a_policy_base_in_another_module(self):
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/base.py": """
+                    from repro.core.policy import DVSPolicy
+
+                    class MyBase(DVSPolicy):
+                        pass
+                    """,
+                "src/repro/plugins/flaky.py": """
+                    import random
+
+                    from repro.core.policy import DVSAction
+                    from repro.plugins.base import MyBase
+
+                    class Flaky(MyBase):
+                        def decide(self, inputs):
+                            if random.random() < 0.5:
+                                return DVSAction.STEP_DOWN
+                            return DVSAction.HOLD
+                    """,
+            }
+        )
+        r8 = [v for v in violations if v.rule == "R8"]
+        assert [v.path for v in r8] == ["src/repro/plugins/flaky.py"]
+        assert "random.random" in r8[0].message
+        assert "Flaky.decide()" in r8[0].message
+
+    def test_members_inherited_from_another_module_satisfy_the_contract(self):
+        # The shape of UniformRandomTraffic(PoissonTraffic): a parent in
+        # another module supplies the override. Leaves whose parent does not
+        # (an abstract source, a bare observer base) are still flagged.
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/base.py": """
+                    from abc import abstractmethod
+
+                    from repro.instrument.bus import Observer
+                    from repro.traffic.base import TrafficSource
+
+                    class Predicting(TrafficSource):
+                        def next_injection_cycle(self, now):
+                            return now + 1
+
+                    class Abstract(TrafficSource):
+                        @abstractmethod
+                        def injections(self, now): ...
+
+                    class Spanning(Observer):
+                        def on_idle_span(self, start, end):
+                            pass
+
+                    class Declared(Observer):
+                        unskippable = True
+
+                    class Bare(Observer):
+                        pass
+                    """,
+                "src/repro/plugins/leaves.py": """
+                    from repro.plugins.base import (
+                        Abstract, Bare, Declared, Predicting, Spanning,
+                    )
+
+                    class PredictedLeaf(Predicting):
+                        def injections(self, now):
+                            return []
+
+                    class UnpredictedLeaf(Abstract):
+                        def injections(self, now):
+                            return []
+
+                    class SpannedTicker(Spanning):
+                        def on_cycle(self, now):
+                            pass
+
+                    class DeclaredTicker(Declared):
+                        def on_cycle(self, now):
+                            pass
+
+                    class GreedyTicker(Bare):
+                        def on_cycle(self, now):
+                            pass
+                    """,
+            }
+        )
+        assert self._flagged(violations, "R3") == ["UnpredictedLeaf"]
+        assert self._flagged(violations, "R4") == ["GreedyTicker"]
+
+    def test_poisson_traffic_subclasses_are_checked_and_clean(self):
+        linter = Linter()
+        linter.add_paths([REPO_ROOT / "src" / "repro" / "traffic"])
+        model = linter.model
+        for name in ("UniformRandomTraffic", "PermutationTraffic", "HotspotTraffic"):
+            [(module, info)] = model.class_index[name]
+            lineage = model.subclass_lineage(module, info, "TrafficSource")
+            assert lineage is not None, name
+            assert [cls.name for cls in lineage if cls.defines("next_injection_cycle")] == [
+                "PoissonTraffic"
+            ]
+        assert [v for v in linter.run() if v.rule == "R3"] == []
+
+    def test_subclass_beside_the_root_is_judged_against_the_contract(self):
+        # The root's own members are the defaults the contract exists to
+        # catch, even when the subclass sits in the root's module.
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/sources.py": """
+                    class TrafficSource:
+                        def next_injection_cycle(self, now):
+                            return None
+
+                    class Lazy(TrafficSource):
+                        def injections(self, now):
+                            return []
+                    """,
+                "src/repro/plugins/observers.py": """
+                    class Observer:
+                        def on_cycle(self, now):
+                            pass
+
+                        def on_idle_span(self, start, end):
+                            pass
+
+                    class Ticker(Observer):
+                        def on_cycle(self, now):
+                            pass
+                    """,
+            }
+        )
+        assert self._flagged(violations, "R3") == ["Lazy"]
+        assert self._flagged(violations, "R4") == ["Ticker"]
 
 
 class TestRuleR9:
@@ -929,6 +1185,40 @@ class TestRuleR11:
                 _SEEN = []
                 _SEEN.append(config)
                 return _SEEN
+            """
+        assert _lint_source(source, "src/repro/harness/x.py") == []
+
+    def test_writes_through_item_chains_and_targets_flagged(self):
+        # The write scanner R11 shares with R8 follows a target to its root
+        # name, so nesting, unpacking and loop targets do not hide a write.
+        source = """
+            _BY_RATE = {}
+
+            def run_point(config):
+                _BY_RATE[config.rate][config.seed] = config
+                _BY_RATE[config.rate].append(config)
+                first, _BY_RATE[0] = config, config
+                for _BY_RATE[1] in (config,):
+                    pass
+                del _BY_RATE[config.rate]
+                return config
+            """
+        violations = _lint_source(source, "src/repro/harness/x.py")
+        assert [(v.rule, v.line) for v in violations] == [
+            ("R11", 5), ("R11", 6), ("R11", 7), ("R11", 8), ("R11", 10)
+        ]
+        assert "(_BY_RATE[...] = ...)" in violations[0].message
+        assert "(_BY_RATE.append(...))" in violations[1].message
+        assert "(del _BY_RATE[...])" in violations[4].message
+
+    def test_walrus_binding_is_local(self):
+        source = """
+            _SEEN = []
+
+            def run_point(config):
+                if (_SEEN := [config]):
+                    _SEEN.append(config)
+                return config
             """
         assert _lint_source(source, "src/repro/harness/x.py") == []
 
