@@ -101,9 +101,10 @@ Suppressions and the baseline
     pragma covers the innermost enclosing statement's span. Unknown rule
     ids in pragmas are reported as warnings rather than silently
     accepted. A file whose first ten lines contain ``# repro-lint:
-    skip-file`` is not checked at all. Directories named ``fixtures`` are
-    skipped unless ``--include-fixtures`` is given; ``__pycache__`` and
-    dot-directories below a directory argument always are.
+    skip-file`` is not checked at all. Below a directory argument,
+    directories named ``fixtures`` are skipped unless
+    ``--include-fixtures`` is given; ``__pycache__`` and dot-directories
+    always are.
     Pre-existing interprocedural findings live in the committed baseline
     (``.repro-lint-baseline.json``, loaded automatically when present;
     see :mod:`repro.analysis.baseline`): baseline-matched findings keep
@@ -297,15 +298,15 @@ class Linter:
     def _excluded(self, path: Path, root: Path) -> bool:
         """Whether *path*, found under the directory argument *root*, is skipped.
 
-        Dot-directories (``.git``, ``.venv``, ``.hypothesis``) count only
-        below *root*: a checkout under ``~/.cache`` or reached through
-        ``..`` is still linted.
+        Each skip looks only below *root*: dot-directories (``.git``,
+        ``.venv``), ``__pycache__`` and, without ``--include-fixtures``,
+        ``fixtures``. A checkout under ``~/.cache`` or a ``fixtures/``
+        directory, or reached through ``..``, is still linted.
         """
-        parts = set(path.parts)
         below = path.relative_to(root).parts
-        if "__pycache__" in parts or any(p.startswith(".") for p in below):
+        if "__pycache__" in below or any(p.startswith(".") for p in below):
             return True
-        return "fixtures" in parts and not self.include_fixtures
+        return "fixtures" in below and not self.include_fixtures
 
     def add_file(self, path: str | Path) -> None:
         path = Path(path)

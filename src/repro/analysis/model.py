@@ -78,9 +78,10 @@ WALL_CLOCK_CALLS = frozenset(
         "date.today",
     }
 )
-#: random.* attributes that are fine: seeded generator constructors and
-#: state plumbing, not draws from the shared global generator.
-RANDOM_OK = frozenset({"Random", "SystemRandom", "getstate", "setstate"})
+#: random.* attributes that are fine: state plumbing, not draws from the
+#: shared global generator. ``random.Random`` is clean only with a seed;
+#: ``random.SystemRandom`` draws from OS entropy whatever its argument.
+RANDOM_OK = frozenset({"getstate", "setstate"})
 #: numpy.random constructors that are fine when given an explicit seed.
 NP_RANDOM_SEEDED_OK = frozenset({"default_rng", "RandomState", "Generator", "SeedSequence"})
 #: Environment reads (taint kind ``env``): configuration smuggled past the
@@ -131,8 +132,12 @@ def nondeterminism_kind(name: str, node: ast.Call) -> tuple[str, str] | None:
     ``filesystem``, or ``None`` for a clean call. Seeded constructors
     (``random.Random(seed)``, ``np.random.default_rng(seed)``) are clean.
     """
-    if name.startswith("random.") and name.split(".", 1)[1] not in RANDOM_OK:
-        return "rng", name
+    if name.startswith("random."):
+        tail = name.split(".", 1)[1]
+        if tail == "Random" and (node.args or node.keywords):
+            return None
+        if tail not in RANDOM_OK:
+            return "rng", name
     if name in WALL_CLOCK_CALLS:
         return "clock", name
     for prefix in ("numpy.random.", "np.random."):

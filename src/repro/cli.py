@@ -33,7 +33,7 @@ import argparse
 import sys
 from typing import Callable, Iterable
 
-from .config import DVSControlConfig, SimulationConfig
+from .config import SimulationConfig
 from .core.hardware import ControllerHardwareModel
 from .core.levels import PAPER_TABLE
 from .core.power_model import PAPER_LINK_POWER
@@ -55,10 +55,10 @@ from .harness.runner import build_simulator
 from .harness.scales import get_scale
 from .harness.serialization import write_json
 from .harness.sweep import (
-    compare_policies,
+    compare_dvs,
+    dvs_bases,
     require_resumable_cache,
     resume_preview,
-    summarize_comparison,
 )
 from .harness.tables import render_table
 from .instrument.trace import TraceRecorder
@@ -415,38 +415,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     rates = _parse_rates(args.rates)
     base = scale.simulation(rates[0], workload_overrides={"seed": args.seed})
-    # Display names come from the registry so custom knob values (or
-    # plugin policies swapped in here) label themselves.
-    baseline_dvs = DVSControlConfig(policy="none")
-    dvs_dvs = DVSControlConfig(policy="history")
-    baseline_name = policy_label(baseline_dvs)
-    dvs_name = policy_label(dvs_dvs)
-    named = {
-        baseline_name: base.with_dvs(baseline_dvs),
-        dvs_name: base.with_dvs(dvs_dvs),
-    }
     if args.resume:
         _print_resume_preview(
-            config.with_rate(rate) for config in named.values() for rate in rates
+            config.with_rate(rate) for config in dvs_bases(base).values() for rate in rates
         )
     report = FailureReport() if args.keep_going else None
-    sweeps = compare_policies(
-        base,
-        rates,
-        {baseline_name: baseline_dvs, dvs_name: dvs_dvs},
-        backend=_campaign_backend(args),
-        resume=args.resume,
-        failures=report,
-    )
-    # Pair by target rate: with --keep-going a failed point leaves a gap in
-    # one sweep but not necessarily the other.
-    by_rate = {
-        name: {point.target_rate: point for point in points}
-        for name, points in sweeps.items()
-    }
-    common = [
-        r for r in rates if r in by_rate[baseline_name] and r in by_rate[dvs_name]
-    ]
+    comparison = compare_dvs(base, rates, backend=_campaign_backend(args), failures=report)
+    baseline_name, dvs_name = comparison.baseline_name, comparison.dvs_name
     rows = [
         (
             b.target_rate,
@@ -456,9 +431,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             round(d.normalized_power, 3),
             round(d.savings_factor, 2),
         )
-        for b, d in (
-            (by_rate[baseline_name][r], by_rate[dvs_name][r]) for r in common
-        )
+        for b, d in zip(comparison.baseline, comparison.dvs, strict=True)
     ]
     print(
         render_table(
@@ -468,13 +441,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             title=f"DVS ({dvs_name}) vs non-DVS sweep (scale={scale.name})",
         )
     )
-    if common:
-        summary = summarize_comparison(
-            [by_rate[baseline_name][r] for r in common],
-            [by_rate[dvs_name][r] for r in common],
-        )
+    if rows:
         print()
-        print(summary.describe())
+        print(comparison.summary().describe())
     return _campaign_epilogue(report)
 
 
@@ -494,7 +463,6 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         rates,
         policies,
         backend=_campaign_backend(args),
-        resume=args.resume,
         failures=report,
     )
     rows = [

@@ -9,9 +9,10 @@ records paper-vs-measured values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
-from ..config import DVSControlConfig, SimulationConfig
+from ..config import DVSControlConfig
 from ..core.registry import policy_label
 from ..core.thresholds import TABLE2_SETTINGS
 from ..errors import ExperimentError
@@ -21,13 +22,7 @@ from ..traffic.base import make_traffic
 from .backends import default_backend
 from .runner import build_simulator
 from .scales import DEFAULT_SCALE, ExperimentScale
-from .sweep import (
-    SweepPoint,
-    compare_policies,
-    named_sweeps,
-    rate_sweep,
-    summarize_comparison,
-)
+from .sweep import SweepPoint, compare_dvs, compare_policies, named_sweeps, rate_sweep
 from .tables import render_table
 
 
@@ -45,6 +40,36 @@ class FigureResult:
         return render_table(
             self.columns, self.rows, title=f"{self.figure}: {self.description}"
         )
+
+
+#: One column group of a multi-curve figure: (column prefix, SweepPoint
+#: attribute, rounding digits).
+_Metric = tuple[str, str, int]
+
+_LATENCY_POWER: tuple[_Metric, ...] = (
+    ("lat_", "mean_latency", 1),
+    ("pwr_", "normalized_power", 3),
+)
+
+
+def _curve_table(
+    sweeps: dict[str, list[SweepPoint]], metrics: Sequence[_Metric]
+) -> tuple[list[str], list[tuple]]:
+    """Columns and rows: one row per rate, one column per (metric, curve)."""
+    names = list(sweeps)
+    columns = ["rate", *[f"{prefix}{name}" for prefix, _, _ in metrics for name in names]]
+    rows = [
+        (
+            point.target_rate,
+            *[
+                round(getattr(sweeps[name][i], attr), digits)
+                for _, attr, digits in metrics
+                for name in names
+            ],
+        )
+        for i, point in enumerate(sweeps[names[0]])
+    ]
+    return columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +290,10 @@ def _dvs_comparison(
     rates: tuple[float, ...] | None = None,
 ) -> FigureResult:
     rates = rates if rates is not None else scale.sweep_rates
-    base = scale.simulation(rates[0], workload_overrides={"average_tasks": tasks})
-    baseline_dvs = DVSControlConfig(policy="none")
-    history_dvs = DVSControlConfig(policy="history")
-    # Column labels come from the registry so knob overrides (or swapped-in
-    # plugin policies) relabel the figure automatically. The paper's
-    # defaults render as "none" / "history".
-    baseline_name = policy_label(baseline_dvs)
-    dvs_name = policy_label(history_dvs)
-    sweeps = compare_policies(
-        base,
-        rates,
-        {baseline_name: baseline_dvs, dvs_name: history_dvs},
+    comparison = compare_dvs(
+        scale.simulation(rates[0], workload_overrides={"average_tasks": tasks}), rates
     )
-    baseline, dvs = sweeps[baseline_name], sweeps[dvs_name]
-    summary = summarize_comparison(baseline, dvs)
+    baseline_name, dvs_name = comparison.baseline_name, comparison.dvs_name
     rows = [
         (
             b.target_rate,
@@ -291,7 +305,7 @@ def _dvs_comparison(
             round(d.normalized_power, 3),
             round(d.savings_factor, 2),
         )
-        for b, d in zip(baseline, dvs, strict=False)
+        for b, d in zip(comparison.baseline, comparison.dvs, strict=True)
     ]
     return FigureResult(
         figure,
@@ -307,7 +321,11 @@ def _dvs_comparison(
             "savings",
         ],
         rows,
-        extras={"summary": summary, "baseline": baseline, "dvs": dvs},
+        extras={
+            "summary": comparison.summary(),
+            "baseline": comparison.baseline,
+            "dvs": comparison.dvs,
+        },
     )
 
 
@@ -407,17 +425,10 @@ def fig13_threshold_latency(
 ) -> FigureResult:
     """Figure 13: latency profile under threshold settings I-VI."""
     sweeps = sweeps if sweeps is not None else threshold_sweeps(scale)
-    names = list(sweeps)
-    rates = [p.target_rate for p in next(iter(sweeps.values()))]
-    rows = [
-        (rate, *[round(sweeps[name][i].mean_latency, 1) for name in names])
-        for i, rate in enumerate(rates)
-    ]
     return FigureResult(
         "Figure 13",
         "latency under DVS threshold settings (Table 2)",
-        ["rate", *names],
-        rows,
+        *_curve_table(sweeps, [("", "mean_latency", 1)]),
         extras={"sweeps": sweeps},
     )
 
@@ -428,17 +439,10 @@ def fig14_threshold_power(
 ) -> FigureResult:
     """Figure 14: power consumption under threshold settings I-VI."""
     sweeps = sweeps if sweeps is not None else threshold_sweeps(scale)
-    names = list(sweeps)
-    rates = [p.target_rate for p in next(iter(sweeps.values()))]
-    rows = [
-        (rate, *[round(sweeps[name][i].normalized_power, 3) for name in names])
-        for i, rate in enumerate(rates)
-    ]
     return FigureResult(
         "Figure 14",
         "normalized power under DVS threshold settings (Table 2)",
-        ["rate", *names],
-        rows,
+        *_curve_table(sweeps, [("", "normalized_power", 3)]),
         extras={"sweeps": sweeps},
     )
 
@@ -490,51 +494,34 @@ def _transition_sweep(
     scale: ExperimentScale,
     figure: str,
     description: str,
-    curves: dict[str, dict],
+    curves: dict[str, dict | None],
     task_duration_s: float,
     rates: tuple[float, ...],
 ) -> FigureResult:
     """Shared machinery for Figures 16 and 17: one curve per link variant.
 
-    All curves run as ONE batched campaign (:func:`named_sweeps`), so a
-    process pool parallelizes across variants and the sweep cache
-    checkpoints the whole figure incrementally.
+    A curve without link overrides is the non-DVS reference. All curves
+    run as ONE batched campaign (:func:`named_sweeps`), so a process pool
+    parallelizes across variants and the sweep cache checkpoints the
+    whole figure incrementally.
     """
-    named: dict[str, SimulationConfig] = {}
-    for name, link_overrides in curves.items():
-        if link_overrides is None:  # the non-DVS reference curve
-            named[name] = scale.simulation(
-                rates[0],
-                policy="none",
-                workload_overrides={
-                    "average_tasks": 100,
-                    "average_task_duration_s": task_duration_s,
-                },
-            )
-        else:
-            named[name] = scale.simulation(
-                rates[0],
-                workload_overrides={
-                    "average_tasks": 100,
-                    "average_task_duration_s": task_duration_s,
-                },
-                link_overrides=link_overrides,
-            )
-    sweeps = named_sweeps(named, rates)
-    names = list(sweeps)
-    rows = [
-        (
-            rate,
-            *[round(sweeps[name][i].mean_latency, 1) for name in names],
-            *[round(sweeps[name][i].accepted_rate, 3) for name in names],
+    named = {
+        name: scale.simulation(
+            rates[0],
+            policy="none" if link_overrides is None else "history",
+            workload_overrides={
+                "average_tasks": 100,
+                "average_task_duration_s": task_duration_s,
+            },
+            link_overrides=link_overrides,
         )
-        for i, rate in enumerate(rates)
-    ]
+        for name, link_overrides in curves.items()
+    }
+    sweeps = named_sweeps(named, rates)
     return FigureResult(
         figure,
         description,
-        ["rate", *[f"lat:{n}" for n in names], *[f"acc:{n}" for n in names]],
-        rows,
+        *_curve_table(sweeps, [("lat:", "mean_latency", 1), ("acc:", "accepted_rate", 3)]),
         extras={"sweeps": sweeps, "task_duration_s": task_duration_s},
     )
 
@@ -568,21 +555,12 @@ def fig16_voltage_transition_sweep(
     task_mult, freq_cycles = panels[panel]
     task_duration_s = scale.average_task_duration_s * task_mult
     vt = scale.voltage_transition_s
-    curves = {
-        "nodvs": None,
-        "vt_1.0x": {
-            "voltage_transition_s": vt,
+    curves: dict[str, dict | None] = {"nodvs": None}
+    for mult in (1.0, 0.5, 0.1):
+        curves[f"vt_{mult}x"] = {
+            "voltage_transition_s": vt * mult,
             "frequency_transition_link_cycles": freq_cycles,
-        },
-        "vt_0.5x": {
-            "voltage_transition_s": vt * 0.5,
-            "frequency_transition_link_cycles": freq_cycles,
-        },
-        "vt_0.1x": {
-            "voltage_transition_s": vt * 0.1,
-            "frequency_transition_link_cycles": freq_cycles,
-        },
-    }
+        }
     rates = rates if rates is not None else scale.sweep_rates
     return _transition_sweep(
         scale,
@@ -621,21 +599,12 @@ def fig17_frequency_transition_sweep(
     # Frequency lock times are the paper's absolute 100/50/10 link cycles:
     # their effect is a ratio against the voltage ramp and must not be
     # shrunk by the scale preset (see fig16's panel note).
-    curves = {
-        "nodvs": None,
-        "ft_100": {
+    curves: dict[str, dict | None] = {"nodvs": None}
+    for cycles in (100, 50, 10):
+        curves[f"ft_{cycles}"] = {
             "voltage_transition_s": vt,
-            "frequency_transition_link_cycles": 100,
-        },
-        "ft_50": {
-            "voltage_transition_s": vt,
-            "frequency_transition_link_cycles": 50,
-        },
-        "ft_10": {
-            "voltage_transition_s": vt,
-            "frequency_transition_link_cycles": 10,
-        },
-    }
+            "frequency_transition_link_cycles": cycles,
+        }
     rates = rates if rates is not None else scale.sweep_rates
     return _transition_sweep(
         scale,
@@ -699,39 +668,74 @@ def workload_comparison(
     )
 
 
+def _two_policy_sweep(
+    scale: ExperimentScale,
+    rates: tuple[float, ...] | None,
+    policies: tuple[str, str],
+    figure: str,
+    description: str,
+) -> FigureResult:
+    """Latency and power of two registered policies, labelled by registry."""
+    rates = rates if rates is not None else scale.sweep_rates
+    base = scale.simulation(rates[0], workload_overrides={"average_tasks": 100})
+    dvs = [DVSControlConfig(policy=policy) for policy in policies]
+    sweeps = compare_policies(base, rates, {policy_label(d): d for d in dvs})
+    return FigureResult(
+        figure,
+        description,
+        *_curve_table(sweeps, _LATENCY_POWER),
+        extras={"sweeps": sweeps},
+    )
+
+
 def ablation_congestion_litmus(
     scale: ExperimentScale = DEFAULT_SCALE,
     rates: tuple[float, ...] | None = None,
 ) -> FigureResult:
     """What the BU congestion litmus buys: history vs LU-only policy."""
-    rates = rates if rates is not None else scale.sweep_rates
-    base = scale.simulation(rates[0], workload_overrides={"average_tasks": 100})
-    full = DVSControlConfig(policy="history")
-    lu = DVSControlConfig(policy="lu_only")
-    full_name, lu_name = policy_label(full), policy_label(lu)
-    sweeps = compare_policies(base, rates, {full_name: full, lu_name: lu})
+    return _two_policy_sweep(
+        scale,
+        rates,
+        ("history", "lu_only"),
+        "Ablation",
+        "congestion litmus: full policy vs LU-only",
+    )
+
+
+def _knob_sensitivity(
+    scale: ExperimentScale,
+    rate: float,
+    knob: str,
+    column: str,
+    values: Sequence[float],
+    description: str,
+) -> FigureResult:
+    """History DVS at *rate* with DVSControlConfig field *knob* at each value.
+
+    One row per value given, duplicates included.
+    """
+    base = scale.simulation(rate, workload_overrides={"average_tasks": 100})
+    sweeps = named_sweeps(
+        {
+            str(index): base.with_dvs(replace(base.dvs, **{knob: value}))
+            for index, value in enumerate(values)
+        },
+        (rate,),
+    )
     rows = [
         (
-            rate,
-            round(sweeps[full_name][i].mean_latency, 1),
-            round(sweeps[lu_name][i].mean_latency, 1),
-            round(sweeps[full_name][i].normalized_power, 3),
-            round(sweeps[lu_name][i].normalized_power, 3),
+            value,
+            round(point.mean_latency, 1),
+            round(point.normalized_power, 3),
+            point.transition_count,
         )
-        for i, rate in enumerate(rates)
+        for value, (point,) in zip(values, sweeps.values(), strict=True)
     ]
     return FigureResult(
         "Ablation",
-        "congestion litmus: full policy vs LU-only",
-        [
-            "rate",
-            f"lat_{full_name}",
-            f"lat_{lu_name}",
-            f"pwr_{full_name}",
-            f"pwr_{lu_name}",
-        ],
+        f"{description} sensitivity at {rate} packets/cycle",
+        [column, "latency", "norm_power", "transitions"],
         rows,
-        extras={"sweeps": sweeps},
     )
 
 
@@ -742,30 +746,7 @@ def ablation_ewma_weight(
     weights: tuple[float, ...] = (1.0, 3.0, 7.0, 15.0),
 ) -> FigureResult:
     """Sensitivity to the EWMA weight W (paper fixes W=3 for shift-add)."""
-    results = default_backend().map_configs(
-        scale.simulation(
-            rate,
-            dvs=DVSControlConfig(policy="history", ewma_weight=weight),
-            workload_overrides={"average_tasks": 100},
-        )
-        for weight in weights
-    )
-    rows = []
-    for weight, result in zip(weights, results, strict=True):
-        rows.append(
-            (
-                weight,
-                round(result.latency.mean, 1),
-                round(result.power.normalized, 3),
-                result.power.transition_count,
-            )
-        )
-    return FigureResult(
-        "Ablation",
-        f"EWMA weight sensitivity at {rate} packets/cycle",
-        ["W", "latency", "norm_power", "transitions"],
-        rows,
-    )
+    return _knob_sensitivity(scale, rate, "ewma_weight", "W", weights, "EWMA weight")
 
 
 def ablation_history_window(
@@ -775,29 +756,8 @@ def ablation_history_window(
     windows: tuple[int, ...] = (50, 200, 800),
 ) -> FigureResult:
     """Sensitivity to the history window H (paper fixes H=200)."""
-    results = default_backend().map_configs(
-        scale.simulation(
-            rate,
-            dvs=DVSControlConfig(policy="history", history_window=window),
-            workload_overrides={"average_tasks": 100},
-        )
-        for window in windows
-    )
-    rows = []
-    for window, result in zip(windows, results, strict=True):
-        rows.append(
-            (
-                window,
-                round(result.latency.mean, 1),
-                round(result.power.normalized, 3),
-                result.power.transition_count,
-            )
-        )
-    return FigureResult(
-        "Ablation",
-        f"history window sensitivity at {rate} packets/cycle",
-        ["H", "latency", "norm_power", "transitions"],
-        rows,
+    return _knob_sensitivity(
+        scale, rate, "history_window", "H", windows, "history window"
     )
 
 
@@ -815,42 +775,29 @@ def ablation_ideal_links(
     from the cost of running links slower at all.
     """
     rates = rates if rates is not None else scale.sweep_rates
-    named: dict[str, SimulationConfig] = {}
-    for name, link_overrides in (
-        ("conservative", None),
-        (
-            "ideal",
-            {
-                "voltage_transition_s": 1.0e-9,
-                "frequency_transition_link_cycles": 0,
-                # Idealize the regulator too: without a bulk off-chip
-                # filter capacitor, per-transition overheads vanish.
-                "filter_capacitance_f": 1.0e-9,
-            },
-        ),
-    ):
-        named[name] = scale.simulation(
-            rates[0],
-            workload_overrides={"average_tasks": 100},
-            link_overrides=link_overrides or {},
-        )
+    ideal = {
+        "voltage_transition_s": 1.0e-9,
+        "frequency_transition_link_cycles": 0,
+        # Idealize the regulator too: without a bulk off-chip filter
+        # capacitor, per-transition overheads vanish.
+        "filter_capacitance_f": 1.0e-9,
+    }
     # One batched campaign: both curves parallelize and checkpoint together.
-    sweeps = named_sweeps(named, rates)
-    rows = [
-        (
-            rate,
-            round(sweeps["conservative"][i].mean_latency, 1),
-            round(sweeps["ideal"][i].mean_latency, 1),
-            round(sweeps["conservative"][i].normalized_power, 3),
-            round(sweeps["ideal"][i].normalized_power, 3),
-        )
-        for i, rate in enumerate(rates)
-    ]
+    sweeps = named_sweeps(
+        {
+            name: scale.simulation(
+                rates[0],
+                workload_overrides={"average_tasks": 100},
+                link_overrides=link_overrides,
+            )
+            for name, link_overrides in (("conservative", None), ("ideal", ideal))
+        },
+        rates,
+    )
     return FigureResult(
         "Extension",
         "conservative vs idealized (instantaneous-transition) DVS links",
-        ["rate", "lat_conservative", "lat_ideal", "pwr_conservative", "pwr_ideal"],
-        rows,
+        *_curve_table(sweeps, _LATENCY_POWER),
         extras={"sweeps": sweeps},
     )
 
@@ -860,34 +807,10 @@ def ablation_adaptive_thresholds(
     rates: tuple[float, ...] | None = None,
 ) -> FigureResult:
     """The paper's suggested extension: dynamically adjusted thresholds."""
-    rates = rates if rates is not None else scale.sweep_rates
-    base = scale.simulation(rates[0], workload_overrides={"average_tasks": 100})
-    static = DVSControlConfig(policy="history")
-    adaptive = DVSControlConfig(policy="adaptive_threshold")
-    static_name, adaptive_name = policy_label(static), policy_label(adaptive)
-    sweeps = compare_policies(
-        base, rates, {static_name: static, adaptive_name: adaptive}
-    )
-    rows = [
-        (
-            rate,
-            round(sweeps[static_name][i].mean_latency, 1),
-            round(sweeps[adaptive_name][i].mean_latency, 1),
-            round(sweeps[static_name][i].normalized_power, 3),
-            round(sweeps[adaptive_name][i].normalized_power, 3),
-        )
-        for i, rate in enumerate(rates)
-    ]
-    return FigureResult(
+    return _two_policy_sweep(
+        scale,
+        rates,
+        ("history", "adaptive_threshold"),
         "Extension",
         "static vs dynamically adjusted thresholds",
-        [
-            "rate",
-            f"lat_{static_name}",
-            f"lat_{adaptive_name}",
-            f"pwr_{static_name}",
-            f"pwr_{adaptive_name}",
-        ],
-        rows,
-        extras={"sweeps": sweeps},
     )

@@ -6,17 +6,15 @@ generalizes: *across every registered policy and its declared knob grid,
 which operating points are non-dominated?* This module runs that
 campaign and answers it with per-point provenance.
 
-The sweep is one flat batch of frozen configs pushed through the
-existing resilient execution machinery
-(:mod:`repro.harness.backends` / :mod:`repro.harness.cache` /
-:mod:`repro.harness.resilience`), so it inherits everything sweeps
-already have: bit-identical Serial/ProcessPool results, content-addressed
-incremental checkpoints, ``resume=`` replay, retries and
-``failures=`` degradation. Each resulting :class:`ParetoPoint` records
-the policy name, the exact knob assignment, the registry display label
-and the SHA-256 of the config fingerprint (the cache's content address),
-so any point on the frontier can be traced back to — and re-run from —
-its precise configuration.
+The campaign is one :func:`~repro.harness.sweep.named_sweeps` batch, one
+base config per (policy, knob assignment), so it inherits everything
+sweeps already have: bit-identical Serial/ProcessPool results,
+content-addressed incremental checkpoints (an interrupted campaign
+re-run replays them), retries and ``failures=`` degradation. Each
+resulting :class:`ParetoPoint` records the policy name, the exact knob
+assignment, the registry display label and the SHA-256 of the config
+fingerprint (the cache's content address), so any point on the frontier
+can be traced back to — and re-run from — its precise configuration.
 
 Frontiers are computed *within* each target rate: points at different
 offered loads answer different questions and are never compared.
@@ -26,17 +24,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 from ..config import SimulationConfig
 from ..core.registry import policy_label, policy_sweep_grid, registered_policies
 from ..errors import ExperimentError
-from ..network.simulator import SimulationResult
-from .backends import ExecutionBackend, default_backend
+from .backends import ExecutionBackend
 from .resilience import FailureReport
 from .serialization import write_json
-from .sweep import _sweep_results, require_resumable_cache
+from .sweep import named_sweeps
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,14 +87,25 @@ def pareto_grid(
     return grid
 
 
-def _point_config(
+def _grid_bases(
     base_config: SimulationConfig,
-    policy: str,
-    assignment: Mapping[str, float],
-    rate: float,
-) -> SimulationConfig:
-    dvs = replace(base_config.dvs, policy=policy, params=dict(assignment))
-    return base_config.with_dvs(dvs).with_rate(rate)
+    rates: Sequence[float],
+    policies: Sequence[str] | None,
+    grid_overrides: Mapping[str, Sequence[Mapping[str, float]]] | None,
+) -> tuple[list[tuple[str, dict[str, float]]], dict[str, SimulationConfig]]:
+    """The campaign's grid and one base config per entry, keyed by index."""
+    if not rates:
+        raise ExperimentError("need at least one offered rate")
+    grid = pareto_grid(policies, grid_overrides=grid_overrides)
+    if not grid:
+        raise ExperimentError("need at least one policy to explore")
+    bases = {
+        str(index): base_config.with_dvs(
+            replace(base_config.dvs, policy=policy, params=dict(assignment))
+        )
+        for index, (policy, assignment) in enumerate(grid)
+    }
+    return grid, bases
 
 
 def pareto_configs(
@@ -114,17 +122,8 @@ def pareto_configs(
     (:func:`~repro.harness.sweep.resume_preview`) for the same configs a
     subsequent run would execute.
     """
-    if not rates:
-        raise ExperimentError("need at least one offered rate")
-    grid = pareto_grid(policies, grid_overrides=grid_overrides)
-    if not grid:
-        raise ExperimentError("need at least one policy to explore")
-    configs = [
-        _point_config(base_config, policy, assignment, rate)
-        for policy, assignment in grid
-        for rate in rates
-    ]
-    return grid, configs
+    grid, bases = _grid_bases(base_config, rates, policies, grid_overrides)
+    return grid, [base.with_rate(rate) for base in bases.values() for rate in rates]
 
 
 def run_pareto(
@@ -133,65 +132,34 @@ def run_pareto(
     policies: Sequence[str] | None = None,
     *,
     backend: ExecutionBackend | None = None,
-    resume: bool = False,
     failures: FailureReport | None = None,
     grid_overrides: Mapping[str, Sequence[Mapping[str, float]]] | None = None,
 ) -> list[ParetoPoint]:
     """Sweep every policy's knob grid over *rates* and mark the frontier.
 
-    All points run as ONE flat batch through *backend* (the
-    ``REPRO_PROCESSES``-honoring default when omitted), so a process
-    pool parallelizes across policies, assignments and rates at once and
-    the incremental cache checkpoints the campaign as a unit.
-    ``resume``/``failures`` behave as in
-    :func:`~repro.harness.sweep.rate_sweep`; failed points become gaps
-    (attributable via the returned points' provenance fields).
+    All points run as ONE :func:`~repro.harness.sweep.named_sweeps`
+    campaign through *backend*, so a process pool parallelizes across
+    policies, assignments and rates at once and the incremental cache
+    checkpoints the campaign as a unit. ``failures`` as there; failed
+    points become gaps (attributable via the returned points' provenance
+    fields).
     """
-    if backend is None:
-        backend = default_backend()
-    if resume:
-        require_resumable_cache()
-    rate_list = list(rates)
-    grid, configs = pareto_configs(
-        base_config, rate_list, policies, grid_overrides=grid_overrides
-    )
-    results = _sweep_results(backend, configs, failures)
-
-    points: list[ParetoPoint] = []
-    index = 0
-    for policy, assignment in grid:
-        label = policy_label(configs[index].dvs)
-        for rate in rate_list:
-            config, result = configs[index], results[index]
-            index += 1
-            if result is None:
-                continue
-            points.append(_make_point(policy, label, assignment, rate, config, result))
-    return mark_frontier(points)
-
-
-def _make_point(
-    policy: str,
-    label: str,
-    assignment: Mapping[str, float],
-    rate: float,
-    config: SimulationConfig,
-    result: SimulationResult,
-) -> ParetoPoint:
-    digest = hashlib.sha256(config.fingerprint().encode("utf-8")).hexdigest()
-    return ParetoPoint(
-        policy=policy,
-        label=label,
-        params=dict(assignment),
-        target_rate=rate,
-        offered_rate=result.offered_rate,
-        accepted_rate=result.accepted_rate,
-        mean_latency=result.latency.mean,
-        median_latency=result.latency.median,
-        normalized_power=result.power.normalized,
-        savings_factor=result.power.savings_factor,
-        transition_count=result.power.transition_count,
-        fingerprint_sha256=digest,
+    grid, bases = _grid_bases(base_config, rates, policies, grid_overrides)
+    sweeps = named_sweeps(bases, rates, backend=backend, failures=failures)
+    return mark_frontier(
+        [
+            ParetoPoint(
+                policy=policy,
+                label=policy_label(base.dvs),
+                params=dict(assignment),
+                fingerprint_sha256=hashlib.sha256(
+                    base.with_rate(point.target_rate).fingerprint().encode("utf-8")
+                ).hexdigest(),
+                **asdict(point),
+            )
+            for (policy, assignment), (key, base) in zip(grid, bases.items(), strict=True)
+            for point in sweeps[key]
+        ]
     )
 
 

@@ -4,6 +4,10 @@ The paper's latency/throughput figures are sweeps of offered load; this
 module runs them, pairs DVS against baselines on identical workload seeds,
 and computes the paper's summary statistics (zero-load latency increase,
 average pre-saturation latency increase, throughput delta, power savings).
+:func:`named_sweeps` is the one campaign path: every sweep, figure and the
+Pareto explorer (:mod:`repro.harness.pareto`) expands its base configs x
+rates, runs and folds them there. :func:`compare_dvs` is the paper's one
+comparison, history-based DVS against links pinned at full speed.
 
 Sweeps execute through an :class:`~repro.harness.backends.ExecutionBackend`,
 which memoizes per-config results on disk (:mod:`repro.harness.cache`):
@@ -16,9 +20,10 @@ sweep with a structured :class:`~repro.errors.SweepExecutionError`. Pass a
 degrade gracefully instead — failed points are dropped from the returned
 lists (each :class:`SweepPoint` carries its ``target_rate``, so gaps are
 attributable) and the report says exactly what was lost and what was
-recovered. ``resume=True`` asserts the sweep cache is enabled, so a
-previously interrupted campaign replays its checkpointed points from disk
-and recomputes only the missing ones.
+recovered. With the cache enabled, re-running an interrupted campaign
+replays its checkpointed points from disk and recomputes only the missing
+ones; :func:`require_resumable_cache` and :func:`resume_preview` are what
+the CLI's ``--resume`` checks and reports.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ..config import DVSControlConfig, SimulationConfig
+from ..core.registry import policy_label
 from ..errors import ExperimentError
 from ..metrics.throughput import saturation_point
 from ..network.simulator import SimulationResult
@@ -96,50 +102,19 @@ def resume_preview(configs: Iterable[SimulationConfig]) -> tuple[int, int]:
     return checkpointed, total
 
 
-def _sweep_results(
-    backend: ExecutionBackend,
-    configs: list[SimulationConfig],
-    failures: FailureReport | None,
-) -> list[SimulationResult | None]:
-    """Strict results when *failures* is None, else partial + report merge."""
-    if failures is None:
-        return list(backend.map_configs(configs))
-    results, report = backend.run(configs)
-    failures.merge(report)
-    return results
-
-
 def rate_sweep(
     base_config: SimulationConfig,
     rates: Sequence[float],
     *,
     backend: ExecutionBackend | None = None,
-    resume: bool = False,
     failures: FailureReport | None = None,
 ) -> list[SweepPoint]:
     """Run *base_config* at each offered rate in *rates*.
 
-    Execution goes through *backend*
-    (:func:`~repro.harness.backends.default_backend` when omitted, which
-    honors ``REPRO_PROCESSES``); results are identical regardless of the
-    backend chosen. ``resume=True`` requires the sweep cache so an
-    interrupted campaign replays its completed points; passing a
-    :class:`FailureReport` as *failures* degrades failed points to gaps
-    in the returned list instead of raising.
+    One :func:`named_sweeps` campaign of one base config; *backend* and
+    *failures* as there.
     """
-    if backend is None:
-        backend = default_backend()
-    if resume:
-        require_resumable_cache()
-    rates = list(rates)
-    results = _sweep_results(
-        backend, [base_config.with_rate(rate) for rate in rates], failures
-    )
-    return [
-        SweepPoint.from_result(rate, result)
-        for rate, result in zip(rates, results, strict=False)
-        if result is not None
-    ]
+    return named_sweeps({"": base_config}, rates, backend=backend, failures=failures)[""]
 
 
 def named_sweeps(
@@ -147,40 +122,42 @@ def named_sweeps(
     rates: Sequence[float],
     *,
     backend: ExecutionBackend | None = None,
-    resume: bool = False,
     failures: FailureReport | None = None,
 ) -> dict[str, list[SweepPoint]]:
     """Sweep several named base configs over the same rates as ONE batch.
 
     The whole campaign — ``len(configs) * len(rates)`` points — is
-    submitted to *backend* at once, so a process pool parallelizes across
-    the named variants and the incremental cache checkpoints cover the
-    campaign as a unit. :func:`compare_policies` and the multi-variant
-    figure experiments are thin wrappers over this.
+    submitted to *backend* (:func:`~repro.harness.backends.default_backend`
+    when omitted, which honors ``REPRO_PROCESSES``) at once, so a process
+    pool parallelizes across the named variants and the incremental cache
+    checkpoints cover the campaign as a unit. Results are identical
+    whatever the backend. Without *failures* a lost point raises; with a
+    :class:`FailureReport` it is merged there and leaves a gap in its
+    name's list.
     """
     if not configs:
         raise ExperimentError("need at least one named config to sweep")
     if backend is None:
         backend = default_backend()
-    if resume:
-        require_resumable_cache()
     rates = list(rates)
-    results = _sweep_results(
-        backend,
-        [config.with_rate(rate) for config in configs.values() for rate in rates],
-        failures,
-    )
-    sweeps: dict[str, list[SweepPoint]] = {}
-    index = 0
-    for name in configs:
-        points: list[SweepPoint] = []
-        for rate in rates:
-            result = results[index]
-            index += 1
-            if result is not None:
-                points.append(SweepPoint.from_result(rate, result))
-        sweeps[name] = points
-    return sweeps
+    batch = [config.with_rate(rate) for config in configs.values() for rate in rates]
+    results: list[SimulationResult | None]
+    if failures is None:
+        results = list(backend.map_configs(batch))
+    else:
+        results, report = backend.run(batch)
+        failures.merge(report)
+    count = len(rates)
+    return {
+        name: [
+            SweepPoint.from_result(rate, result)
+            for rate, result in zip(
+                rates, results[index * count:(index + 1) * count], strict=True
+            )
+            if result is not None
+        ]
+        for index, name in enumerate(configs)
+    }
 
 
 def compare_policies(
@@ -189,15 +166,14 @@ def compare_policies(
     policies: dict[str, DVSControlConfig],
     *,
     backend: ExecutionBackend | None = None,
-    resume: bool = False,
     failures: FailureReport | None = None,
 ) -> dict[str, list[SweepPoint]]:
     """Sweep the same rates (same workload seeds) under several policies.
 
     All policy sweeps are submitted to *backend* as one flat batch, so a
     process pool sees ``len(policies) * len(rates)`` independent work
-    items rather than one batch per policy. ``resume``/``failures`` as in
-    :func:`rate_sweep`.
+    items rather than one batch per policy. ``failures`` as in
+    :func:`named_sweeps`.
     """
     if not policies:
         raise ExperimentError("need at least one policy to compare")
@@ -205,7 +181,6 @@ def compare_policies(
         {name: base_config.with_dvs(dvs) for name, dvs in policies.items()},
         rates,
         backend=backend,
-        resume=resume,
         failures=failures,
     )
 
@@ -240,6 +215,63 @@ class SweepComparison:
             f"power savings up to {self.max_savings:.1f}X "
             f"({self.average_savings:.1f}X average)"
         )
+
+
+def dvs_bases(base_config: SimulationConfig) -> dict[str, SimulationConfig]:
+    """*base_config* with links pinned at full speed and under history DVS.
+
+    Keyed by registry display label (``none`` and ``history`` at the
+    paper's defaults), baseline first. These are the two curves
+    :func:`compare_dvs` sweeps; a ``--resume`` preview expands the same
+    configs.
+    """
+    return {
+        policy_label(dvs): base_config.with_dvs(dvs)
+        for dvs in (DVSControlConfig(policy="none"), DVSControlConfig(policy="history"))
+    }
+
+
+@dataclass(frozen=True, slots=True)
+class DVSComparison:
+    """History DVS against the no-DVS baseline, paired by target rate.
+
+    ``baseline[i]`` and ``dvs[i]`` share a target rate and workload seed.
+    """
+
+    baseline_name: str
+    dvs_name: str
+    baseline: list[SweepPoint]
+    dvs: list[SweepPoint]
+
+    def summary(self) -> SweepComparison:
+        """The paper's headline numbers (:func:`summarize_comparison`)."""
+        return summarize_comparison(self.baseline, self.dvs)
+
+
+def compare_dvs(
+    base_config: SimulationConfig,
+    rates: Sequence[float],
+    *,
+    backend: ExecutionBackend | None = None,
+    failures: FailureReport | None = None,
+) -> DVSComparison:
+    """Sweep :func:`dvs_bases` of *base_config* over *rates* as one campaign.
+
+    *backend* and *failures* as in :func:`named_sweeps`. With *failures*,
+    a point lost in one sweep drops its rate from both, so the pairs stay
+    aligned.
+    """
+    bases = dvs_bases(base_config)
+    baseline_name, dvs_name = bases
+    sweeps = named_sweeps(bases, rates, backend=backend, failures=failures)
+    dvs_by_rate = {point.target_rate: point for point in sweeps[dvs_name]}
+    baseline = [p for p in sweeps[baseline_name] if p.target_rate in dvs_by_rate]
+    return DVSComparison(
+        baseline_name,
+        dvs_name,
+        baseline,
+        [dvs_by_rate[p.target_rate] for p in baseline],
+    )
 
 
 def summarize_comparison(

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import DVSControlConfig
 from ..errors import ExperimentError
 from .scales import ExperimentScale
-from .sweep import SweepPoint, compare_policies
+from .sweep import SweepPoint, compare_dvs
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,29 +83,17 @@ def observe_scale(
     rates = rates if rates is not None else (scale.sweep_rates[0], scale.sweep_rates[-1])
     if len(rates) < 2:
         raise ExperimentError("need at least two rates to observe a trend")
-    base = scale.simulation(rates[0])
-    sweeps = compare_policies(
-        base,
-        rates,
-        {
-            "none": DVSControlConfig(policy="none"),
-            "history": DVSControlConfig(policy="history"),
-        },
-    )
-    baseline, dvs = sweeps["none"], sweeps["history"]
+    comparison = compare_dvs(scale.simulation(rates[0]), rates)
+    baseline, dvs = comparison.baseline, comparison.dvs
     _check_latencies(baseline)
     _check_latencies(dvs)
     return ScaleObservation(
         scale_name=scale.name,
         savings_by_rate=tuple(point.savings_factor for point in dvs),
         latency_ratio_by_rate=tuple(
-            d.mean_latency / b.mean_latency for b, d in zip(baseline, dvs, strict=False)
+            d.mean_latency / b.mean_latency for b, d in zip(baseline, dvs, strict=True)
         ),
-        throughput_change=(
-            max(p.accepted_rate for p in dvs)
-            / max(p.accepted_rate for p in baseline)
-            - 1.0
-        ),
+        throughput_change=comparison.summary().throughput_change,
     )
 
 

@@ -8,7 +8,6 @@ saturation rule; and the LU/BU/BA window profiles of Figures 3-5.
 
 from .histogram import Histogram
 from .latency import LatencyCollector, LatencyStats
-from .levels import LevelOccupancyCollector, channel_level_map
 from .throughput import saturation_point, saturation_throughput
 from .timeseries import WindowedSeries
 from .utilization import UtilizationProbe
@@ -17,8 +16,6 @@ __all__ = [
     "Histogram",
     "LatencyCollector",
     "LatencyStats",
-    "LevelOccupancyCollector",
-    "channel_level_map",
     "saturation_point",
     "saturation_throughput",
     "WindowedSeries",

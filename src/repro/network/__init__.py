@@ -17,12 +17,9 @@ from .routing import (
     make_routing,
 )
 from .simulator import SimulationResult, Simulator
-from .stats import NetworkSnapshot, snapshot
 from .topology import Coordinates, Topology
 
 __all__ = [
-    "NetworkSnapshot",
-    "snapshot",
     "Flit",
     "Packet",
     "Coordinates",

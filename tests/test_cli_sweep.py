@@ -4,6 +4,11 @@ import pytest
 
 from repro.cli import NOT_CHECKPOINTED, main
 from repro.harness import cache as cache_mod
+from repro.harness.backends import SerialBackend
+from repro.harness.resilience import FailureReport, RetryPolicy
+from repro.harness.sweep import compare_dvs
+
+from .conftest import small_config
 
 
 @pytest.fixture
@@ -30,6 +35,50 @@ class TestSweepCommand:
     def test_sweep_empty_rates(self, capsys):
         assert main(["sweep", "--rates", "", "--scale", "smoke"]) == 2
         assert "at least one rate" in capsys.readouterr().err
+
+
+class TestComparisonGaps:
+    """A point lost under --keep-going leaves a gap in both sides of the
+    DVS comparison, so the pairs and the summary stay aligned."""
+
+    @pytest.fixture
+    def poisoned(self, monkeypatch):
+        from repro.harness import backends
+
+        real = backends.run_simulation
+
+        def runner(config):
+            if config.dvs.policy == "history" and config.workload.injection_rate == 0.6:
+                raise RuntimeError("poisoned history point")
+            return real(config)
+
+        monkeypatch.setattr("repro.harness.backends.run_simulation", runner)
+
+    def test_compare_dvs_drops_the_rate_from_both_sweeps(self, poisoned):
+        base = small_config(rate=0.2, warmup=200, measure=600)
+        backend = SerialBackend(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0))
+        report = FailureReport()
+        comparison = compare_dvs(
+            base, (0.2, 0.6, 1.0), backend=backend, failures=report
+        )
+        assert len(report.failures) == 1
+        assert [p.target_rate for p in comparison.baseline] == [0.2, 1.0]
+        assert [p.target_rate for p in comparison.dvs] == [0.2, 1.0]
+        survivors = compare_dvs(base, (0.2, 1.0), backend=backend)
+        assert comparison == survivors
+        assert comparison.summary() == survivors.summary()
+
+    def test_keep_going_sweep_prints_the_other_rates(self, poisoned, capsys):
+        code = main(
+            ["sweep", "--rates", "0.2,0.6,1.0", "--scale", "smoke",
+             "--keep-going", "--retries", "1"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        rows = [line.split()[0] for line in out.splitlines() if line.startswith(("0.", "1."))]
+        assert rows == ["0.200", "1.000"]
+        assert "power savings" in out
+        assert "1 point(s) failed" in out
 
 
 class TestResilienceFlags:

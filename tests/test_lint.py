@@ -101,9 +101,12 @@ class TestFixtureViolations:
         )
 
     def test_fixtures_excluded_by_default(self):
-        violations, errors = lint_paths([FIXTURES])
+        # CI and pre-commit lint `tests`; the known-bad fixtures below it
+        # stay out of that run unless asked for.
+        violations, errors = lint_paths([REPO_ROOT / "tests"])
         assert errors == []
-        assert violations == []
+        fixtures = (REPO_ROOT / "tests" / "fixtures").as_posix() + "/"
+        assert [v for v in violations if v.path.startswith(fixtures)] == []
 
     def test_cli_exit_one_on_fixture(self, capsys):
         assert main([str(FIXTURES), "--include-fixtures", "--no-baseline"]) == 1
@@ -163,6 +166,21 @@ class TestPathArguments:
         assert errors == []
         assert sorted(v.rule for v in violations) == expected
 
+    def test_checkout_under_a_fixtures_directory_is_linted(self, tmp_path):
+        checkout = tmp_path / "fixtures" / "checkout"
+        clock = "import time\n\n\ndef stamp():\n    return time.time()\n"
+        for tree in (checkout, checkout / "fixtures"):
+            module = tree / "repro" / "network"
+            module.mkdir(parents=True)
+            (module / "clock.py").write_text(clock)
+        violations, errors = lint_paths([checkout])
+        assert errors == []
+        # The checkout's own file is linted; a `fixtures/` directory
+        # inside it is still skipped.
+        assert [(v.rule, v.path) for v in violations] == [
+            ("R1", (checkout / "repro" / "network" / "clock.py").as_posix())
+        ]
+
     def test_relative_argument_through_dot_dot_is_linted(self, monkeypatch):
         expected = sorted(
             v.rule for v in lint_paths([FIXTURES], include_fixtures=True)[0]
@@ -197,6 +215,21 @@ class TestRuleR1:
                 return rng
             """
         assert _lint_source(source, "src/repro/traffic/x.py") == []
+
+    def test_os_entropy_generators_flagged(self):
+        source = """
+            import random
+
+            def fresh():
+                return random.Random().random()
+
+            def system():
+                return random.SystemRandom(7).random()
+            """
+        violations = _lint_source(source, "src/repro/traffic/x.py")
+        assert [v.rule for v in violations] == ["R1", "R1"]
+        assert "random.Random" in violations[0].message
+        assert "random.SystemRandom" in violations[1].message
 
     def test_numpy_global_flagged_seeded_generator_allowed(self):
         source = """
@@ -577,6 +610,26 @@ class TestRuleR8:
         r8 = [v for v in violations if v.rule == "R8"]
         assert len(r8) == 1
         assert "random.choice" in r8[0].message
+
+    def test_os_entropy_generators_in_decide_flagged(self):
+        source = """
+            import random
+
+            from repro.core.policy import DVSAction, DVSPolicy
+
+            class Entropy(DVSPolicy):
+                def decide(self, inputs):
+                    if random.Random().random() < 0.5:
+                        return DVSAction.STEP_DOWN
+                    if random.SystemRandom(7).random() < 0.5:
+                        return DVSAction.STEP_UP
+                    return DVSAction.HOLD
+            """
+        violations = _lint_source(source, "src/repro/plugins/x.py")
+        r8 = [v.message for v in violations if v.rule == "R8"]
+        assert len(r8) == 2
+        assert "random.Random" in r8[0]
+        assert "random.SystemRandom" in r8[1]
 
     def test_seeded_rng_on_self_is_clean(self):
         source = """

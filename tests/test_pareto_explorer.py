@@ -231,7 +231,6 @@ class TestAcceptanceCampaign:
             (ACCEPTANCE_RATE,),
             ACCEPTANCE_POLICIES,
             backend=make_backend(1),
-            resume=True,
             grid_overrides=ACCEPTANCE_PIN,
         )
         assert second == first

@@ -234,6 +234,13 @@ class TestDVSIntegration:
         assert result.power.transition_count > 0
         assert result.power.transition_energy_j > 0.0
 
+    def test_history_dvs_lowers_a_live_channel(self):
+        # A live channel sits below the top level, not only the average.
+        config = small_config(policy="history", rate=0.02, warmup=0, measure=3_000)
+        simulator = Simulator(config)
+        simulator.run_cycles(3_000)
+        assert min(ch.dvs.level for ch in simulator.channels) < 9
+
 
 class TestProbes:
     def test_probe_collects_samples(self):

