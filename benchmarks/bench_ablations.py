@@ -7,49 +7,31 @@
 * The dynamically adjusted thresholds the paper suggests in Section 4.4.2.
 """
 
-from repro.harness.experiments import (
-    ablation_adaptive_thresholds,
-    ablation_congestion_litmus,
-    ablation_ewma_weight,
-    ablation_history_window,
-    ablation_ideal_links,
-)
-
-from .common import emit, run_once, scale
-
-#: The deep-congestion point is where the litmus matters: stalled links
-#: show low LU and only the BU test licenses slowing them down.
-RATES = (0.7, 3.5)
+from .common import archive
 
 
 def test_ablation_congestion_litmus(benchmark):
-    figure = run_once(
-        benchmark, lambda: ablation_congestion_litmus(scale(), rates=RATES)
-    )
-    emit("ablation_litmus", figure)
+    figure = archive(benchmark, "ablation-litmus")
     sweeps = figure.extras["sweeps"]
     # At the higher (congesting) rate, the litmus lets congested links slow
     # down: full policy burns no more power than LU-only.
-    full = sweeps["history"][-1].normalized_power
-    lu_only = sweeps["lu_only"][-1].normalized_power
-    print(f"\nLitmus ablation at {RATES[-1]} pkt/cyc: history {full:.3f} vs lu_only {lu_only:.3f}")
-    assert full <= lu_only * 1.15
+    full = sweeps["history"][-1]
+    lu_only = sweeps["lu_only"][-1]
+    print(
+        f"\nLitmus ablation at {full.target_rate} pkt/cyc: history "
+        f"{full.normalized_power:.3f} vs lu_only {lu_only.normalized_power:.3f}"
+    )
+    assert full.normalized_power <= lu_only.normalized_power * 1.15
 
 
 def test_ablation_ewma_weight(benchmark):
-    figure = run_once(
-        benchmark, lambda: ablation_ewma_weight(scale(), rate=1.1)
-    )
-    emit("ablation_ewma_weight", figure)
+    figure = archive(benchmark, "ablation-weight")
     transitions = [row[3] for row in figure.rows]
     assert all(t >= 0 for t in transitions)
 
 
 def test_ablation_history_window(benchmark):
-    figure = run_once(
-        benchmark, lambda: ablation_history_window(scale(), rate=1.1)
-    )
-    emit("ablation_history_window", figure)
+    figure = archive(benchmark, "ablation-window")
     # Shorter windows evaluate more often -> at least as many transitions.
     by_window = {row[0]: row[3] for row in figure.rows}
     assert by_window[50] >= by_window[800]
@@ -59,15 +41,12 @@ def test_extension_ideal_links(benchmark):
     """The future-technology limit the paper's conclusion points to:
     instantaneous, non-disabling transitions should cut the DVS latency
     cost substantially at similar power."""
-    figure = run_once(
-        benchmark, lambda: ablation_ideal_links(scale(), rates=RATES)
-    )
-    emit("extension_ideal_links", figure)
+    figure = archive(benchmark, "extension-ideal")
     sweeps = figure.extras["sweeps"]
     conservative = sweeps["conservative"][0]
     ideal = sweeps["ideal"][0]
     print(
-        f"\nIdeal links at {RATES[0]} pkt/cyc: latency "
+        f"\nIdeal links at {ideal.target_rate} pkt/cyc: latency "
         f"{conservative.mean_latency:.0f} -> {ideal.mean_latency:.0f}, "
         f"power {conservative.normalized_power:.3f} -> {ideal.normalized_power:.3f}"
     )
@@ -76,11 +55,8 @@ def test_extension_ideal_links(benchmark):
 
 
 def test_extension_adaptive_thresholds(benchmark):
-    figure = run_once(
-        benchmark, lambda: ablation_adaptive_thresholds(scale(), rates=RATES)
-    )
-    emit("extension_adaptive_thresholds", figure)
+    figure = archive(benchmark, "extension-adaptive")
     sweeps = figure.extras["sweeps"]
     # The adaptive variant must stay a sane policy: it saves power at the
     # light-load point.
-    assert sweeps["adaptive"][0].normalized_power < 0.7
+    assert sweeps["adaptive_threshold"][0].normalized_power < 0.7

@@ -5,12 +5,11 @@ Paper shape: history-based DVS saves a large factor of link power
 latency at every load, and gives up only a small slice of throughput.
 """
 
-from .common import cached_fig10, emit, run_once, scale
+from .common import archive, cached_figure, scale
 
 
 def test_fig10_dvs_vs_nodvs_100tasks(benchmark):
-    figure = run_once(benchmark, lambda: cached_fig10(scale().name))
-    emit("fig10_100tasks", figure)
+    figure = archive(benchmark, "fig10", lambda: cached_figure("fig10", scale().name))
     summary = figure.extras["summary"]
     print(f"\nFigure 10 summary: {summary.describe()}")
 

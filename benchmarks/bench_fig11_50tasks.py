@@ -5,14 +5,11 @@ Paper shape: similar savings to the 100-task case (paper: up to 6.4X,
 because traffic is more imbalanced.
 """
 
-from repro.harness.experiments import fig11_dvs_vs_nodvs_50tasks
-
-from .common import cached_fig10, emit, run_once, scale
+from .common import archive, cached_figure, run_once, scale
 
 
 def test_fig11_dvs_vs_nodvs_50tasks(benchmark):
-    figure = run_once(benchmark, lambda: fig11_dvs_vs_nodvs_50tasks(scale()))
-    emit("fig11_50tasks", figure)
+    figure = archive(benchmark, "fig11", lambda: cached_figure("fig11", scale().name))
     summary = figure.extras["summary"]
     print(f"\nFigure 11 summary: {summary.describe()}")
     assert summary.max_savings > 2.5
@@ -22,8 +19,8 @@ def test_fig11_dvs_vs_nodvs_50tasks(benchmark):
 def test_fig11_more_imbalanced_than_fig10(benchmark):
     """50 concurrent sessions concentrate load more than 100 (paper's
     explanation for the lower throughput)."""
-    fig11 = run_once(benchmark, lambda: fig11_dvs_vs_nodvs_50tasks(scale()))
-    fig10 = cached_fig10(scale().name)
+    fig11 = run_once(benchmark, lambda: cached_figure("fig11", scale().name))
+    fig10 = cached_figure("fig10", scale().name)
     top_rate_row_11 = fig11.rows[-1]
     top_rate_row_10 = fig10.rows[-1]
     # Accepted baseline throughput at the top offered rate: 50 tasks should

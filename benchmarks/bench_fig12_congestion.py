@@ -7,18 +7,11 @@ whole network congests (stalled links show low utilization and get
 down-scaled).
 """
 
-from repro.harness.experiments import fig12_congestion_power
-
-from .common import emit, run_once, scale
-
-RATES = (0.5, 1.5, 3.0, 5.0, 8.0)
+from .common import archive
 
 
 def test_fig12_congestion_power(benchmark):
-    figure = run_once(
-        benchmark, lambda: fig12_congestion_power(scale(), rates=RATES)
-    )
-    emit("fig12_congestion", figure)
+    figure = archive(benchmark, "fig12")
     throughput = [row[2] for row in figure.rows]
     power = [row[3] for row in figure.rows]
 

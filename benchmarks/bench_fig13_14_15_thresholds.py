@@ -6,33 +6,36 @@ savings, higher latency — tracing a Pareto frontier at a fixed rate
 (Figure 15, paper rate 1.7 packets/cycle).
 """
 
-from repro.harness.experiments import (
-    fig13_threshold_latency,
-    fig14_threshold_power,
-    fig15_pareto_curve,
-)
+from repro.harness.experiments import fig13_threshold_latency, fig14_threshold_power
 
-from .common import cached_threshold_sweeps, emit, run_once, scale
+from .common import archive, cached_threshold_sweeps, scale
 
-RATES = (0.5, 1.1, 1.7)
 SETTING_ORDER = ("I", "II", "III", "IV", "V", "VI")
 
 
 def test_fig13_threshold_latency(benchmark):
-    sweeps = run_once(
-        benchmark, lambda: cached_threshold_sweeps(scale().name, RATES)
+    figure = archive(
+        benchmark,
+        "fig13",
+        lambda: fig13_threshold_latency(
+            scale(), sweeps=cached_threshold_sweeps(scale().name)
+        ),
     )
-    figure = fig13_threshold_latency(scale(), sweeps=sweeps)
-    emit("fig13_threshold_latency", figure)
-    assert len(figure.rows) == len(RATES)
+    # One column per Table 2 setting, one row per swept rate.
+    assert figure.columns == ["rate", *SETTING_ORDER]
+    sweeps = figure.extras["sweeps"]
+    assert [row[0] for row in figure.rows] == [point.target_rate for point in sweeps["I"]]
 
 
 def test_fig14_threshold_power(benchmark):
-    sweeps = run_once(
-        benchmark, lambda: cached_threshold_sweeps(scale().name, RATES)
+    figure = archive(
+        benchmark,
+        "fig14",
+        lambda: fig14_threshold_power(
+            scale(), sweeps=cached_threshold_sweeps(scale().name)
+        ),
     )
-    figure = fig14_threshold_power(scale(), sweeps=sweeps)
-    emit("fig14_threshold_power", figure)
+    sweeps = figure.extras["sweeps"]
     # More aggressive settings burn no more power, comparing the ends.
     mean_power = {
         name: sum(point.normalized_power for point in sweeps[name]) / len(sweeps[name])
@@ -42,8 +45,7 @@ def test_fig14_threshold_power(benchmark):
 
 
 def test_fig15_pareto_curve(benchmark):
-    figure = run_once(benchmark, lambda: fig15_pareto_curve(scale(), rate=1.7))
-    emit("fig15_pareto", figure)
+    figure = archive(benchmark, "fig15")
     savings = [row[4] for row in figure.rows]
     # The frontier spans a real range of savings across settings I..VI.
     assert max(savings) > min(savings)

@@ -11,34 +11,21 @@ Paper shapes to reproduce:
 
 from repro.harness.experiments import fig16_voltage_transition_sweep
 
-from .common import emit, run_once, scale
-
-#: Two rates bracket the paper's sweep; the deep-congestion DVS runs these
-#: panels need are the suite's most expensive points, so the default keeps
-#: the light-load and near-saturation ends (REPRO_SCALE=paper for more).
-RATES = (0.5, 1.7)
+from .common import archive, run_once, scale
 
 
 def test_fig16a_long_tasks_slow_freq(benchmark):
-    figure = run_once(
-        benchmark,
-        lambda: fig16_voltage_transition_sweep(scale(), panel="a", rates=RATES),
-    )
-    emit("fig16a_voltage_transition", figure)
+    figure = archive(benchmark, "fig16a")
     sweeps = figure.extras["sweeps"]
     # All DVS variants sit above the non-DVS latency.
-    for points in sweeps.values():
+    for name, points in sweeps.items():
         if name == "nodvs":
             continue
         assert points[0].mean_latency > sweeps["nodvs"][0].mean_latency
 
 
 def test_fig16b_short_tasks_slow_freq(benchmark):
-    figure = run_once(
-        benchmark,
-        lambda: fig16_voltage_transition_sweep(scale(), panel="b", rates=RATES),
-    )
-    emit("fig16b_voltage_transition", figure)
+    figure = archive(benchmark, "fig16b")
     sweeps = figure.extras["sweeps"]
     # Throughput at the top rate: DVS variants give up some accepted rate
     # relative to non-DVS under high temporal variance.

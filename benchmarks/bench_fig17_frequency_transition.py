@@ -8,18 +8,11 @@ Network *power* is much less sensitive to transition rates than latency.
 
 from repro.harness.experiments import fig17_frequency_transition_sweep
 
-from .common import emit, run_once, scale
-
-#: See bench_fig16: two rates bracket the sweep at default scale.
-RATES = (0.5, 1.7)
+from .common import archive, run_once, scale
 
 
 def test_fig17a_long_tasks(benchmark):
-    figure = run_once(
-        benchmark,
-        lambda: fig17_frequency_transition_sweep(scale(), panel="a", rates=RATES),
-    )
-    emit("fig17a_frequency_transition", figure)
+    figure = archive(benchmark, "fig17a")
     sweeps = figure.extras["sweeps"]
     # Faster locks never *hurt* much at the low rate: ft_10 within 2x of
     # ft_100 latency.
@@ -27,11 +20,7 @@ def test_fig17a_long_tasks(benchmark):
 
 
 def test_fig17b_short_tasks(benchmark):
-    figure = run_once(
-        benchmark,
-        lambda: fig17_frequency_transition_sweep(scale(), panel="b", rates=RATES),
-    )
-    emit("fig17b_frequency_transition", figure)
+    figure = archive(benchmark, "fig17b")
     sweeps = figure.extras["sweeps"]
     nodvs_top = sweeps["nodvs"][-1].accepted_rate
     # Under high temporal variance every DVS variant concedes throughput.

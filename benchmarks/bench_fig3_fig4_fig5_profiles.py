@@ -6,26 +6,31 @@ stay near zero until congestion, then jump (Figures 4(c) and 5(c)) —
 the indicator-function behaviour that motivates the congestion litmus.
 """
 
-from repro.harness.experiments import _profile_figure
+from repro.harness.experiments import (
+    fig3_link_utilization_profile,
+    fig4_buffer_utilization_profile,
+    fig5_buffer_age_profile,
+)
 
-from .common import cached_profiles, emit, run_once, scale
+from .common import archive, cached_profiles, scale
 
-#: Offered loads spanning light traffic to deep congestion. The top load
-#: sits far beyond the full-speed baseline's saturation so the stalls
-#: behind full buffers (Figures 3(d), 4(c), 5(c)) actually appear.
-LOADS = (0.2, 1.0, 3.0, 8.0)
+
+def _means(figure) -> list[float]:
+    """The tracked link's mean per load, in load order."""
+    return [row[1] for row in figure.rows]
 
 
 def test_fig3_link_utilization(benchmark):
-    profiles = run_once(
-        benchmark, lambda: cached_profiles(scale().name, LOADS)
+    figure = archive(
+        benchmark,
+        "fig3",
+        lambda: fig3_link_utilization_profile(
+            scale(), profiles=cached_profiles(scale().name)
+        ),
     )
-    figure = _profile_figure(
-        "Figure 3", "link utilization profile", "lu_histogram", "mean_lu", profiles
-    )
-    emit("fig3_link_utilization", figure)
-    means = [profiles[load]["mean_lu"] for load in LOADS]
-    network_means = [profiles[load]["network_mean_lu"] for load in LOADS]
+    profiles = figure.extras["profiles"]
+    means = _means(figure)
+    network_means = [profile["network_mean_lu"] for profile in profiles.values()]
     print(f"\ntracked-link mean LU by load: {[round(m, 3) for m in means]}")
     print(f"network mean LU by load:      {[round(m, 3) for m in network_means]}")
     # LU must rise from light load to heavy load...
@@ -43,30 +48,24 @@ def test_fig3_link_utilization(benchmark):
 
 
 def test_fig4_buffer_utilization(benchmark):
-    profiles = run_once(
-        benchmark, lambda: cached_profiles(scale().name, LOADS)
+    figure = archive(
+        benchmark,
+        "fig4",
+        lambda: fig4_buffer_utilization_profile(
+            scale(), profiles=cached_profiles(scale().name)
+        ),
     )
-    figure = _profile_figure(
-        "Figure 4",
-        "input buffer utilization profile",
-        "bu_histogram",
-        "mean_bu",
-        profiles,
-    )
-    emit("fig4_buffer_utilization", figure)
-    means = [profiles[load]["mean_bu"] for load in LOADS]
+    means = _means(figure)
     # Indicator behaviour: low pre-congestion, sharp rise at congestion.
     assert means[0] < 0.3
     assert means[3] > means[0]
 
 
 def test_fig5_buffer_age(benchmark):
-    profiles = run_once(
-        benchmark, lambda: cached_profiles(scale().name, LOADS)
+    figure = archive(
+        benchmark,
+        "fig5",
+        lambda: fig5_buffer_age_profile(scale(), profiles=cached_profiles(scale().name)),
     )
-    figure = _profile_figure(
-        "Figure 5", "input buffer age profile", "age_histogram", "mean_age", profiles
-    )
-    emit("fig5_buffer_age", figure)
-    means = [profiles[load]["mean_age"] for load in LOADS]
+    means = _means(figure)
     assert means[3] > means[0]

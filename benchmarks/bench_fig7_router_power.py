@@ -5,14 +5,11 @@ This is the analytical reconstruction (the original is a Synopsys
 synthesis measurement; see DESIGN.md substitution notes).
 """
 
-from repro.harness.experiments import fig7_router_power_distribution
-
-from .common import emit, run_once
+from .common import archive
 
 
 def test_fig7_router_power_distribution(benchmark):
-    figure = run_once(benchmark, fig7_router_power_distribution)
-    emit("fig7_router_power", figure)
+    figure = archive(benchmark, "fig7")
     fractions = {row[0]: row[2] for row in figure.rows}
     assert abs(fractions["links"] - 0.824) < 0.001
     watts = {row[0]: row[1] for row in figure.rows}

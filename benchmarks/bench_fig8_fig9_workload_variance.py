@@ -5,15 +5,14 @@ per-node load (Figure 8) and a bursty, long-range-dependent time series at
 a single router (Figure 9) — unlike uniform/Poisson reference traffic.
 """
 
-from repro.harness.experiments import fig8_spatial_variance, fig9_temporal_variance
+from repro.harness.experiments import fig9_temporal_variance
 from repro.traffic.selfsim import hurst_variance_time
 
-from .common import emit, run_once, scale
+from .common import archive, run_once, scale
 
 
 def test_fig8_spatial_variance(benchmark):
-    figure = run_once(benchmark, lambda: fig8_spatial_variance(scale()))
-    emit("fig8_spatial_variance", figure)
+    figure = archive(benchmark, "fig8")
     mean = figure.extras["mean"]
     variance = figure.extras["variance"]
     # Uniform traffic would give a coefficient of variation near zero; the
@@ -22,10 +21,7 @@ def test_fig8_spatial_variance(benchmark):
 
 
 def test_fig9_temporal_variance(benchmark):
-    figure = run_once(
-        benchmark, lambda: fig9_temporal_variance(scale(), window=500, windows=80)
-    )
-    emit("fig9_temporal_variance", figure)
+    figure = archive(benchmark, "fig9")
     series = [row[1] for row in figure.rows]
     mean = figure.extras["mean"]
     assert figure.extras["variance"] > 0.0

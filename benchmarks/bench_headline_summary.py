@@ -6,33 +6,18 @@ savings and throughput shape; the latency penalty is larger at our scales
 (EXPERIMENTS.md discusses why).
 """
 
-from repro.harness.experiments import FigureResult
-from repro.harness.sweep import summarize_comparison
+from repro.harness.experiments import headline_summary
 
-from .common import cached_fig10, emit, run_once, scale
+from .common import archive, cached_figure, scale
 
 
 def test_headline_summary(benchmark):
-    fig10 = run_once(benchmark, lambda: cached_fig10(scale().name))
-    summary = summarize_comparison(fig10.extras["baseline"], fig10.extras["dvs"])
-    figure = FigureResult(
-        "Headline",
-        "paper abstract vs measured (100-task workload)",
-        ["metric", "paper", "measured"],
-        [
-            ("max power savings (X)", 6.3, round(summary.max_savings, 2)),
-            ("avg power savings (X)", 4.6, round(summary.average_savings, 2)),
-            ("zero-load latency increase", 0.108, round(summary.zero_load_increase, 3)),
-            (
-                "avg pre-saturation latency increase",
-                0.152,
-                round(summary.average_presaturation_increase, 3),
-            ),
-            ("throughput change", -0.025, round(summary.throughput_change, 3)),
-        ],
-        extras={"summary": summary},
+    figure = archive(
+        benchmark,
+        "headline",
+        lambda: headline_summary(scale(), fig10=cached_figure("fig10", scale().name)),
     )
-    emit("headline_summary", figure)
+    summary = figure.extras["summary"]
     print(f"\nHeadline: {summary.describe()}")
 
     # The shape bar: large savings, small throughput loss, positive

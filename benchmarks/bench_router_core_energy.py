@@ -8,46 +8,12 @@ evaluates link power only. We re-derive that with the Orion-style core
 energy model over identical workloads.
 """
 
-from repro.harness.experiments import FigureResult
-from repro.harness.runner import build_simulator
-from repro.power.orion import RouterEnergyModel, core_energy_comparison
-
-from .common import emit, run_once, scale
-
-
-def _run_pair():
-    results = {}
-    for policy in ("none", "history"):
-        config = scale().simulation(
-            1.0,
-            policy=policy,
-            workload_overrides={"average_tasks": 100},
-        )
-        simulator = build_simulator(config)
-        simulator.run()
-        results[policy] = simulator
-    clock = scale().network().router_clock_hz
-    base_w, dvs_w, change = core_energy_comparison(
-        results["none"], results["history"], clock
-    )
-    return base_w, dvs_w, change
+from .common import archive
 
 
 def test_router_core_energy_insensitive_to_dvs(benchmark):
-    base_w, dvs_w, change = run_once(benchmark, _run_pair)
-    model = RouterEnergyModel()
-    figure = FigureResult(
-        "Section 4.2",
-        "router-core power with and without DVS links (Orion-style model)",
-        ["quantity", "value"],
-        [
-            ("core power, non-DVS (W)", round(base_w, 4)),
-            ("core power, history DVS (W)", round(dvs_w, 4)),
-            ("relative change", round(change, 4)),
-            ("per-flit hop energy (pJ)", round(model.flit_traversal_j() * 1e12, 2)),
-        ],
-    )
-    emit("router_core_energy", figure)
+    figure = archive(benchmark, "core-energy")
+    base_w, dvs_w, change = (figure.extras[k] for k in ("base_w", "dvs_w", "change"))
     print(
         f"\nCore power: {base_w:.3f} W -> {dvs_w:.3f} W under DVS "
         f"({change:+.1%}) — the paper's justification for evaluating link "

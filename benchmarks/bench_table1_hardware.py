@@ -2,97 +2,28 @@
 cost estimate — the paper's static artifacts, regenerated and checked.
 """
 
-from repro.core.hardware import ControllerHardwareModel
-from repro.core.levels import PAPER_TABLE
-from repro.core.power_model import PAPER_LINK_POWER
-from repro.core.thresholds import TABLE1_DEFAULT, TABLE2_SETTINGS
-from repro.harness.experiments import FigureResult
-
-from .common import emit, run_once
+from .common import archive
 
 
 def test_table1_policy_parameters(benchmark):
-    def build():
-        return FigureResult(
-            "Table 1",
-            "parameters of the history-based DVS policy",
-            ["parameter", "value"],
-            [
-                ("W", 3),
-                ("H", 200),
-                ("B_congested", TABLE1_DEFAULT.congested_bu),
-                ("TL_low", TABLE1_DEFAULT.low_uncongested),
-                ("TL_high", TABLE1_DEFAULT.high_uncongested),
-                ("TH_low", TABLE1_DEFAULT.low_congested),
-                ("TH_high", TABLE1_DEFAULT.high_congested),
-            ],
-        )
-
-    figure = run_once(benchmark, build)
-    emit("table1_policy_parameters", figure)
+    figure = archive(benchmark, "table1")
     values = dict(figure.rows)
     assert values["TL_low"] == 0.3 and values["TH_high"] == 0.7
 
 
 def test_table2_threshold_settings(benchmark):
-    def build():
-        rows = [
-            (name, setting.low_uncongested, setting.high_uncongested)
-            for name, setting in TABLE2_SETTINGS.items()
-        ]
-        return FigureResult(
-            "Table 2",
-            "thresholds used in trade-off analysis",
-            ["setting", "TL_low", "TL_high"],
-            rows,
-        )
-
-    figure = run_once(benchmark, build)
-    emit("table2_thresholds", figure)
+    figure = archive(benchmark, "table2")
     assert len(figure.rows) == 6
 
 
 def test_vf_and_power_table(benchmark):
-    def build():
-        rows = [
-            (
-                level,
-                round(point.frequency_hz / 1e6, 1),
-                round(point.voltage_v, 3),
-                round(PAPER_LINK_POWER.power_w(point) * 1e3, 2),
-            )
-            for level, point in enumerate(PAPER_TABLE)
-        ]
-        return FigureResult(
-            "Section 4.2",
-            "DVS link operating points (freq MHz, voltage V, power mW)",
-            ["level", "freq_mhz", "voltage_v", "power_mw"],
-            rows,
-        )
-
-    figure = run_once(benchmark, build)
-    emit("vf_power_table", figure)
+    figure = archive(benchmark, "vf-table")
     assert figure.rows[0][3] == 23.6
     assert figure.rows[-1][3] == 200.0
 
 
 def test_section33_hardware_estimate(benchmark):
-    def build():
-        model = ControllerHardwareModel()
-        rows = [
-            (name, round(gates, 1)) for name, gates in model.breakdown().items()
-        ]
-        rows.append(("TOTAL gate-eq", round(model.total_gates, 1)))
-        rows.append(("power (mW)", round(model.power_w * 1e3, 3)))
-        return FigureResult(
-            "Section 3.3",
-            "DVS controller hardware estimate (paper: ~500 gates, <3 mW)",
-            ["item", "value"],
-            rows,
-        )
-
-    figure = run_once(benchmark, build)
-    emit("section33_hardware", figure)
+    figure = archive(benchmark, "hardware")
     total = dict(figure.rows)["TOTAL gate-eq"]
     power = dict(figure.rows)["power (mW)"]
     assert 300 <= total <= 700

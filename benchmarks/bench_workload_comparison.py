@@ -6,14 +6,11 @@ exercise the history-based policy differently from the two-level
 self-similar model.
 """
 
-from repro.harness.experiments import workload_comparison
-
-from .common import emit, run_once, scale
+from .common import archive
 
 
 def test_workload_comparison(benchmark):
-    figure = run_once(benchmark, lambda: workload_comparison(scale(), rate=1.0))
-    emit("workload_comparison", figure)
+    figure = archive(benchmark, "workloads")
     results = figure.extras["results"]
     # Every workload still saves power under DVS.
     for name, result in results.items():

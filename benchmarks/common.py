@@ -1,15 +1,19 @@
 """Shared plumbing for the benchmark suite.
 
-Every benchmark regenerates one of the paper's tables/figures at the scale
-selected by ``REPRO_SCALE`` (smoke / default / paper; see
+Every figure benchmark builds one registry artifact
+(:data:`repro.harness.experiments.FIGURES`) at the scale selected by
+``REPRO_SCALE`` (smoke / default / paper; see
 :mod:`repro.harness.scales`), times it once via pytest-benchmark's pedantic
 mode (these are experiments, not microbenchmarks — re-running them for
 statistics would multiply the suite's cost for no insight), prints the
-rendered rows, and archives them under ``benchmarks/results/``.
+rendered rows, archives them as ``benchmarks/results/<name>.{txt,json}``
+and asserts the paper's shape on them. The benchmarks pass no figure
+parameters: the registry's defaults are the archived ones.
 
-Expensive sweeps that feed several figures (the Figure 10 comparison feeds
-the headline summary; the Table 2 threshold sweeps feed Figures 13 and 14)
-are computed once per process and cached here.
+Artifacts that later checks read again (Figures 10 and 11) and the
+expensive inputs several artifacts share (the utilization profiles behind
+Figures 3-5, the Table 2 threshold sweeps behind Figures 13 and 14) are
+computed once per process and cached here.
 """
 
 from __future__ import annotations
@@ -19,8 +23,13 @@ from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
+from repro.harness.experiments import (
+    FIGURES,
+    FigureResult,
+    threshold_sweeps,
+    utilization_profiles,
+)
 from repro.harness.scales import ExperimentScale, get_scale
-from repro.harness.serialization import write_json
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -66,17 +75,23 @@ def scale() -> ExperimentScale:
     return get_scale()
 
 
-def emit(name: str, figure) -> None:
-    """Print a figure's table and archive it (text + JSON rows)."""
+def archive(benchmark, name: str, build=None) -> FigureResult:
+    """Build artifact *name* once under the timer, print it, and archive
+    it under its registry name: the text ``repro figure NAME`` prints and
+    the JSON its ``--json`` writes.
+
+    *build* defaults to the registry entry at the suite's scale; an
+    artifact that shares a memoised input passes a builder that hands it
+    that input.
+    """
+    figure = run_once(benchmark, build or (lambda: FIGURES[name](scale())))
     RESULTS_DIR.mkdir(exist_ok=True)
     text = figure.render()
     print()
     print(text)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    write_json(
-        {"figure": figure.figure, "columns": figure.columns, "rows": figure.rows},
-        RESULTS_DIR / f"{name}.json",
-    )
+    figure.write_json(RESULTS_DIR / f"{name}.json")
+    return figure
 
 
 def run_once(benchmark, func):
@@ -85,21 +100,15 @@ def run_once(benchmark, func):
 
 
 @lru_cache(maxsize=4)
-def cached_fig10(scale_name: str):
-    from repro.harness.experiments import fig10_dvs_vs_nodvs
-
-    return fig10_dvs_vs_nodvs(get_scale(scale_name))
+def cached_figure(name: str, scale_name: str) -> FigureResult:
+    return FIGURES[name](get_scale(scale_name))
 
 
 @lru_cache(maxsize=4)
-def cached_threshold_sweeps(scale_name: str, rates: tuple):
-    from repro.harness.experiments import threshold_sweeps
-
-    return threshold_sweeps(get_scale(scale_name), rates=rates)
+def cached_threshold_sweeps(scale_name: str):
+    return threshold_sweeps(get_scale(scale_name))
 
 
 @lru_cache(maxsize=4)
-def cached_profiles(scale_name: str, loads: tuple):
-    from repro.harness.experiments import utilization_profiles
-
-    return utilization_profiles(get_scale(scale_name), loads=loads)
+def cached_profiles(scale_name: str):
+    return utilization_profiles(get_scale(scale_name))

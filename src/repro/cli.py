@@ -7,7 +7,7 @@ Eight subcommands::
     python -m repro run --rate 1.0 --policy history
     python -m repro sweep --rates 0.3,0.9,1.5   # DVS vs non-DVS comparison
     python -m repro pareto --rates 0.9          # cross-policy frontier
-    python -m repro figure fig10 --scale smoke  # regenerate a paper figure
+    python -m repro figure fig10 --scale smoke  # rebuild an archived artifact
     python -m repro worker --port 8751          # join a distributed sweep
     python -m repro cache-server /path/store    # shared result store
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .config import SimulationConfig
 from .core.hardware import ControllerHardwareModel
@@ -41,8 +41,8 @@ from .core.registry import describe_registry, policy_label, registered_policies
 from .core.thresholds import TABLE1_DEFAULT, TABLE2_SETTINGS
 from .errors import ConfigError, ExperimentError, ReproError
 from .harness import cache as sweep_cache
-from .harness import experiments
 from .harness.backends import make_backend
+from .harness.experiments import FIGURES, NOT_CHECKPOINTED, SCALE_INDEPENDENT
 from .harness.pareto import (
     frontier,
     pareto_configs,
@@ -53,7 +53,6 @@ from .harness.pareto import (
 from .harness.resilience import FailureReport, RetryPolicy
 from .harness.runner import build_simulator
 from .harness.scales import get_scale
-from .harness.serialization import write_json
 from .harness.sweep import (
     compare_dvs,
     dvs_bases,
@@ -64,43 +63,6 @@ from .harness.tables import render_table
 from .instrument.trace import TraceRecorder
 from .power.report import format_power_report
 from .power.router_power import RouterPowerProfile
-
-#: Figure name -> experiment function (no-argument beyond scale).
-FIGURES: dict[str, Callable] = {
-    "fig3": experiments.fig3_link_utilization_profile,
-    "fig4": experiments.fig4_buffer_utilization_profile,
-    "fig5": experiments.fig5_buffer_age_profile,
-    "fig7": experiments.fig7_router_power_distribution,
-    "fig8": experiments.fig8_spatial_variance,
-    "fig9": experiments.fig9_temporal_variance,
-    "fig10": experiments.fig10_dvs_vs_nodvs,
-    "fig11": experiments.fig11_dvs_vs_nodvs_50tasks,
-    "fig12": experiments.fig12_congestion_power,
-    "fig13": experiments.fig13_threshold_latency,
-    "fig14": experiments.fig14_threshold_power,
-    "fig15": experiments.fig15_pareto_curve,
-    "fig16a": lambda scale: experiments.fig16_voltage_transition_sweep(scale, panel="a"),
-    "fig16b": lambda scale: experiments.fig16_voltage_transition_sweep(scale, panel="b"),
-    "fig16c": lambda scale: experiments.fig16_voltage_transition_sweep(scale, panel="c"),
-    "fig16d": lambda scale: experiments.fig16_voltage_transition_sweep(scale, panel="d"),
-    "fig17a": lambda scale: experiments.fig17_frequency_transition_sweep(scale, panel="a"),
-    "fig17b": lambda scale: experiments.fig17_frequency_transition_sweep(scale, panel="b"),
-    "fig17c": lambda scale: experiments.fig17_frequency_transition_sweep(scale, panel="c"),
-    "fig17d": lambda scale: experiments.fig17_frequency_transition_sweep(scale, panel="d"),
-    "headline": experiments.headline_summary,
-    "ablation-litmus": experiments.ablation_congestion_litmus,
-    "ablation-weight": experiments.ablation_ewma_weight,
-    "ablation-window": experiments.ablation_history_window,
-    "extension-adaptive": experiments.ablation_adaptive_thresholds,
-}
-
-#: Figures whose output is analytical and does not depend on --scale.
-SCALE_INDEPENDENT = {"fig7"}
-
-#: Figures that simulate in process: their probe histograms are not part of
-#: a cached result, so no point is checkpointed and --resume is refused.
-NOT_CHECKPOINTED = {"fig3", "fig4", "fig5"}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -536,9 +498,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
         )
     if args.resume and args.name in NOT_CHECKPOINTED:
         raise ExperimentError(
-            f"{args.name} is not checkpointed: its probe histograms are not "
-            "part of a cached result, so --resume would simulate every load "
-            "again; run it without --resume"
+            f"{args.name} is not checkpointed: its {NOT_CHECKPOINTED[args.name]} "
+            "are not part of a cached result, so --resume would simulate every "
+            "point again; run it without --resume"
         )
     cache = require_resumable_cache() if args.resume else None
     replayed_before = recomputed_before = 0
@@ -553,11 +515,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
         )
     print(figure.render())
     if args.json:
-        write_json(
-            {"figure": figure.figure, "columns": figure.columns, "rows": figure.rows},
-            args.json,
-        )
-        print(f"\nrows written to {args.json}")
+        figure.write_json(args.json)
+        print(f"rows written to {args.json}", file=sys.stderr)
     stats = _cache_stats_line()
     if stats:
         print(stats, file=sys.stderr)

@@ -25,7 +25,6 @@ from .sweep import (
     named_sweeps,
     rate_sweep,
     resume_preview,
-    zero_load_latency,
 )
 from .tables import render_table
 
@@ -52,7 +51,6 @@ __all__ = [
     "compare_policies",
     "named_sweeps",
     "resume_preview",
-    "zero_load_latency",
     "render_table",
     "to_json",
     "write_json",

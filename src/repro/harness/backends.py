@@ -13,9 +13,10 @@ Determinism: a simulation is fully described by its config, so
 bit-identical result lists — the backend choice is purely a wall-clock
 decision. Set the ``REPRO_PROCESSES`` environment variable to make every
 backend-unaware sweep (including every simulating figure of
-:mod:`repro.harness.experiments` except Figures 3-5) fan out
-transparently. Figures 3-5 build their simulators in process, because
-the utilization probes' histograms they plot are not part of a cached
+:mod:`repro.harness.experiments` except Figures 3-5 and ``core-energy``)
+fan out transparently. Those build their simulators in process, because
+the utilization probes' histograms and the router activity counters they
+read are not part of a cached
 :class:`~repro.network.simulator.SimulationResult`.
 
 Failure semantics (see :mod:`repro.harness.resilience`): every point runs
@@ -30,15 +31,15 @@ respawns the pool and resubmits only the chunks that died with it.
 
 One chunk lifecycle serves every backend. :meth:`ExecutionBackend.run`
 answers previously simulated configs from the sweep result cache
-(:mod:`repro.harness.cache`), slices the misses into chunks, and hands
-them to the backend's transport — in-process, a process pool, or the
-distributed fabric. Each transport calls one ``settle`` callback as every
-chunk lands, which records the chunk's failures and *checkpoints* its
-fresh results at once — the serial path stores each point as it is
-computed, the pool and the fabric each chunk as it completes — so an
-interrupted campaign can be resumed from the cache. Caching does not
-change results and is disabled entirely via ``REPRO_CACHE=off`` or the
-CLI's ``--no-cache``.
+(:mod:`repro.harness.cache`), keeps one of each config the batch repeats,
+slices those misses into chunks, and hands them to the backend's
+transport — in-process, a process pool, or the distributed fabric. Each
+transport calls one ``settle`` callback as every chunk lands, which
+records the chunk's failures and *checkpoints* its fresh results at once
+— the serial path stores each point as it is computed, the pool and the
+fabric each chunk as it completes — so an interrupted campaign can be
+resumed from the cache. Caching does not change results and is disabled
+entirely via ``REPRO_CACHE=off`` or the CLI's ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ Outcome = tuple[Optional[SimulationResult], Optional[PointFailure]]
 
 @dataclass
 class _Chunk:
-    """One submitted work unit: a slice of configs plus their positions."""
+    """One submitted work unit: a slice of distinct configs plus, for each,
+    every position it holds in the batch."""
 
     configs: list[SimulationConfig]
-    indices: list[int]
+    indices: list[list[int]]
 
     def incident(self, outcome: str, attempts: int, error: str) -> PointFailure:
         """A recovered incident covering the whole chunk (it runs again)."""
@@ -115,10 +117,20 @@ class ExecutionBackend:
             miss_indices, miss_configs = list(range(len(configs))), configs
         else:
             results, miss_indices, miss_configs = cache.partition(configs)
-        size = self._chunk_size(len(miss_configs))
+        # A config repeated within the batch is simulated once; its result,
+        # or its failure, lands at every position it holds.
+        positions: dict[str, list[int]] = {}
+        distinct: list[SimulationConfig] = []
+        for index, config in zip(miss_indices, miss_configs, strict=True):
+            slots = positions.setdefault(config.fingerprint(), [])
+            if not slots:
+                distinct.append(config)
+            slots.append(index)
+        slot_lists = list(positions.values())
+        size = self._chunk_size(len(distinct))
         chunks = [
-            _Chunk(miss_configs[start:start + size], miss_indices[start:start + size])
-            for start in range(0, len(miss_configs), size)
+            _Chunk(distinct[start:start + size], slot_lists[start:start + size])
+            for start in range(0, len(distinct), size)
         ]
 
         def settle(chunk: _Chunk, outcomes: Sequence[Outcome]) -> None:
@@ -127,11 +139,9 @@ class ExecutionBackend:
                     f"backend returned {len(outcomes)} results for a chunk of "
                     f"{len(chunk.configs)} configs"
                 )
-            for (result, failure), config, index in zip(
+            for (result, failure), config, slots in zip(
                 outcomes, chunk.configs, chunk.indices, strict=True
             ):
-                if failure is not None:
-                    report.record(failure)
                 # A fabric worker sharing this cache directory has already
                 # stored (and pushed) the points it computed.
                 if (
@@ -140,7 +150,10 @@ class ExecutionBackend:
                     and not cache.contains(config)
                 ):
                     cache.store(config, result)
-                results[index] = result
+                for index in slots:
+                    if failure is not None:
+                        report.record(failure)
+                    results[index] = result
 
         if chunks:
             self._execute(chunks, settle, report)

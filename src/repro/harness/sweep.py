@@ -185,18 +185,6 @@ def compare_policies(
     )
 
 
-def zero_load_latency(base_config: SimulationConfig, rate: float = 0.05) -> float:
-    """Mean latency at a near-zero offered load (paper's reference point).
-
-    The point runs through :func:`~repro.harness.backends.default_backend`,
-    so the sweep cache answers and checkpoints it.
-    """
-    (result,) = default_backend().map_configs([base_config.with_rate(rate)])
-    if result.latency.count == 0:
-        raise ExperimentError("no packets completed at the zero-load rate")
-    return result.latency.mean
-
-
 @dataclass(frozen=True, slots=True)
 class SweepComparison:
     """Paper-style summary of a DVS sweep against a baseline sweep."""

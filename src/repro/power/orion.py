@@ -19,7 +19,8 @@ constants at 2.5 V, TSMC 0.25 um scale):
 
 The companion :class:`RouterEnergyCounters` turns a simulator's activity
 counters into energy so experiments can compare core energy with and
-without DVS (see ``benchmarks/bench_router_core_energy.py``).
+without DVS (see :func:`repro.harness.experiments.router_core_energy`,
+the ``core-energy`` artifact).
 """
 
 from __future__ import annotations

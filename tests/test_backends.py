@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 import time
@@ -16,7 +17,9 @@ from repro.harness.backends import (
     default_backend,
     make_backend,
 )
+from repro.harness.experiments import ablation_ewma_weight
 from repro.harness.resilience import RetryPolicy
+from repro.harness.scales import SMOKE_SCALE
 from repro.harness.sweep import SweepPoint, rate_sweep
 
 from .conftest import small_config, subprocess_env
@@ -249,3 +252,53 @@ class TestRetryWiring:
     def test_bad_respawn_bound_rejected(self):
         with pytest.raises(ExperimentError):
             ProcessPoolBackend(2, max_pool_respawns=-1)
+
+
+class TestDuplicateConfigs:
+    """A config repeated within one batch is simulated once, and every
+    position it holds gets its result or its failure."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.harness import backends
+
+        real = backends.run_simulation
+        seen: list[str] = []
+
+        def counting(config):
+            seen.append(config.fingerprint())
+            return real(config)
+
+        monkeypatch.setattr("repro.harness.backends.run_simulation", counting)
+        return seen
+
+    def test_repeated_knob_value_runs_once(self, calls):
+        scale = dataclasses.replace(SMOKE_SCALE, warmup_cycles=1_000, measure_cycles=2_000)
+        figure = ablation_ewma_weight(scale, weights=(3.0, 3.0))
+        assert len(calls) == 1
+        assert len(figure.rows) == 2 and figure.rows[0] == figure.rows[1]
+
+    def test_failed_config_is_a_hole_and_a_failure_at_every_position(self, monkeypatch):
+        def runner(config):
+            if config.workload.injection_rate == 0.3:
+                raise ValueError("poisoned config at rate 0.3")
+            return f"result-{config.workload.injection_rate}"
+
+        monkeypatch.setattr("repro.harness.backends.run_simulation", runner)
+        low, poisoned = _configs(0.2, 0.3)
+        results, report = SerialBackend(retry=FAIL_FAST).run([poisoned, low, poisoned])
+        assert results == [None, "result-0.2", None]
+        assert len(report.failures) == 2
+        with pytest.raises(SweepExecutionError, match="2 of 3"):
+            SerialBackend(retry=FAIL_FAST).map_configs([poisoned, low, poisoned])
+
+    def test_pooled_batch_with_duplicates_equals_serial(self):
+        config = small_config(policy="history", rate=0.2, warmup=200, measure=800)
+        rates = (0.2, 0.4, 0.2)
+        serial = rate_sweep(config, rates, backend=SerialBackend())
+        pooled = rate_sweep(config, rates, backend=ProcessPoolBackend(2, chunksize=1))
+        assert pooled == serial
+        assert serial[0] == serial[2]
+        configs = [config.with_rate(rate) for rate in rates]
+        results = ProcessPoolBackend(2, chunksize=1).map_configs(configs)
+        assert results[0] is results[2]

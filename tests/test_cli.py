@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import FIGURES, build_parser, main
+from repro.harness import experiments
 
 
 class TestParser:
@@ -29,6 +31,11 @@ class TestParser:
             "fig16b", "fig17a", "fig17b", "headline",
         ):
             assert name in FIGURES
+
+    def test_cli_builds_through_the_experiment_registry(self):
+        assert cli.FIGURES is experiments.FIGURES
+        assert cli.SCALE_INDEPENDENT is experiments.SCALE_INDEPENDENT
+        assert cli.NOT_CHECKPOINTED is experiments.NOT_CHECKPOINTED
 
     def test_sweep_and_pareto_declare_the_same_campaign_flags(self):
         dests = ("processes", "backend", "workers", "dist_host", "dist_port",

@@ -36,6 +36,27 @@ class TestSweepCommand:
         assert main(["sweep", "--rates", "", "--scale", "smoke"]) == 2
         assert "at least one rate" in capsys.readouterr().err
 
+    def test_repeated_rate_simulates_each_config_once(self, capsys, monkeypatch):
+        """--rates 0.3,0.3 is two distinct configs (no DVS and history),
+        each simulated once and printed at both of its rows."""
+        from repro.harness import backends
+
+        real = backends.run_simulation
+        calls = []
+
+        def counting(config):
+            calls.append(config.fingerprint())
+            return real(config)
+
+        monkeypatch.setattr("repro.harness.backends.run_simulation", counting)
+        assert main(["sweep", "--rates", "0.3,0.3", "--scale", "smoke", "--no-cache"]) == 0
+        twice = capsys.readouterr().out
+        assert len(calls) == len(set(calls)) == 2
+        assert main(["sweep", "--rates", "0.3", "--scale", "smoke", "--no-cache"]) == 0
+        once = capsys.readouterr().out
+        (row,) = [line for line in once.splitlines() if line.startswith("0.300")]
+        assert [line for line in twice.splitlines() if line.startswith("0.300")] == [row, row]
+
 
 class TestComparisonGaps:
     """A point lost under --keep-going leaves a gap in both sides of the
@@ -164,12 +185,14 @@ class TestFigureCommand:
     def test_figure_resume_refused_when_nothing_checkpoints(
         self, name, cli_cache, capsys
     ):
-        """Figures 3-5 simulate in process: --resume would recompute every
-        load while reporting nothing recomputed, so it is refused up front."""
+        """Figures 3-5 and core-energy simulate in process: --resume would
+        recompute every point while reporting nothing recomputed, so it is
+        refused up front, with what the cached result lacks."""
         assert main(["figure", name, "--scale", "smoke", "--resume"]) == 2
         captured = capsys.readouterr()
         assert f"error: {name} is not checkpointed" in captured.err
-        assert "probe histograms" in captured.err
+        reason = "router activity counters" if name == "core-energy" else "probe histograms"
+        assert f"its {reason} are not part of a cached result" in captured.err
         assert captured.out == ""
         assert list(cli_cache.iterdir()) == []  # nothing simulated or stored
 

@@ -14,6 +14,9 @@ from repro.harness.experiments import (
     fig10_dvs_vs_nodvs,
     fig15_pareto_curve,
     fig16_voltage_transition_sweep,
+    fig3_link_utilization_profile,
+    fig4_buffer_utilization_profile,
+    fig5_buffer_age_profile,
     fig7_router_power_distribution,
     fig8_spatial_variance,
     fig9_temporal_variance,
@@ -56,13 +59,24 @@ class TestWorkloadFigures:
 
 
 class TestUtilizationProfiles:
-    def test_profiles_structure(self):
+    def test_profiles_structure(self, monkeypatch):
         profiles = utilization_profiles(TINY, loads=(0.2, 1.0), probe_window=50)
         assert set(profiles) == {0.2, 1.0}
         for profile in profiles.values():
             assert 0.0 <= profile["mean_lu"] <= 1.0
             assert 0.0 <= profile["mean_bu"] <= 1.0
             assert profile["lu_histogram"].total > 0
+        # Figures 3-5 format one shared profile set without simulating.
+        monkeypatch.setattr("repro.harness.experiments.build_simulator", None)
+        for build, key in (
+            (fig3_link_utilization_profile, "mean_lu"),
+            (fig4_buffer_utilization_profile, "mean_bu"),
+            (fig5_buffer_age_profile, "mean_age"),
+        ):
+            figure = build(TINY, profiles=profiles)
+            assert [row[:2] for row in figure.rows] == [
+                (load, profile[key]) for load, profile in profiles.items()
+            ]
 
     def test_utilization_rises_with_load(self):
         profiles = utilization_profiles(TINY, loads=(0.1, 1.2), probe_window=50)

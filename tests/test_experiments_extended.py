@@ -17,9 +17,11 @@ from repro.harness.experiments import (
     fig16_voltage_transition_sweep,
     fig17_frequency_transition_sweep,
     headline_summary,
+    router_core_energy,
     threshold_sweeps,
     workload_comparison,
 )
+from repro.harness.paper import HEADLINE_CLAIMS
 from repro.harness.scales import SMOKE_SCALE
 
 TINY = dataclasses.replace(
@@ -43,11 +45,24 @@ class TestComparisonFigures:
         powers = [row[3] for row in figure.rows]
         assert all(0.0 < p <= 1.2 for p in powers)
 
-    def test_headline_structure(self):
+    def test_headline_structure(self, monkeypatch):
         figure = headline_summary(TINY)
         metrics = [row[0] for row in figure.rows]
         assert "max power savings (X)" in metrics
         assert len(figure.rows) == 5
+        # The paper column is HEADLINE_CLAIMS; the loss is a negative change.
+        claims = {claim.metric: claim.value for claim in HEADLINE_CLAIMS}
+        assert [row[1] for row in figure.rows] == [
+            claims["max_power_savings_x"],
+            claims["avg_power_savings_x"],
+            claims["zero_load_latency_increase"],
+            claims["presaturation_latency_increase"],
+            -claims["throughput_reduction"],
+        ]
+        # Handed the Figure 10 result, it summarises without simulating.
+        monkeypatch.setattr("repro.harness.backends.run_simulation", None)
+        again = headline_summary(TINY, fig10=figure.extras["fig10"])
+        assert again.rows == figure.rows
 
 
 class TestThresholdFigures:
@@ -115,6 +130,18 @@ class TestExtensions:
         assert names == ["two_level", "uniform", "permutation"]
         for row in figure.rows:
             assert row[4] < 1.1  # normalized power sane under DVS
+
+    def test_router_core_energy_structure(self):
+        figure = router_core_energy(TINY)
+        assert [row[0] for row in figure.rows] == [
+            "core power, non-DVS (W)",
+            "core power, history DVS (W)",
+            "relative change",
+            "per-flit hop energy (pJ)",
+        ]
+        extras = figure.extras
+        assert extras["base_w"] > 0.0 and extras["dvs_w"] > 0.0
+        assert extras["change"] == pytest.approx(extras["dvs_w"] / extras["base_w"] - 1.0)
 
     def test_history_window_rows(self):
         figure = ablation_history_window(TINY, rate=0.6, windows=(100, 400))

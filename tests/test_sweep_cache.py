@@ -25,7 +25,6 @@ from repro.harness.sweep import (
     rate_sweep,
     require_resumable_cache,
     resume_preview,
-    zero_load_latency,
 )
 
 from .conftest import small_config
@@ -156,10 +155,6 @@ BATCH_FUNCTIONS = {
     "workload_comparison": (
         lambda: workload_comparison(TINY, rate=0.6).rows,
         3,
-    ),
-    "zero_load_latency": (
-        lambda: zero_load_latency(small_config(warmup=200, measure=600), rate=0.1),
-        1,
     ),
 }
 

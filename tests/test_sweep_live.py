@@ -1,14 +1,10 @@
 """Live tests of the sweep helpers on small simulations."""
 
-import pytest
-
 from repro.config import DVSControlConfig
-from repro.errors import ExperimentError
 from repro.harness.sweep import (
     SweepPoint,
     compare_policies,
     rate_sweep,
-    zero_load_latency,
 )
 
 from .conftest import small_config
@@ -27,22 +23,6 @@ class TestRateSweep:
         assert isinstance(point, SweepPoint)
         assert 0.0 < point.normalized_power <= 1.2
         assert point.savings_factor > 0.0
-
-
-class TestZeroLoadLatency:
-    def test_matches_analytic_floor(self):
-        """Near-zero load: latency ~ pipeline-depth per hop + flits."""
-        config = small_config(rate=0.01, measure=3_000)
-        latency = zero_load_latency(config, rate=0.01)
-        pipeline = config.network.pipeline_depth
-        flits = config.network.flits_per_packet
-        # 3x3 mesh: 1-4 hops. Bounds with injection/serialization slack.
-        assert pipeline + flits <= latency <= 4 * pipeline + flits + 20
-
-    def test_raises_when_nothing_completes(self):
-        config = small_config(rate=0.0001, measure=50, warmup=0)
-        with pytest.raises(ExperimentError):
-            zero_load_latency(config, rate=1e-9)
 
 
 class TestComparePoliciesLive:
