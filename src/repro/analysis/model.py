@@ -505,11 +505,13 @@ class ModuleInfo:
     def _resolve_from(self, node: ast.ImportFrom) -> str | None:
         if node.level == 0:
             return node.module or ""
-        # Relative import: climb from this module's package.
+        # Relative import: climb from this module's package, which for a
+        # package's __init__ is the module itself.
         parts = self.module_name.split(".")
-        if node.level > len(parts):
+        climb = node.level - 1 if self.path.endswith("__init__.py") else node.level
+        if climb > len(parts):
             return None
-        base_parts = parts[: len(parts) - node.level]
+        base_parts = parts[: len(parts) - climb]
         if node.module:
             base_parts.append(node.module)
         return ".".join(base_parts)
@@ -688,9 +690,8 @@ class ProjectModel:
     ) -> Iterator[tuple[ModuleInfo, ClassInfo]]:
         """Breadth-first walk over *classes* and their ancestors, each once.
 
-        A base resolves by its last name through :attr:`class_index`, so it
-        reaches every class of that name in the file set, whichever module
-        defines it; a base outside the file set ends its branch.
+        Each base resolves through :meth:`_base_classes`; a base outside the
+        file set ends its branch.
         """
         seen: set[tuple[str, str]] = set()
         queue: deque[tuple[ModuleInfo, ClassInfo]] = deque(classes)
@@ -702,7 +703,40 @@ class ProjectModel:
             seen.add(key)
             yield module, info
             for base in info.bases:
-                queue.extend(self.class_index.get(base.split(".")[-1], ()))
+                queue.extend(self._base_classes(module, info, base))
+
+    def _base_classes(
+        self, module: ModuleInfo, info: ClassInfo, base: str
+    ) -> list[tuple[ModuleInfo, ClassInfo]]:
+        """The classes *base*, a base of *info* in *module*, may name.
+
+        A class *module* itself defines under that name wins; then the
+        class its imports name, followed through re-exporting modules of
+        the file set. Only a base that resolves neither way falls back to
+        its last name through :attr:`class_index`, which reaches every
+        class of that name in the file set.
+        """
+        local = module.classes.get(base)
+        if local is not None and local is not info:
+            return [(module, local)]
+        visited: set[str] = set()
+        owner, name = module, base
+        while True:
+            head, _, rest = name.partition(".")
+            target = owner.imports.get(head)
+            if target is None or target in visited:
+                break
+            visited.add(target)
+            absolute = f"{target}.{rest}" if rest else target
+            module_name, _, name = absolute.rpartition(".")
+            found = self.modules.get(module_name)
+            if found is None:
+                break
+            owner = found
+            cls = owner.classes.get(name)
+            if cls is not None:
+                return [(owner, cls)]
+        return self.class_index.get(base.split(".")[-1], [])
 
     def subclass_lineage(
         self, module: ModuleInfo, info: ClassInfo, root: str

@@ -22,7 +22,8 @@ The family (one checker per invariant group):
   credits in flight == buffer depth``; per input port: occupancy tracker
   == flits buffered; network-wide: ``flits offered == source-side +
   buffered + in flight + ejected`` (nothing is ever dropped) and the
-  outstanding-event counters equal the pending events.
+  kernel's count of flits in the network equals the flits buffered plus
+  the ARRIVAL records pending.
 * :class:`VCAllocationSanitizer` — VC allocation state-machine legality:
   every non-free downstream VC is claimed by exactly one upstream input
   VC, claims are mutually exclusive, credit counters stay within
@@ -67,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.dvs_link import DVSChannel
     from ..instrument.bus import TransitionEvent
     from ..network.engine import SimulationEngine
+    from ..network.vc import InputVC
 
 #: Phases during which the link is dead and ``locked`` must mirror True.
 _LOCKED_PHASES = frozenset(
@@ -208,9 +210,11 @@ class SanitizerObserver(Observer):
 class ConservationSanitizer(SanitizerObserver):
     """Credit-loop and flit conservation, re-derived from scratch each check.
 
-    Both laws share one walk over the kernel's pending-event buckets; the
-    input ports' occupancy trackers and the outstanding-event counters
-    ride the same walk, so all four live in a single checker.
+    Both laws share one walk over the kernel's pending-event buckets: an
+    ARRIVAL record names the downstream input VC it lands in, a CREDIT
+    record the upstream credit list it returns to. The input ports'
+    occupancy trackers and the kernel's flit count ride the same walk, so
+    all four live in a single checker.
     """
 
     rule = "conservation"
@@ -218,7 +222,8 @@ class ConservationSanitizer(SanitizerObserver):
     def __init__(self, engine: "SimulationEngine", **kwargs: object) -> None:
         super().__init__(engine, **kwargs)  # type: ignore[arg-type]
         #: Per-channel (credits list, full-credit template, downstream
-        #: buffer lists, occupancy tracker, spec) resolved once: the kernel
+        #: buffers and input VCs, occupancy tracker, spec) resolved once:
+        #: the kernel
         #: mutates these in place, so holding them skips the per-check
         #: attribute chases. An idle channel (all credits home, buffers
         #: and tracker empty, no events) short-circuits on two list compares.
@@ -234,76 +239,63 @@ class ConservationSanitizer(SanitizerObserver):
             if upstream is None:  # pragma: no cover - wiring guard
                 continue
             downstream = engine.routers[spec.dst_node]
-            downstream_vcs = downstream.in_vcs[spec.dst_port]
+            vcs = tuple(downstream.in_vcs[spec.dst_port])
             cache.append((
                 upstream.credits,
                 [upstream.capacity_per_vc] * vcs_per_port,
-                tuple(downstream_vcs[vc].flits for vc in range(vcs_per_port)),
+                tuple(vcstate.flits for vcstate in vcs),
+                vcs,
                 downstream.occupancy[spec.dst_port],
                 spec,
                 upstream,
                 (spec.dst_node, spec.dst_port),
-                (spec.src_node, spec.src_port),
+                id(upstream.credits),
             ))
         self._channel_cache = cache
         return cache
 
     def check(self, now: int) -> None:
         engine = self.engine
-        arrivals: dict[tuple[int, int, int], int] = {}
-        credits_in_flight: dict[tuple[int, int, int], int] = {}
+        #: Pending ARRIVAL records per downstream input VC, and CREDIT
+        #: records per (upstream credit list, VC index), lists by identity.
+        arrivals: dict[InputVC, int] = {}
+        credits_in_flight: dict[tuple[int, int], int] = {}
         arrival_total = 0
         for _cycle, event in engine.iter_scheduled_events():
             kind = event[0]
             if kind == EVENT_ARRIVAL:
-                key = (event[1], event[2], event[3])
-                arrivals[key] = arrivals.get(key, 0) + 1
+                arrivals[event[1]] = arrivals.get(event[1], 0) + 1
                 arrival_total += 1
             elif kind == EVENT_CREDIT:
-                key = (event[1], event[2], event[3])
+                key = (id(event[1]), event[2])
                 credits_in_flight[key] = credits_in_flight.get(key, 0) + 1
-        # drain() reads these counters instead of walking the queue.
-        counted = (engine._pending_transport, engine._pending_arrivals)
-        walked = (arrival_total + sum(credits_in_flight.values()), arrival_total)
-        if counted != walked:
-            self._violation(
-                f"outstanding-event counters (transport, arrivals) {counted} "
-                f"!= {walked} events pending in the queue",
-                rule="event-counters",
-                cycle=now,
-            )
 
-        vcs_per_port = engine.config.network.vcs_per_port
-        vc_range = range(vcs_per_port)
-        # (node, port) pairs with at least one event in flight: channels
-        # outside this set with all credits home and empty buffers are
-        # provably balanced and skip the per-VC arithmetic.
-        touched: set[tuple[int, int]] = set()
-        for dst_node, dst_port, _vc in arrivals:
-            touched.add((dst_node, dst_port))
-        for src_node, src_port, _vc in credits_in_flight:
-            touched.add((src_node, src_port))
+        # Channels no pending record names, with all credits home and
+        # empty buffers, are provably balanced and skip the per-VC
+        # arithmetic.
+        touched_ports = {(vcstate.node, vcstate.in_port) for vcstate in arrivals}
+        touched_credits = {credits_id for credits_id, _vc in credits_in_flight}
         cache = self._channel_cache
         if cache is None:
             cache = self._channels()
-        for credits, full, buffers, tracker, spec, upstream, dst_key, src_key in cache:
+        for (
+            credits, full, buffers, vcs, tracker, spec, upstream, dst_key, credits_id
+        ) in cache:
             if (
                 credits == full
                 and not any(buffers)
                 and not tracker.occupied
-                and dst_key not in touched
-                and src_key not in touched
+                and dst_key not in touched_ports
+                and credits_id not in touched_credits
             ):
                 continue
             held = 0
-            for vc in vc_range:
+            for vc, vcstate in enumerate(vcs):
                 outstanding = upstream.capacity_per_vc - credits[vc]
-                in_flight = arrivals.get((spec.dst_node, spec.dst_port, vc), 0)
+                in_flight = arrivals.get(vcstate, 0)
                 buffered = len(buffers[vc])
                 held += buffered
-                returning = credits_in_flight.get(
-                    (spec.src_node, spec.src_port, vc), 0
-                )
+                returning = credits_in_flight.get((credits_id, vc), 0)
                 accounted = in_flight + buffered + returning
                 if outstanding != accounted:
                     self._violation(
@@ -338,6 +330,18 @@ class ConservationSanitizer(SanitizerObserver):
             source_side += router.unsent_source_flits()
             buffered_total += router.total_buffered
             ejected += router.flits_ejected
+        # drain() and flits_in_network() read this count instead of
+        # walking the routers and the queue.
+        counted = engine.flits_in_network()
+        walked = buffered_total + arrival_total
+        if counted != walked:
+            self._violation(
+                f"the kernel counts {counted} flits in the network, but "
+                f"{buffered_total} are buffered and {arrival_total} ARRIVAL "
+                f"records are pending (= {walked})",
+                rule="event-counters",
+                cycle=now,
+            )
         flits_per_packet = engine.config.network.flits_per_packet
         offered_flits = engine.traffic.packets_offered * flits_per_packet
         accounted = source_side + buffered_total + arrival_total + ejected
@@ -356,8 +360,9 @@ class VCAllocationSanitizer(SanitizerObserver):
     """Virtual-channel allocation state-machine legality.
 
     Cadence checks sweep only the scheduler's *active* routers: a parked
-    router performed no work since the last sweep saw it, so its
-    allocation state cannot have changed legally. Out-of-band tampering
+    router claimed and released no downstream VC since the last sweep saw
+    it (an ejection at dispatch only routes a VC to the local port and
+    back), so its allocation state cannot have changed legally. Out-of-band tampering
     on a parked router is caught when it re-activates or at the next
     deep sweep — the first check and every lifecycle mark sweep the
     whole network.

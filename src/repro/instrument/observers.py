@@ -71,11 +71,17 @@ class SeriesObserver(Observer):
     Maintains the four standard series — ``offered_rate``,
     ``accepted_rate``, ``power_w``, ``mean_level`` — one sample per
     ``window_cycles``. Offered/ejected tallies follow the meter's
-    measurement gate, matching the historical simulator behaviour.
+    measurement gate, matching the historical simulator behaviour. The
+    window closing at cycle ``b`` counts the packets offered in cycles
+    ``(b - window, b]`` and those ejected in ``[b - window, b)``: a packet
+    ejected on a boundary cycle counts toward the window opening there,
+    whether it ejects at event dispatch, before the close, or in the
+    router step after it.
     """
 
     __slots__ = ("window_cycles", "series", "_meter", "_channels", "_accountant",
-                 "_router_clock_hz", "_offered", "_ejected", "_last_energy")
+                 "_router_clock_hz", "_offered", "_ejected", "_opening",
+                 "_closed_at", "_last_energy")
 
     def __init__(
         self,
@@ -96,6 +102,10 @@ class SeriesObserver(Observer):
         self._router_clock_hz = router_clock_hz
         self._offered = 0
         self._ejected = 0
+        #: Ejections at a boundary cycle before its close, for the window
+        #: that opens there.
+        self._opening = 0
+        self._closed_at = -1
         self._last_energy = 0.0
 
     def _total_energy(self, now: int) -> float:
@@ -109,6 +119,7 @@ class SeriesObserver(Observer):
         """Reset window tallies at the start of the measured phase."""
         self._offered = 0
         self._ejected = 0
+        self._opening = 0
         self._last_energy = self._total_energy(now)
 
     def on_packet_offered(self, packet: Packet, now: int) -> None:
@@ -117,7 +128,10 @@ class SeriesObserver(Observer):
 
     def on_packet_ejected(self, packet: Packet, now: int) -> None:
         if self._meter.measuring:
-            self._ejected += 1
+            if now % self.window_cycles or now == self._closed_at:
+                self._ejected += 1
+            else:
+                self._opening += 1
 
     def on_window_close(self, now: int) -> None:
         window = self.window_cycles
@@ -129,5 +143,7 @@ class SeriesObserver(Observer):
         self.series["mean_level"].append(self._accountant.mean_level())
         self._last_energy = energy
         self._offered = 0
-        self._ejected = 0
+        self._ejected = self._opening
+        self._opening = 0
+        self._closed_at = now
 

@@ -11,9 +11,11 @@ the measurement-phase facade lives in
 Time base: the router clock (1 cycle = 1 ns at the paper's 1 GHz). Each
 cycle the kernel
 
-1. dispatches scheduled events — flit arrivals into input buffers, credit
-   returns, DVS channel phase boundaries (emitting ``on_transition`` bus
-   events at the boundaries, when anything listens);
+1. dispatches scheduled events — flit arrivals into input buffers (or,
+   into an empty VC bound for their node, straight out of the network,
+   emitting ``on_packet_ejected`` for a tail), credit returns, DVS channel
+   phase boundaries (emitting ``on_transition`` bus events at the
+   boundaries, when anything listens);
 2. polls the traffic source and enqueues new packets in source queues
    (emitting ``on_packet_offered``);
 3. closes DVS history windows when due (every H cycles) and runs the
@@ -47,9 +49,9 @@ free where the workload allows, without changing a single simulated bit
   so dispatching the spill bucket first reproduces the old single-bucket
   insertion order exactly.
 * **Incremental active-router list.** Routers join the active list when
-  they gain work (a flit arrival or a source-queue offer — the only
-  engine-visible ways a router becomes non-idle) and leave it when their
-  own step empties them. Membership is a flags ``bytearray``; order is an
+  they gain work (a flit arrival they must buffer or a source-queue
+  offer — the only engine-visible ways a router becomes non-idle) and
+  leave it when their own step empties them. Membership is a flags ``bytearray``; order is an
   insertion-maintained ascending node list, compacted in place during the
   stepping loop — exactly the order of the old full scan over all N
   routers, with no per-cycle ``sorted()``.
@@ -62,18 +64,28 @@ free where the workload allows, without changing a single simulated bit
   ``on_idle_span`` observers of the skipped range. Observers that need
   every cycle (``on_cycle`` without ``on_idle_span``) disable skipping.
 
-Steady-state stepping allocates ~zero objects: event records are 5-slot
+Steady-state stepping allocates ~zero objects: event records are 3-slot
 lists drawn from a free list and recycled after dispatch, and
 :class:`~repro.network.packet.Flit` objects are pooled (released on
-ejection, reacquired at injection).
+ejection, reacquired at injection). A transport record names its target
+object, so dispatching one needs no lookup: an ARRIVAL carries the
+downstream :class:`~repro.network.vc.InputVC`, a CREDIT the upstream
+port's credit list and the VC index.
 
-The kernel additionally maintains outstanding-event counters (transport
-events, arrivals, and source-queue packets), updated at
-schedule/dispatch/offer/inject, so drain-progress checks are O(1) instead
-of walking every pending bucket and router. Inter-router flit traversal is
-"emulated with message passing" exactly as in the paper: a launched flit
-becomes an arrival event ``pipeline latency + serialization`` cycles
-later, so slow links lengthen hops and throttle bandwidth.
+A flit that reaches an empty VC bound for its node — routed to the local
+port, or unrouted with the flit heading a packet for that node — ejects
+at dispatch through the router's one ejection body
+(:meth:`Router._eject <repro.network.router.Router._eject>`), in the same
+cycle the router's step would have ejected it, and the router is not
+activated for it. Every other arrival is enqueued here (the arrival
+enqueue's one body) and activates its router.
+
+Nothing is counted per hop. Two counters, kept at injection, ejection and
+offer, make the drain checks O(1): flits in the network (buffered or on a
+wire) and source-queue packets. Inter-router flit traversal is "emulated
+with message passing" exactly as in the paper: a launched flit becomes an
+arrival event ``pipeline latency + serialization`` cycles later, so slow
+links lengthen hops and throttle bandwidth.
 """
 
 from __future__ import annotations
@@ -85,13 +97,14 @@ from ..config import SimulationConfig
 from ..core.controller import PortDVSController
 from ..core.dvs_link import DVSChannel, LevelConstants
 from ..core.registry import PolicyBuildContext, build_policy
-from ..errors import SimulationError
+from ..errors import FlowControlError, SimulationError
 from ..instrument.bus import InstrumentBus, TransitionEvent
 from .channel import NetworkChannel
 from .packet import Packet
 from .router import EVENT_ARRIVAL, EVENT_CREDIT, EVENT_PHASE, Router
 from .routing import make_routing
 from .topology import Topology
+from .vc import UNROUTED
 
 #: Sentinel "no spill events": compares greater than any real cycle.
 _NEVER = math.inf
@@ -157,7 +170,7 @@ class SimulationEngine:
         #: cycle -> events, for targets at least ring_size cycles out.
         self._spill: dict[int, list] = {}
         self._spill_min: int | float = _NEVER
-        #: Free lists for 5-slot event records and Flit objects; shared
+        #: Free lists for 3-slot event records and Flit objects; shared
         #: with every router. Recycled records may keep a stale payload
         #: reference alive until reuse — bounded by the pool size, and the
         #: flits they point at are themselves pooled.
@@ -165,14 +178,14 @@ class SimulationEngine:
         self._flit_pool: list = []
 
         self.now = 0
-        # Outstanding counters ``[transport, arrivals, ring_count,
-        # source packets]``: events maintained at schedule/dispatch, and
-        # source-queue packets not yet fully in the network at
-        # offer/inject, so drain checks never walk the event queue or the
+        # Counters ``[flits in network, source packets]``: flits that
+        # entered a local input buffer and have not ejected (buffered or
+        # on a wire), kept at injection and ejection, and source-queue
+        # packets not yet fully in the network, kept at offer and inject.
+        # drain() and flits_in_network() read them instead of walking the
         # routers. A shared mutable list rather than attributes so the
-        # routers can maintain them without calling back into the engine;
-        # read them through the properties below.
-        self._counters = [0, 0, 0, 0]
+        # routers can keep them without calling back into the engine.
+        self._counters = [0, 0]
         #: Active-router scheduler state: ``_active_flags[node]`` is 1
         #: exactly when *node* is in ``_active_list``, which is kept in
         #: ascending node order == exactly the non-idle routers (they gain
@@ -219,9 +232,18 @@ class SimulationEngine:
             )
             channel = NetworkChannel(spec, dvs_channel, net.pipeline_latency)
             self.routers[spec.src_node].attach_channel(
-                spec.src_port, channel, net.buffers_per_vc
+                spec.src_port, channel, self.routers[spec.dst_node].in_vcs[spec.dst_port]
             )
             self.channels.append(channel)
+        self._local_port = self.topology.local_port
+        #: Whether an arrival into an empty VC bound for its node ejects at
+        #: dispatch. That matches the router's step only while one VC
+        #: receives at most one flit per cycle, i.e. while no link clock
+        #: is shorter than a router cycle: each wire then serializes a flit
+        #: over at least one cycle, so arrivals on it land in distinct
+        #: cycles. With a faster link two flits can land in one cycle, and
+        #: the step, which ejects one flit per VC per cycle, keeps them.
+        self._eject_at_dispatch = min(constants.serialization_cycles) >= 1
         #: DVS channel -> topology channel id, for transition events.
         self._channel_ids = {
             id(channel.dvs): channel.spec.channel_id for channel in self.channels
@@ -264,21 +286,18 @@ class SimulationEngine:
 
             self.sanitizer = NetworkSanitizer(self).attach()
 
-    # Outstanding counters (see _counters above). Read-only: schedule,
-    # dispatch, offers and the routers mutate the list.
-
     @property
     def _pending_transport(self) -> int:
-        return self._counters[0]
+        """Nonzero while a flit or a credit is still moving: the count of
+        flits in the network, or, once that is zero, the credits still
+        returning upstream (a walk over the ring and the spill)."""
+        return self._counters[0] or self._pending_credits()
 
-    @property
-    def _pending_arrivals(self) -> int:
-        return self._counters[1]
-
-    @property
-    def _ring_count(self) -> int:
-        """Events currently buffered across all ring slots."""
-        return self._counters[2]
+    def _pending_credits(self) -> int:
+        """CREDIT records scheduled and not yet dispatched."""
+        return sum(
+            1 for _, event in self.iter_scheduled_events() if event[0] == EVENT_CREDIT
+        )
 
     # ------------------------------------------------------------------
     # Event plumbing
@@ -292,15 +311,8 @@ class SimulationEngine:
                 f"event scheduled for cycle {cycle} at cycle {now}; "
                 "the kernel only dispatches future cycles"
             )
-        kind = event[0]
-        counters = self._counters
-        if kind != EVENT_PHASE:
-            counters[0] += 1
-            if kind == EVENT_ARRIVAL:
-                counters[1] += 1
         if cycle - now <= self._ring_mask:
             self._ring[cycle & self._ring_mask].append(event)
-            counters[2] += 1
         else:
             bucket = self._spill.get(cycle)
             if bucket is None:
@@ -319,10 +331,8 @@ class SimulationEngine:
             record[0] = EVENT_PHASE
             record[1] = channel
             record[2] = controller
-            record[3] = None
-            record[4] = None
             return record
-        return [EVENT_PHASE, channel, controller, None, None]
+        return [EVENT_PHASE, channel, controller]
 
     def iter_scheduled_events(self):
         """Yield every pending ``(cycle, event)`` pair, unordered.
@@ -337,21 +347,23 @@ class SimulationEngine:
         for cycle, bucket in self._spill.items():
             for event in bucket:
                 yield cycle, event
-        if self._ring_count:
-            now = self.now
-            mask = self._ring_mask
-            for slot, bucket in enumerate(self._ring):
-                if bucket:
-                    cycle = now + ((slot - now) & mask)
-                    for event in bucket:
-                        yield cycle, event
+        now = self.now
+        mask = self._ring_mask
+        for slot, bucket in enumerate(self._ring):
+            if bucket:
+                cycle = now + ((slot - now) & mask)
+                for event in bucket:
+                    yield cycle, event
 
     def iter_active_routers(self):
         """Yield the active routers in ascending node order (zero-copy).
 
         A read-only view over the incremental active list for diagnostics
-        and the network sanitizer: a router outside the list performed no
-        work last cycle, so checker state derived from it is unchanged.
+        and the network sanitizer. A router outside the list did not step
+        last cycle: the dispatch loop at most returned credits to it and
+        ejected flits at its empty VCs bound for its node, and neither
+        claims nor releases a downstream VC, so allocation state derived
+        from it is unchanged.
         """
         routers = self.routers
         for node in self._active_list:
@@ -390,41 +402,80 @@ class SimulationEngine:
     def _dispatch(self, events: list, now: int) -> None:  # repro-hot
         """Dispatch one cycle bucket's events, in scheduling order.
 
-        An ARRIVAL is :meth:`Router.on_arrival` at the destination router
-        plus its insertion into the active list. A CREDIT only replenishes
-        one upstream buffer slot (output-VC ownership is released at tail
-        launch, so packets may queue back-to-back in a downstream VC). It
-        needs no overflow check: credits mirror downstream slots exactly,
-        every credit return matches one departed flit, and the opt-in
-        network sanitizer re-verifies that end to end. A PHASE wakes the
-        channel's controller if it is dormant (so the windows it skipped
-        are classified under the state they saw), ends a DVS channel phase
-        and schedules the next boundary. Every record here
-        is a pooled 5-slot list, recycled in the same pass; the
-        outstanding-event counters are settled once per bucket rather than
-        per event.
+        Every record is a pooled 3-slot list ``[kind, target, payload]``,
+        read once and handed back to the free list before its event is
+        acted on (the action may draw records of its own).
+
+        An ARRIVAL targets the downstream InputVC and carries the flit. A
+        flit reaching an empty VC bound for its node ejects here through
+        the router's ejection body (see the module docstring). Any other
+        is enqueued, which is the arrival enqueue's one body, and its
+        router joins the active list; overflow is a flow-control bug (the
+        sender must have held a credit), so it raises rather than
+        dropping. A CREDIT targets the upstream port's credit list and
+        carries the VC index: it replenishes one upstream buffer slot
+        (output-VC ownership is released at tail launch, so packets may
+        queue back-to-back in a downstream VC). It needs no overflow
+        check: credits mirror downstream slots exactly, every credit
+        return matches one departed flit, and the opt-in network
+        sanitizer re-verifies that end to end. A PHASE targets a DVS
+        channel and carries its controller: it wakes the controller if it
+        is dormant (so the windows it skipped are classified under the
+        state they saw), ends the channel phase and schedules the next
+        boundary.
         """
         routers = self.routers
         active_flags = self._active_flags
         active_list = self._active_list
         pool = self._event_pool
-        arrivals = 0
-        phases = 0
+        local_port = self._local_port
+        eject_at_dispatch = self._eject_at_dispatch
         for event in events:
-            kind = event[0]
+            kind, target, payload = event
+            pool.append(event)
             if kind == EVENT_ARRIVAL:
-                arrivals += 1
-                node = event[1]
-                routers[node].on_arrival(event[2], event[3], event[4], now)
+                vcstate = target
+                flit = payload
+                flit.buffer_arrival_cycle = now
+                node = vcstate.node
+                flits = vcstate.flits
+                if not flits and eject_at_dispatch:
+                    out_port = vcstate.out_port
+                    if out_port == UNROUTED and flit.is_head and flit.packet.dst == node:
+                        # The step's route computation for a packet at its
+                        # destination.
+                        vcstate.out_port = out_port = local_port
+                        vcstate.out_vc = 0
+                    if out_port == local_port:
+                        routers[node]._eject(vcstate, now, flit)
+                        continue
+                if len(flits) >= vcstate.capacity:
+                    raise FlowControlError(
+                        f"buffer overflow: enqueue into full VC buffer at cycle {now}"
+                    )
+                flits.append(flit)
+                router = routers[node]
+                if not vcstate.in_occ:
+                    vcstate.in_occ = True
+                    insort(router._occ_list, vcstate.rid)
+                tracker = vcstate.tracker
+                if tracker is not None:
+                    # Occupancy-integral enqueue (time cannot run backwards
+                    # under the kernel's monotonic dispatch clock).
+                    last = tracker._last_cycle
+                    if now != last:
+                        tracker._integral += tracker.occupied * (now - last)
+                        tracker._last_cycle = now
+                    tracker.occupied += 1
+                router.total_buffered += 1
                 if not active_flags[node]:
                     active_flags[node] = 1
                     insort(active_list, node)
             elif kind == EVENT_CREDIT:
-                routers[event[1]].credit_states[event[2]].credits[event[3]] += 1
+                target[payload] += 1
             else:  # EVENT_PHASE
-                phases += 1
-                channel = event[1]
-                controller = event[2]
+                channel = target
+                controller = payload
                 if controller.dormant_action is not None:
                     controller.wake()
                 ramps_before = channel.transition_count
@@ -436,10 +487,6 @@ class SimulationEngine:
                     self._emit_transition(channel, now, "phase_end")
                     if channel.transition_count > ramps_before:
                         self._emit_transition(channel, now, "ramp_start")
-            pool.append(event)
-        counters = self._counters
-        counters[0] -= len(events) - phases
-        counters[1] -= arrivals
 
     def step(self) -> None:  # repro-hot
         """Advance the simulation by one router cycle.
@@ -465,7 +512,6 @@ class SimulationEngine:
             # Recycled records re-enter the ring only at future slots
             # (schedule targets are strictly after now), so clearing the
             # bucket after dispatch cannot drop a reused record.
-            self._counters[2] -= len(ring_bucket)
             self._dispatch(ring_bucket, now)
             del ring_bucket[:]
 
@@ -482,7 +528,7 @@ class SimulationEngine:
                 if not active_flags[src]:
                     active_flags[src] = 1
                     insort(active_list, src)
-                counters[3] += 1
+                counters[1] += 1
                 if offered_hooks:
                     for observer in offered_hooks:
                         observer.on_packet_offered(packet, now)
@@ -603,30 +649,22 @@ class SimulationEngine:
         Only meaningful while the active list is empty. Returns ``now``
         itself when fast-forward is not permitted (an attached observer
         needs every cycle, or the traffic source cannot predict its next
-        injection), which makes the caller fall back to a plain step.
+        injection), which makes the caller fall back to a plain step. An
+        injection or a spill event due at ``now`` returns ``now`` before
+        any window boundary is computed, and the ring is scanned last,
+        only up to the earliest boundary or injection found.
         """
         now = self.now
         bus = self.bus
         if bus.unskippable_cycle_hooks:
             return now
-        next_injection = self.traffic.next_injection_cycle(now)
-        if next_injection is None:
+        horizon = self.traffic.next_injection_cycle(now)
+        if horizon is None or horizon <= now or self._spill_min <= now:
             return now
-        horizon: int | float = next_injection
-        first_event: int | float = self._spill_min
-        if self._ring_count:
-            ring = self._ring
-            mask = self._ring_mask
-            for offset in range(mask + 1):
-                if ring[(now + offset) & mask]:
-                    cycle = now + offset
-                    if cycle < first_event:
-                        first_event = cycle
-                    break
-        if first_event < horizon:
-            horizon = first_event
+        if self._spill_min < horizon:
+            horizon = self._spill_min
         if self.controllers:
-            window = self.config.dvs.history_window
+            window = self._history_window
             # Next cycle with now % window == 0. A boundary at `now` itself
             # is still pending (it closes inside step(now)) and correctly
             # forces a plain step — except cycle 0, where nothing closes.
@@ -642,6 +680,15 @@ class SimulationEngine:
                 boundary = window
             if boundary < horizon:
                 horizon = boundary
+        # A ring slot holds the events of the one cycle it maps to within
+        # the ring's span; the first filled one before the horizon wins.
+        ring = self._ring
+        mask = self._ring_mask
+        for cycle in range(now, now + mask + 1):
+            if cycle >= horizon:
+                break
+            if ring[cycle & mask]:
+                return cycle
         return horizon
 
     # ------------------------------------------------------------------
@@ -649,9 +696,12 @@ class SimulationEngine:
     # ------------------------------------------------------------------
 
     def flits_in_network(self) -> int:
-        """Flits buffered in routers plus flits in flight on the wires."""
-        buffered = sum(router.total_buffered for router in self.routers)
-        return buffered + self._pending_arrivals
+        """Flits buffered in routers plus flits in flight on the wires.
+
+        O(1): the count rises when a flit enters a local input buffer and
+        falls when it ejects.
+        """
+        return self._counters[0]
 
     def pending_source_packets(self) -> int:
         """Packets waiting in source queues (plus partially injected ones).
@@ -660,7 +710,7 @@ class SimulationEngine:
         decremented by the router when its tail flit enters the local
         input buffers.
         """
-        return self._counters[3]
+        return self._counters[1]
 
     def drain(self, max_cycles: int = 100_000) -> int:
         """Run with traffic as-is until the network empties; returns cycles.
@@ -669,20 +719,21 @@ class SimulationEngine:
         exhausted traffic source first. Raises if the network fails to
         drain within *max_cycles* (a deadlock or livelock).
 
-        The emptiness probe is O(1) end-to-end: outstanding transport
-        events, source-queue packets, and buffered flits are all tracked
-        by counters (an empty active list implies every router buffer and
-        injection queue is empty). The probe only needs evaluating at
-        fast-forward chunk boundaries because nothing it reads can change
-        across a skipped quiescent span.
+        The emptiness probe is O(1) while any flit is in the network; only
+        once none is does it walk the ring and the spill for credits still
+        returning. Source-queue packets are counted too, and an empty
+        active list means every router buffer and injection queue is
+        empty. The probe only needs evaluating at fast-forward chunk
+        boundaries because nothing it reads can change across a skipped
+        quiescent span.
         """
         start = self.now
         deadline = start + max_cycles
         while self.now < deadline:
             if (
-                self._pending_transport == 0
+                not self._pending_transport
                 and not self._active_list
-                and self._counters[3] == 0
+                and self._counters[1] == 0
                 and self.traffic.pending_injections() == 0
             ):
                 self.catch_up_controllers()

@@ -14,29 +14,35 @@ router in the style of the Alpha 21364's integrated router, with
   ejection-bandwidth artifacts, per the paper's latency definition).
 
 The router communicates with the rest of the network only through the
-kernel's event queue: launched flits become ARRIVAL events at the
-downstream router, dequeued flits become CREDIT events at the upstream
-router. The per-cycle :meth:`step` is the kernel's hot path and is written
-to allocate nothing in steady state:
+kernel's event queue: a launched flit becomes an ARRIVAL record addressed
+to the downstream :class:`~repro.network.vc.InputVC`, a dequeued flit a
+CREDIT record addressed to the upstream port's credit list. The per-cycle
+:meth:`step` is the kernel's hot path and is written to allocate nothing
+in steady state:
 
 * every per-VC fact the scan needs (the buffer's deque, the request id,
-  the occupancy tracker, the upstream credit target) is prebound onto the
-  :class:`~repro.network.vc.InputVC` at construction time;
-* per-output-port channel facts (DVS state machine, downstream
-  coordinates, pipeline latency) are prebound into flat lists at
+  the occupancy tracker, the upstream credit list) is prebound onto the
+  :class:`~repro.network.vc.InputVC` at construction and wiring time;
+* per-output-port channel facts (DVS state machine, the downstream
+  port's input VCs, pipeline latency) are prebound into flat lists at
   :meth:`attach_channel` time;
 * switch-allocation requests accumulate in persistent per-port lists that
   are cleared after arbitration instead of a per-cycle dict;
-* event records are reusable 5-slot lists drawn from the kernel's shared
+* event records are reusable 3-slot lists drawn from the kernel's shared
   free list (``event_pool``), and ejected flits return to a shared
   ``flit_pool`` for reuse at injection.
 
-Each flit-path rule has one body, here. Credit underflow and double VC
-allocation are guarded structurally (a switch-allocation request is only
-filed with a positive credit in the same cycle that consumes it; a
-downstream VC is claimed once at allocation and released once at tail
-launch), and the opt-in network sanitizer re-verifies both invariants end
-to end. The launch stage inlines the wire update of
+Each flit-path rule has one body. Launch and injection live in
+:meth:`step`; ejection lives in :meth:`_eject`, which the step calls for a
+buffered flit and the kernel's dispatch loop for a flit that reaches an
+empty VC bound for this node (it ejects in the cycle the step would have
+ejected it, without entering the buffer or waking the router). The
+enqueue of an arriving flit lives in that dispatch loop. Credit underflow
+and double VC allocation are guarded structurally (a switch-allocation
+request is only filed with a positive credit in the same cycle that
+consumes it; a downstream VC is claimed once at allocation and released
+once at tail launch), and the opt-in network sanitizer re-verifies both
+invariants end to end. The launch stage inlines the wire update of
 :meth:`DVSChannel.send_flit <repro.core.dvs_link.DVSChannel.send_flit>`,
 which stays as the oracle ``tests/test_router.py`` compares it against.
 
@@ -51,21 +57,22 @@ state it writes (see ``docs/architecture.md``):
   port), an ejection appends a CREDIT. The kernel sizes the ring past the
   furthest cycle a launch can reach; an arrival beyond it raises
   :class:`~repro.errors.SimulationError`.
-* ``counters`` — the kernel's outstanding counters ``[transport events,
-  arrivals, ring events, source packets]``. Each event appended to the
-  ring bumps the transport and ring counts, an ARRIVAL the arrivals count
-  too; a packet whose tail flit enters the local input buffers leaves the
-  source queue side and decrements the source-packet count.
+* ``counters`` — the kernel's counters ``[flits in network, source
+  packets]``. A flit entering the local input buffers bumps the first and
+  an ejected flit drops it; a packet whose tail flit enters the local
+  input buffers leaves the source queue side and decrements the second.
+  Nothing is counted per hop.
 * ``event_pool`` / ``flit_pool`` — the kernel's shared free lists.
 * ``ejected_hooks`` — the instrument bus's ``on_packet_ejected`` dispatch
   list (attach and detach edit it in place), fanned out on every tail
   ejection.
 
-Holding only plain containers, a router closes no reference cycle with its
-engine, so a finished simulation is freed by reference counting alone.
-Per-input-port ``age_hooks`` lists of ``hook(age_cycles)`` callables fire
-on every dequeue; utilization probes tap buffer-age distributions (paper
-Figure 5) through these.
+Holding only plain containers and other routers' input VCs, a router
+closes no reference cycle with its engine, so a finished simulation is
+freed by reference counting alone. Per-input-port ``age_hooks`` lists of
+``hook(age_cycles)`` callables fire on every dequeue (an ejection at
+dispatch reports age 0); utilization probes tap buffer-age distributions
+(paper Figure 5) through these.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from collections import deque
 from math import ceil
 from typing import TYPE_CHECKING, Callable
 
-from ..errors import ConfigError, FlowControlError, SimulationError
+from ..errors import ConfigError, SimulationError
 from .channel import NetworkChannel
 from .flowcontrol import CreditState, OccupancyTracker
 from .packet import Flit, Packet
@@ -103,7 +110,6 @@ class Router:
         "occupancy",
         "channels",
         "credit_states",
-        "credit_targets",
         "connected_out",
         "_sa_next",
         "_sa_size",
@@ -117,7 +123,6 @@ class Router:
         "credit_delay",
         "flits_ejected",
         "packets_ejected",
-        "flits_launched",
         "event_pool",
         "flit_pool",
         "_fast_ring",
@@ -129,7 +134,7 @@ class Router:
         "_req_ports",
         "_req_lists",
         "_port_dvs",
-        "_port_dst",
+        "_port_vcs",
         "_port_pipeline",
         "_grants",
         "_route_memo",
@@ -182,18 +187,6 @@ class Router:
             OccupancyTracker() if p < topology.ports_per_router else None
             for p in range(num_in_ports)
         ]
-        # Upstream (router, out_port) feeding each network input port.
-        self.credit_targets: list[tuple[int, int] | None] = []
-        for p in range(num_in_ports):
-            if p < topology.ports_per_router:
-                upstream = topology.neighbor(node, p)
-                if upstream is None:
-                    self.credit_targets.append(None)
-                else:
-                    self.credit_targets.append((upstream, topology.opposite_port(p)))
-            else:
-                self.credit_targets.append(None)
-
         # Output side: filled in by the simulator via attach_channel().
         ports = topology.ports_per_router
         self.channels: list[NetworkChannel | None] = [None] * ports
@@ -205,7 +198,9 @@ class Router:
         self._sa_next: list[int] = [0] * ports
         self._sa_size = num_in_ports * vcs_per_port
         self._port_dvs: list = [None] * ports
-        self._port_dst: list[tuple[int, int] | None] = [None] * ports
+        #: The downstream port's input VCs per output port: a launch
+        #: addresses its ARRIVAL record to ``_port_vcs[out_port][out_vc]``.
+        self._port_vcs: list[list[InputVC] | None] = [None] * ports
         self._port_pipeline: list[int] = [0] * ports
 
         self.inj_queue: deque[Packet] = deque()
@@ -216,20 +211,19 @@ class Router:
         self.age_hooks: dict[int, list[Callable[[int], None]]] = {}
         self.flits_ejected = 0
         self.packets_ejected = 0
-        self.flits_launched = 0
 
-        # Prebind every per-VC fact the hot scan needs (see vc.py).
+        # Prebind every per-VC fact the hot scan needs (see vc.py); the
+        # upstream router binds ``upstream_credits`` in its attach_channel.
         self._vc_scan: list[InputVC] = []
         for p in range(num_in_ports):
             tracker = self.occupancy[p]
-            target = self.credit_targets[p]
             for v in range(vcs_per_port):
                 vcstate = self.in_vcs[p][v]
+                vcstate.node = node
                 vcstate.in_port = p
                 vcstate.in_vc = v
                 vcstate.rid = p * vcs_per_port + v
                 vcstate.tracker = tracker
-                vcstate.credit_target = target
                 self._vc_scan.append(vcstate)
         self._local_vcs = self.in_vcs[self.local_port]
         #: Request ids of VCs whose deque is (or was recently) non-empty,
@@ -260,8 +254,8 @@ class Router:
         # replaces ~13 per step. Safe to capture here because every element
         # is either a constant or a container only ever mutated in place
         # (attach_channel fills the port lists; probes append into
-        # age_hooks). What only a launch needs (ring, counters, pools)
-        # stays in attributes, loaded once per cycle with grants.
+        # age_hooks). What only a launch needs (ring, pools) stays in
+        # attributes, loaded once per cycle with grants.
         self._hot = (
             self.local_port,
             self.credit_states,
@@ -273,7 +267,7 @@ class Router:
             self._sa_next,
             self._sa_size,
             self.credit_delay,
-            self._port_dst,
+            self._port_vcs,
             self._port_pipeline,
             self.age_hooks,
             self._grants,
@@ -284,16 +278,24 @@ class Router:
     # ------------------------------------------------------------------
 
     def attach_channel(
-        self, out_port: int, channel: NetworkChannel, buffers_per_vc: int
+        self, out_port: int, channel: NetworkChannel, downstream: list[InputVC]
     ) -> None:
-        """Connect *channel* at *out_port* (called during network build)."""
+        """Connect *channel* at *out_port* (called during network build).
+
+        *downstream* is the input VC list of the port the channel feeds.
+        Launches address their ARRIVAL records to its VCs, and each of
+        them returns its credits to this port's credit list, one credit
+        per buffer slot.
+        """
         if self.channels[out_port] is not None:
             raise SimulationError(f"output port {out_port} already attached")
         self.channels[out_port] = channel
-        self.credit_states[out_port] = CreditState(self.vcs_per_port, buffers_per_vc)
-        spec = channel.spec
+        credit_state = CreditState(self.vcs_per_port, downstream[0].capacity)
+        self.credit_states[out_port] = credit_state
+        for vcstate in downstream:
+            vcstate.upstream_credits = credit_state.credits
         self._port_dvs[out_port] = channel.dvs
-        self._port_dst[out_port] = (spec.dst_node, spec.dst_port)
+        self._port_vcs[out_port] = downstream
         self._port_pipeline[out_port] = channel.pipeline_latency
         # Tabulate the (pure) dateline-class transition for this port. The
         # traversal loop indexes the table with the classes it produces, so
@@ -319,10 +321,16 @@ class Router:
         """True when :meth:`step` would be a no-op this cycle."""
         return not (self.total_buffered or self.inj_flits or self.inj_queue)
 
+    @property
+    def flits_launched(self) -> int:
+        """Flits this router has launched: its output channels' sends."""
+        port_dvs = self._port_dvs
+        return sum(port_dvs[port].flits_sent for port in self.connected_out)
+
     @staticmethod
     def _event_record() -> list:
-        """Pool-miss fallback: a fresh 5-slot event record."""
-        return [0, None, None, None, None]
+        """Pool-miss fallback: a fresh 3-slot event record."""
+        return [0, None, None]
 
     # ------------------------------------------------------------------
     # Read-only views (diagnostics / network sanitizer)
@@ -341,37 +349,8 @@ class Router:
         return queued + len(self.inj_flits) - self.inj_pos
 
     # ------------------------------------------------------------------
-    # Event handlers
+    # Source queue
     # ------------------------------------------------------------------
-
-    def on_arrival(self, port: int, vc: int, flit: Flit, now: int) -> None:  # repro-hot
-        """A flit arrived from the upstream channel into input *port*.
-
-        The kernel's dispatch loop calls this for every ARRIVAL event.
-        Overflow is a flow-control bug (the sender must have held a
-        credit), so it raises rather than dropping.
-        """
-        vcstate = self.in_vcs[port][vc]
-        flits = vcstate.flits
-        if len(flits) >= vcstate.capacity:
-            raise FlowControlError(
-                f"buffer overflow: enqueue into full VC buffer at cycle {now}"
-            )
-        flit.buffer_arrival_cycle = now
-        flits.append(flit)
-        if not vcstate.in_occ:
-            vcstate.in_occ = True
-            insort(self._occ_list, vcstate.rid)
-        tracker = vcstate.tracker
-        if tracker is not None:
-            # Occupancy-integral enqueue (time cannot run backwards under
-            # the kernel's monotonic dispatch clock).
-            last = tracker._last_cycle
-            if now != last:
-                tracker._integral += tracker.occupied * (now - last)
-                tracker._last_cycle = now
-            tracker.occupied += 1
-        self.total_buffered += 1
 
     def offer_packet(self, packet: Packet) -> None:
         """Enqueue *packet* in this node's source queue."""
@@ -398,7 +377,7 @@ class Router:
             sa_next,
             sa_size,
             credit_delay,
-            port_dst,
+            port_vcs,
             port_pipeline,
             age_hooks,
             grants,
@@ -558,7 +537,6 @@ class Router:
             pool = self.event_pool
             ring = self._fast_ring
             mask = self._fast_mask
-            counters = self._fast_counters
             for best in grants:
                 out_port = best.out_port
                 # -- switch traversal --
@@ -581,27 +559,21 @@ class Router:
                         age = now - flit.buffer_arrival_cycle
                         for hook in hooks:
                             hook(age)
-                is_tail = flit.is_tail
-                target = best.credit_target
-                if target is not None:
+                credits = best.upstream_credits
+                if credits is not None:
                     record = pool.pop() if pool else self._event_record()
                     record[0] = EVENT_CREDIT
-                    record[1] = target[0]
-                    record[2] = target[1]
-                    record[3] = best.in_vc
-                    record[4] = is_tail
+                    record[1] = credits
+                    record[2] = best.in_vc
                     # credit_delay < ring size (checked at construction),
                     # so the slot is exact.
                     ring[(now + credit_delay) & mask].append(record)
-                    counters[0] += 1
-                    counters[2] += 1
                 out_vc = best.out_vc
                 credit_state = credit_states[out_port]
                 # Credit underflow is structurally impossible: the request
                 # was filed with credits[out_vc] > 0 this same cycle, and
                 # only this grant consumes that VC's credit.
                 credit_state.credits[out_vc] -= 1
-                dst = port_dst[out_port]
                 # DVSChannel.send_flit's wire update, inlined (its oracle
                 # test pins the two equal). Its locked/busy raises are
                 # unreachable here: the request was only filed after the
@@ -621,10 +593,8 @@ class Router:
                 arrival = ceil(busy + port_pipeline[out_port])
                 record = pool.pop() if pool else self._event_record()
                 record[0] = EVENT_ARRIVAL
-                record[1] = dst[0]
-                record[2] = dst[1]
-                record[3] = out_vc
-                record[4] = flit
+                record[1] = port_vcs[out_port][out_vc]
+                record[2] = flit
                 if arrival - now > mask:
                     # Unreachable with the kernel's ring, which covers the
                     # pipeline latency, level-0 serialization and credit
@@ -635,10 +605,6 @@ class Router:
                         f"lies beyond the {mask + 1}-slot calendar ring"
                     )
                 ring[arrival & mask].append(record)
-                counters[0] += 1
-                counters[1] += 1
-                counters[2] += 1
-                self.flits_launched += 1
                 if flit.is_head:
                     packet = flit.packet
                     dim = out_port >> 1
@@ -647,7 +613,7 @@ class Router:
                     # (see attach_channel).
                     packet.vc_class = self._next_class[out_port][vc_class]
                     packet.last_dim = dim
-                if is_tail:
+                if flit.is_tail:
                     # Claimed once at VC allocation, released exactly once
                     # here; InputVC.reset_route, inlined.
                     credit_state.vc_free[out_vc] = True
@@ -703,12 +669,14 @@ class Router:
                     vcstate.in_occ = True
                     insort(occ, vcstate.rid)
                 self.total_buffered += 1
+                counters = self._fast_counters
+                counters[0] += 1  # one more flit in the network
                 self.inj_pos += 1
                 if self.inj_pos >= len(inj_flits):
                     del inj_flits[:]
                     self.inj_pos = 0
                     # The packet left the source queue side.
-                    self._fast_counters[3] -= 1
+                    counters[1] -= 1
         # Not-idle indicator (the inverse of is_idle), so the kernel's
         # stepping loop needs no attribute probes of its own.
         return self.total_buffered or self.inj_flits or self.inj_queue
@@ -764,43 +732,48 @@ class Router:
                     return out_port
         return UNROUTED
 
-    def _eject(self, vcstate: InputVC, now: int) -> None:  # repro-hot
-        """Immediate ejection: one flit per VC per cycle at the destination."""
-        flit = vcstate.flits.popleft()
-        self.total_buffered -= 1
-        tracker = vcstate.tracker
-        if tracker is not None:
-            # Occupancy-integral departure (as in step's traversal loop).
-            last = tracker._last_cycle
-            if now != last:
-                tracker._integral += tracker.occupied * (now - last)
-                tracker._last_cycle = now
-            tracker.occupied -= 1
+    def _eject(self, vcstate: InputVC, now: int, flit: Flit | None = None) -> None:  # repro-hot
+        """Immediate ejection: one flit per VC per cycle at the destination.
+
+        With *flit* None the head of *vcstate*'s buffer ejects (the
+        router's step). The kernel's dispatch loop passes the *flit* that
+        just reached the empty *vcstate* instead: it ejects in the cycle
+        the step would have ejected it, without entering the buffer. Its
+        occupancy integral gains nothing that way, as a flit that enters
+        and leaves a buffer in one cycle adds no occupied cycle, and its
+        age is 0.
+        """
+        if flit is None:
+            flit = vcstate.flits.popleft()
+            self.total_buffered -= 1
+            tracker = vcstate.tracker
+            if tracker is not None:
+                # Occupancy-integral departure (as in step's traversal loop).
+                last = tracker._last_cycle
+                if now != last:
+                    tracker._integral += tracker.occupied * (now - last)
+                    tracker._last_cycle = now
+                tracker.occupied -= 1
         if self.age_hooks:
             hooks = self.age_hooks.get(vcstate.in_port)
             if hooks:
                 age = now - flit.buffer_arrival_cycle
                 for hook in hooks:
                     hook(age)
-        is_tail = flit.is_tail
-        target = vcstate.credit_target
-        if target is not None:
+        credits = vcstate.upstream_credits
+        if credits is not None:
             pool = self.event_pool
             record = pool.pop() if pool else self._event_record()
             record[0] = EVENT_CREDIT
-            record[1] = target[0]
-            record[2] = target[1]
-            record[3] = vcstate.in_vc
-            record[4] = is_tail
+            record[1] = credits
+            record[2] = vcstate.in_vc
             self._fast_ring[(now + self.credit_delay) & self._fast_mask].append(record)
-            counters = self._fast_counters
-            counters[0] += 1
-            counters[2] += 1
         self.flits_ejected += 1
-        # An ejected flit is referenced by nothing: its arrival event
+        self._fast_counters[0] -= 1  # the flit left the network
+        # An ejected flit is referenced by nothing: its arrival record
         # already dispatched and observers only see the packet.
         self.flit_pool.append(flit)
-        if is_tail:
+        if flit.is_tail:
             vcstate.reset_route()
             packet = flit.packet
             packet.ejected_cycle = now

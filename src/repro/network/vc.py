@@ -14,17 +14,22 @@ FIFO — the state pair always describes the packet at the head.
 Each router input port holds a fixed pool of flit slots divided evenly
 among its virtual channels (the paper: 128 flit buffers per input port,
 two VCs, so 64 slots per VC): ``flits`` is the VC's FIFO and ``capacity``
-its share. The router's enqueue sites (:meth:`Router.on_arrival
-<repro.network.router.Router.on_arrival>` and injection) stamp each flit's
-``buffer_arrival_cycle`` and append; its traversal and ejection stages
-pop from the front.
+its share. The two enqueue sites (the kernel's event dispatch for an
+arriving flit, the router's injection stage for a local one) stamp each
+flit's ``buffer_arrival_cycle`` and append; the router's traversal and
+ejection stages pop from the front.
 
-For the router's allocation-free hot loop the VC also carries *prebound*
-aliases of everything its step needs — its own ``(in_port, in_vc)``
-coordinates and switch-allocation request id, and the input port's
-occupancy tracker and upstream credit target. The
-router fills these in at construction/wiring time so the per-cycle scan
-performs no tuple unpacking, list indexing, or dict lookups.
+For the allocation-free hot loops the VC also carries *prebound* aliases
+of everything they need — its router's ``node``, its own ``(in_port,
+in_vc)`` coordinates and switch-allocation request id, the input port's
+occupancy tracker, and ``upstream_credits``, the credit list of the
+upstream output port feeding it. Transport records are addressed to
+these objects: an ARRIVAL carries the downstream ``InputVC`` itself and a
+CREDIT the ``upstream_credits`` list and VC index, so neither the
+dispatch loop nor the router's scan performs tuple unpacking, list
+indexing or dict lookups to find its target. The router fills the
+aliases in at construction, and the upstream router binds
+``upstream_credits`` when its channel is attached.
 """
 
 from __future__ import annotations
@@ -54,11 +59,12 @@ class InputVC:
         "out_vc",
         "route_options",
         # Hot-path prebindings (see module docstring).
+        "node",
         "in_port",
         "in_vc",
         "rid",
         "tracker",
-        "credit_target",
+        "upstream_credits",
         # Membership flag for the router's occupied-VC list (kept by the
         # enqueue sites and the router's scan; see Router._occ_list).
         "in_occ",
@@ -72,11 +78,12 @@ class InputVC:
         self.out_port = UNROUTED
         self.out_vc = UNROUTED
         self.route_options: list[tuple[int, tuple[int, ...]]] | None = None
+        self.node = UNROUTED
         self.in_port = UNROUTED
         self.in_vc = UNROUTED
         self.rid = UNROUTED
         self.tracker = None
-        self.credit_target: tuple[int, int] | None = None
+        self.upstream_credits: list[int] | None = None
         self.in_occ = False
 
     def reset_route(self) -> None:

@@ -16,6 +16,7 @@ from repro.config import SimulationConfig
 from repro.errors import SimulationError
 from repro.harness.serialization import to_json
 from repro.instrument.bus import Observer
+from repro.network.router import EVENT_ARRIVAL, EVENT_CREDIT
 from repro.network.simulator import Simulator
 from repro.network.topology import Topology
 from repro.traffic.hotspot import HotspotTraffic
@@ -24,7 +25,7 @@ from repro.traffic.tasks import TwoLevelWorkload
 from repro.traffic.trace import TraceReplaySource
 from repro.traffic.uniform import UniformRandomTraffic
 
-from .conftest import small_config
+from .conftest import small_config, trace_simulator
 
 
 def _comparable(result) -> dict:
@@ -202,6 +203,52 @@ class TestActiveRouterSet:
             queued = sum(len(r.inj_queue) for r in simulator.routers)
             partial = sum(1 for r in simulator.routers if r.inj_flits)
             assert simulator.pending_source_packets() == queued + partial
+
+    def test_flit_count_matches_brute_force(self):
+        """The flit count kept at injection and ejection equals the flits
+        buffered plus the ARRIVAL records pending."""
+        config = small_config(rate=0.8, measure=1_000)
+        simulator = Simulator(config)
+        for target in (25, 120, 400, 900):
+            simulator.run_until(target)
+            buffered = sum(r.total_buffered for r in simulator.routers)
+            in_flight = sum(
+                event[0] == EVENT_ARRIVAL
+                for _, event in simulator.iter_scheduled_events()
+            )
+            assert in_flight > 0
+            assert simulator.flits_in_network() == buffered + in_flight
+
+
+class TestHorizon:
+    def test_a_cycle_with_an_injection_due_never_scans_the_ring(self):
+        """An injection due at ``now`` returns ``now`` before any window
+        boundary is computed or any ring slot read, though a credit still
+        on its way fills the ring; an idle cycle scans the ring."""
+        simulator = trace_simulator([(50, 0, 8)])
+        spec = simulator.channels[0].spec
+        credits = simulator.routers[spec.src_node].credit_states[spec.src_port].credits
+        reads = []
+
+        class CountingRing(list):
+            def __getitem__(self, index):
+                reads.append(index)
+                return super().__getitem__(index)
+
+        simulator._ring = CountingRing(simulator._ring)
+        simulator.run_until(40)
+        credits[0] -= 1
+        simulator.schedule(45, [EVENT_CREDIT, credits, 0])
+        del reads[:]
+        assert simulator._quiescent_horizon() == 45
+        assert reads
+        simulator.run_until(50)
+        assert not simulator._active_list
+        credits[0] -= 1
+        simulator.schedule(60, [EVENT_CREDIT, credits, 0])
+        del reads[:]
+        assert simulator._quiescent_horizon() == 50
+        assert reads == []
 
 
 class _EveryCycleCounter(Observer):

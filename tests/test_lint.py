@@ -840,6 +840,54 @@ class TestClassLineage:
         )
         assert self._flagged(violations, "R4") == ["Ticker"]
 
+    def test_a_base_resolves_through_its_module_before_its_name(self):
+        # An unrelated Base elsewhere in the file set defines on_idle_span:
+        # it is not Ticker's ancestor, so it cannot satisfy R4 for it,
+        # whether Ticker's Base is defined beside it or imported.
+        unrelated = """
+            class Base:
+                def on_idle_span(self, start, end):
+                    pass
+            """
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/ticker.py": """
+                    from repro.instrument.bus import Observer
+
+                    class Base(Observer):
+                        pass
+
+                    class Ticker(Base):
+                        def on_cycle(self, now):
+                            pass
+                    """,
+                "src/repro/plugins/other.py": unrelated,
+            }
+        )
+        assert self._flagged(violations, "R4") == ["Ticker"]
+        violations = _lint_sources(
+            {
+                "src/repro/plugins/base.py": """
+                    from repro.instrument.bus import Observer
+
+                    class Base(Observer):
+                        pass
+                    """,
+                "src/repro/plugins/__init__.py": """
+                    from .base import Base
+                    """,
+                "src/repro/plugins/ticker.py": """
+                    from repro.plugins import Base
+
+                    class Ticker(Base):
+                        def on_cycle(self, now):
+                            pass
+                    """,
+                "src/repro/plugins/other.py": unrelated,
+            }
+        )
+        assert self._flagged(violations, "R4") == ["Ticker"]
+
     def test_r8_follows_a_policy_base_in_another_module(self):
         violations = _lint_sources(
             {

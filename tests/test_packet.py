@@ -23,7 +23,7 @@ def injected_flits(packet):
         buffers_per_vc=8,
         credit_delay=1,
         ring=[[] for _ in range(32)],
-        counters=[0, 0, 0, 1],
+        counters=[0, 1],
         event_pool=[],
         flit_pool=[],
         ejected_hooks=[],

@@ -2,11 +2,16 @@
 
 A router writes kernel state rather than calling back into an engine, so
 each test hands it that state: a calendar ring nothing dispatches (it keeps
-every scheduled event), the outstanding counters, the pools, and an
-instrument bus whose ejection hooks log the ejected packets.
+every scheduled event), the kernel's counters, the pools, and an
+instrument bus whose ejection hooks log the ejected packets. Arriving
+flits reach the router through the kernel's own dispatch loop
+(``SimulationEngine._dispatch``), run over just the kernel state it reads,
+so the one arrival enqueue and the ejection at dispatch are the ones under
+test.
 """
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,10 +21,12 @@ from repro.core.power_model import PAPER_LINK_POWER
 from repro.errors import ConfigError, FlowControlError, SimulationError
 from repro.instrument.bus import InstrumentBus, Observer
 from repro.network.channel import NetworkChannel
+from repro.network.engine import SimulationEngine
 from repro.network.packet import Flit, Packet
 from repro.network.router import EVENT_ARRIVAL, EVENT_CREDIT, Router
 from repro.network.routing import DimensionOrderRouting
 from repro.network.topology import Topology
+from repro.network.vc import UNROUTED, InputVC
 
 
 def make_dvs(level=None):
@@ -53,7 +60,11 @@ class Harness:
     """One router in a line of *radix* nodes, with captured events.
 
     By default the ring has more slots than any test here runs cycles, so
-    a slot's index is the cycle of the events in it.
+    a slot's index is the cycle of the events in it. The neighbours are
+    stand-ins: the input VCs each output port launches into
+    (``downstream``) and the credit lists each input port returns credits
+    to (``upstream_credits``), wired as the neighbours' own routers would
+    wire them.
     """
 
     def __init__(
@@ -70,7 +81,8 @@ class Harness:
         self.topology = Topology(radix, 1)
         self.routing = routing_class(self.topology, vcs)
         self.ring = [[] for _ in range(ring_size)]
-        self.counters = [0, 0, 0, 0]
+        self.counters = [0, 0]
+        self.pool = []
         self.bus = InstrumentBus()
         self.ejected = self.bus.attach(EjectionLog()).ejected
         self.router = Router(
@@ -82,21 +94,39 @@ class Harness:
             credit_delay=2,
             ring=self.ring,
             counters=self.counters,
-            event_pool=[],
+            event_pool=self.pool,
             flit_pool=[],
             ejected_hooks=self.bus.ejected_hooks,
         )
+        self.downstream = {}
+        self.upstream_credits = {}
         for port in self.topology.router_ports(node):
             spec = next(
                 s
                 for s in self.topology.channels
                 if s.src_node == node and s.src_port == port
             )
+            downstream = [InputVC(buffers_per_vc) for _ in range(vcs)]
+            for vc, vcstate in enumerate(downstream):
+                vcstate.node = spec.dst_node
+                vcstate.in_port = spec.dst_port
+                vcstate.in_vc = vc
+            self.downstream[port] = downstream
             self.router.attach_channel(
-                port,
-                NetworkChannel(spec, make_dvs(level), pipeline_latency),
-                buffers_per_vc,
+                port, NetworkChannel(spec, make_dvs(level), pipeline_latency), downstream
             )
+            credits = self.upstream_credits[port] = [buffers_per_vc] * vcs
+            for vcstate in self.router.in_vcs[port]:
+                vcstate.upstream_credits = credits
+        # Exactly the kernel state the dispatch loop reads.
+        self.kernel = SimpleNamespace(
+            routers={node: self.router},
+            _active_flags=bytearray(self.topology.node_count),
+            _active_list=[],
+            _event_pool=self.pool,
+            _local_port=self.topology.local_port,
+            _eject_at_dispatch=True,
+        )
 
     @property
     def events(self):
@@ -108,12 +138,15 @@ class Harness:
             for record in bucket
         ]
 
-    def place(self, flit, port=None, vc=0):
-        """Seed *flit* into an input VC at cycle 0 through on_arrival, which
-        keeps the occupied-VC list the router's step scans in sync."""
+    def deliver(self, flit, port=None, vc=0, now=0):
+        """Dispatch an ARRIVAL record of *flit* into input VC (*port*, *vc*)
+        at cycle *now* through the kernel's dispatch loop, which enqueues
+        it (keeping the occupied-VC list the router's step scans in sync)
+        or ejects it at once."""
         if port is None:
             port = self.topology.local_port
-        self.router.on_arrival(port, vc, flit, 0)
+        record = [EVENT_ARRIVAL, self.router.in_vcs[port][vc], flit]
+        SimulationEngine._dispatch(self.kernel, [record], now)
 
 
 class TestIdleAndInjection:
@@ -141,19 +174,23 @@ class TestLaunch:
         flits = flits_of(packet)
         # Place the head directly in a network-facing... node 0 has only the
         # local port toward injection; use local input.
-        harness.place(flits[0])
+        harness.deliver(flits[0])
         harness.router.step(1)
         arrivals = [e for e in harness.events if e[1][0] == EVENT_ARRIVAL]
         assert len(arrivals) == 1
         cycle, event = arrivals[0]
-        assert event[1] == 1  # destination node
+        # Addressed to the downstream input VC the head was allocated.
+        out_vc = harness.router.in_vcs[harness.topology.local_port][0].out_vc
+        assert event[1] is harness.downstream[harness.topology.plus_port(0)][out_vc]
+        assert event[1].node == 1  # destination node
+        assert event[2] is flits[0]
         assert cycle > 1  # pipeline + serialization in the future
 
     def test_credit_consumed_on_launch(self):
         harness = Harness()
         packet = Packet(0, 1, 1, 0)
         (flit,) = flits_of(packet)
-        harness.place(flit)
+        harness.deliver(flit)
         out_port = harness.topology.plus_port(0)
         before = harness.router.credit_states[out_port].credits.copy()
         harness.router.step(1)
@@ -164,7 +201,7 @@ class TestLaunch:
         harness = Harness()
         packet = Packet(0, 1, 1, 0)  # single flit: head and tail
         (flit,) = flits_of(packet)
-        harness.place(flit)
+        harness.deliver(flit)
         out_port = harness.topology.plus_port(0)
         harness.router.step(1)
         assert all(harness.router.credit_states[out_port].vc_free)
@@ -177,7 +214,7 @@ class TestLaunch:
             state.credits[vc] = 0
         packet = Packet(0, 1, 1, 0)
         (flit,) = flits_of(packet)
-        harness.place(flit)
+        harness.deliver(flit)
         harness.router.step(1)
         arrivals = [e for e in harness.events if e[1][0] == EVENT_ARRIVAL]
         assert not arrivals
@@ -185,68 +222,109 @@ class TestLaunch:
 
 class TestEjection:
     def test_arrived_packet_ejects(self):
+        """A packet whose flits each reach an empty VC at their destination
+        ejects at dispatch, each flit in its arrival cycle: the router is
+        never stepped, never activated, and buffers nothing."""
         harness = Harness(node=1)
         packet = Packet(0, 1, 2, 0)
         flits = flits_of(packet)
         in_port = harness.topology.minus_port(0)  # from node 0
-        harness.router.on_arrival(in_port, 0, flits[0], 10)
-        harness.router.on_arrival(in_port, 0, flits[1], 11)
-        harness.router.step(12)
-        harness.router.step(13)
-        assert harness.ejected
-        ejected_packet, when = harness.ejected[0]
-        assert ejected_packet is packet
-        assert ejected_packet.ejected_cycle == when
+        harness.deliver(flits[0], in_port, 0, now=10)
+        assert harness.router.flits_ejected == 1 and not harness.ejected
+        harness.deliver(flits[1], in_port, 0, now=11)
+        assert harness.ejected == [(packet, 11)]
+        assert packet.ejected_cycle == 11
+        assert harness.router.is_idle
+        assert harness.kernel._active_list == []
+        # The tail reset the route the head set for the local port.
+        assert harness.router.in_vcs[in_port][0].out_port == UNROUTED
 
     def test_ejection_returns_credits(self):
         harness = Harness(node=1)
         packet = Packet(0, 1, 1, 0)
         (flit,) = flits_of(packet)
         in_port = harness.topology.minus_port(0)
-        harness.router.on_arrival(in_port, 0, flit, 10)
-        harness.router.step(11)
+        harness.deliver(flit, in_port, 0, now=10)
         credits = [e for e in harness.events if e[1][0] == EVENT_CREDIT]
         assert len(credits) == 1
         cycle, event = credits[0]
-        assert cycle == 11 + 2  # credit delay
-        assert event[1] == 0  # upstream node
-        assert event[4] is True  # tail flag
+        assert cycle == 10 + 2  # credit delay
+        assert event[1] is harness.upstream_credits[in_port]  # node 0's list
+        assert event[2] == 0  # the VC the flit left
+
+    def test_packet_behind_a_blocked_transit_packet_ejects_through_the_step(self):
+        """A packet for this node queued behind a transit packet that holds
+        its VC is buffered, not ejected at dispatch. Once the transit
+        packet's tail launches, the router's step ejects it one flit per
+        cycle from the next cycle on."""
+        harness = Harness(node=1, radix=3, buffers_per_vc=16)
+        router = harness.router
+        west = harness.topology.minus_port(0)
+        east = harness.topology.plus_port(0)
+        transit = flits_of(Packet(0, 2, 3, 0))
+        local = flits_of(Packet(0, 1, 2, 0))
+        credits = router.credit_states[east].credits
+        saved = list(credits)
+        credits[:] = [0] * len(credits)  # node 2 has no room: blocked
+        for now, flit in enumerate(transit + local, start=1):
+            harness.deliver(flit, west, 0, now=now)
+            router.step(now)
+        assert router.flits_ejected == 0
+        assert router.total_buffered == len(transit) + len(local)
+        credits[:] = saved
+        start = len(transit) + len(local) + 1
+        now = start
+        while router.total_buffered:
+            router.step(now)
+            now += 1
+        # The transit flits launch in cycles start .. start + 2; the local
+        # head reaches the front of the VC the cycle after the tail's
+        # launch, and its tail ejects one cycle later.
+        assert launched_sources(harness) == [0, 0, 0]
+        assert harness.ejected == [(local[0].packet, start + len(transit) + 1)]
+        assert router.flits_ejected == len(local)
 
 
 class TestArrival:
     def test_arrival_into_full_vc_raises(self):
-        """Overflow means a sender launched without a credit: on_arrival,
-        which the kernel calls for every ARRIVAL, refuses it."""
-        harness = Harness(node=1, buffers_per_vc=1)
+        """Overflow means a sender launched without a credit: the kernel's
+        arrival enqueue refuses it."""
+        harness = Harness(node=1, radix=3, buffers_per_vc=1)
         in_port = harness.topology.minus_port(0)
-        first = flits_of(Packet(0, 1, 1, 0))[0]
-        second = flits_of(Packet(0, 1, 1, 0))[0]
-        harness.router.on_arrival(in_port, 0, first, 10)
+        first = flits_of(Packet(0, 2, 1, 0))[0]
+        second = flits_of(Packet(0, 2, 1, 0))[0]
+        harness.deliver(first, in_port, 0, now=10)
         with pytest.raises(FlowControlError, match="buffer overflow"):
-            harness.router.on_arrival(in_port, 0, second, 11)
+            harness.deliver(second, in_port, 0, now=11)
         assert harness.router.total_buffered == 1
 
 
 class TestKernelState:
-    def test_counters_track_scheduled_events_and_source_packets(self):
-        """A launch from the local port schedules one arrival (no upstream
-        to credit); the packet leaves the source queue side as its tail
-        enters the local buffers."""
+    def test_counters_track_flits_in_network_and_source_packets(self):
+        """A flit counts as in the network from the cycle it enters the
+        local buffers until it ejects, at whichever router; the packet
+        leaves the source queue side as its tail enters. A launch, which
+        schedules one arrival (no upstream to credit), counts nothing."""
         harness = Harness()
-        harness.counters[3] = 1  # the kernel counts the offer
+        harness.counters[1] = 1  # the kernel counts the offer
         harness.router.offer_packet(Packet(0, 1, 1, 0))
         harness.router.step(0)
-        assert harness.counters == [0, 0, 0, 0]
+        assert harness.counters == [1, 0]
         harness.router.step(1)
-        assert harness.counters == [1, 1, 1, 0]
+        assert harness.counters == [1, 0]
         assert len(harness.events) == 1
+        # A flit from node 1 ejects here: the network-wide count drops.
+        harness.deliver(
+            flits_of(Packet(1, 0, 1, 0))[0], harness.topology.plus_port(0), 0, now=2
+        )
+        assert harness.counters == [0, 0]
 
     def test_arrival_beyond_the_ring_raises(self):
         """A launch lands pipeline latency + serialization ahead (here more
         than 3 cycles); a ring too short to hold that cycle is refused
         rather than wrapped onto an earlier one."""
         harness = Harness(ring_size=4)
-        harness.place(flits_of(Packet(0, 1, 1, 0))[0])
+        harness.deliver(flits_of(Packet(0, 1, 1, 0))[0])
         with pytest.raises(SimulationError, match="beyond the 4-slot calendar ring"):
             harness.router.step(1)
 
@@ -270,14 +348,14 @@ class TestCreditHandling:
         port = harness.topology.plus_port(0)
         with pytest.raises(SimulationError):
             harness.router.attach_channel(
-                port, harness.router.channels[port], 8
+                port, harness.router.channels[port], harness.downstream[port]
             )
 
 
 def launched_sources(harness):
     """Source node of each launched flit's packet, in launch order."""
     return [
-        event[4].packet.src for _, event in harness.events if event[0] == EVENT_ARRIVAL
+        event[2].packet.src for _, event in harness.events if event[0] == EVENT_ARRIVAL
     ]
 
 
@@ -290,8 +368,8 @@ class TestSwitchAllocation:
         router = harness.router
         from_west = harness.topology.minus_port(0)
         for _ in range(4):
-            router.on_arrival(from_west, 0, flits_of(Packet(0, 2, 1, 0))[0], 0)
-            harness.place(flits_of(Packet(1, 2, 1, 0))[0])
+            harness.deliver(flits_of(Packet(0, 2, 1, 0))[0], from_west)
+            harness.deliver(flits_of(Packet(1, 2, 1, 0))[0])
         now = 1
         while router.total_buffered and now < 20:
             router.step(now)
@@ -305,9 +383,9 @@ class TestSwitchAllocation:
         router = harness.router
         from_west = harness.topology.minus_port(0)
         for _ in range(2):
-            router.on_arrival(from_west, 0, flits_of(Packet(0, 2, 1, 0))[0], 0)
+            harness.deliver(flits_of(Packet(0, 2, 1, 0))[0], from_west)
         router.step(1)
-        harness.place(flits_of(Packet(1, 2, 1, 0))[0])
+        harness.deliver(flits_of(Packet(1, 2, 1, 0))[0])
         router.step(2)
         assert launched_sources(harness) == [0, 1]
 
@@ -328,7 +406,7 @@ class TestWireOracle:
         twin = make_dvs(level)
         flits = flits_of(Packet(0, 1, 8, 0))
         for flit in flits:
-            harness.place(flit)
+            harness.deliver(flit)
         launches = 0
         now = 1
         while launches < len(flits):
@@ -343,7 +421,7 @@ class TestWireOracle:
                 done = twin.send_flit(now)
                 cycle, event = harness.events[-1]
                 assert event[0] == EVENT_ARRIVAL
-                assert event[4] is flits[launches - 1]
+                assert event[2] is flits[launches - 1]
                 assert cycle == math.ceil(done + pipeline_latency)
                 assert wire.busy_until == twin.busy_until
                 assert wire.busy_cycles_total == twin.busy_cycles_total

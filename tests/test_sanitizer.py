@@ -120,7 +120,7 @@ class TestMutationKernels:
         simulator = Simulator(small_config(rate=0.3))
         NetworkSanitizer(simulator, check_every=1).attach()
         simulator.run_until(300)
-        simulator._counters[0] += 1  # one transport event that never left
+        simulator._counters[0] += 1  # one flit that was never injected
         with pytest.raises(SanitizerViolation) as exc:
             simulator.run_until(310)
         assert exc.value.rule == "event-counters"
