@@ -36,6 +36,7 @@ from .config import (
 from .core import (
     TABLE1_DEFAULT,
     TABLE2_SETTINGS,
+    ChannelDesign,
     ChannelPhase,
     ControllerHardwareModel,
     DVSAction,
@@ -88,6 +89,7 @@ __all__ = [
     "LinkPowerModel",
     "RegulatorModel",
     "transition_energy",
+    "ChannelDesign",
     "ChannelPhase",
     "DVSChannel",
     "TransitionTiming",

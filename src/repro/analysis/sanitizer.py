@@ -537,7 +537,8 @@ class DVSTransitionSanitizer(SanitizerObserver):
         #: cycle until they return to steady state.
         self._watched: set[int] = set()
         self._index_of: dict[int, int] = {}
-        self._max_level = 0
+        design = engine.design
+        self._max_level = design.max_level
         self._links: list["DVSChannel"] | None = None
         #: Per controller, the ``dormant_since`` of the dormant spell a
         #: boundary check last saw (``None`` = none yet).
@@ -547,17 +548,14 @@ class DVSTransitionSanitizer(SanitizerObserver):
         self._window = (
             engine.config.dvs.history_window if engine.controllers else 0
         )
-        for topo_channel in engine.channels:
-            dvs = topo_channel.dvs
-            timing = dvs.timing
-            step = timing.voltage_cycles(dvs.router_clock_hz) + max(
-                1,
-                timing.frequency_cycles(
-                    dvs.table.frequency(dvs.table.max_level),
-                    dvs.router_clock_hz,
-                ),
-            )
-            self.check_every = max(1, min(self.check_every, step))
+        # One top-level transition as timed: the voltage ramp, not the ramp
+        # phase's one-cycle floor (which would raise the clamp wherever a
+        # ramp rounds to 0 cycles), plus the frequency lock.
+        step = (
+            design.timing.voltage_cycles(design.router_clock_hz)
+            + design.lock_cycles[design.max_level]
+        )
+        self.check_every = max(1, min(self.check_every, step))
 
     def _setup(self) -> list["DVSChannel"]:
         channels = self.engine.channels
@@ -568,8 +566,6 @@ class DVSTransitionSanitizer(SanitizerObserver):
             channel.spec.channel_id: index
             for index, channel in enumerate(channels)
         }
-        if channels:
-            self._max_level = channels[0].dvs.table.max_level
         self._dormant_seen = [None] * len(self.engine.controllers)
         return links
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .core.dvs_link import TransitionTiming
+from .core.dvs_link import ChannelDesign, TransitionTiming
 from .core.levels import VFTable
 from .core.power_model import LinkPowerModel, RegulatorModel
 from .core.registry import validate_dvs_config
@@ -171,6 +171,20 @@ class LinkConfig:
         return TransitionTiming(
             voltage_transition_s=self.voltage_transition_s,
             frequency_transition_link_cycles=self.frequency_transition_link_cycles,
+        )
+
+    def design(self, router_clock_hz: float) -> ChannelDesign:
+        """The one channel design every DVS channel of a network clocked
+        at *router_clock_hz* is built to."""
+        return ChannelDesign(
+            self.build_table(),
+            self.build_power_model(),
+            self.build_regulator(),
+            lanes=self.lanes,
+            router_clock_hz=router_clock_hz,
+            timing=self.build_timing(),
+            retention_voltage_v=self.sleep_retention_voltage_v,
+            wake_lockout_cycles=self.sleep_wake_lockout_cycles,
         )
 
 

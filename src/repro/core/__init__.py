@@ -14,7 +14,7 @@ model of Section 3.3 (:mod:`repro.core.hardware`).
 """
 
 from .controller import PortDVSController
-from .dvs_link import ChannelPhase, DVSChannel, TransitionTiming
+from .dvs_link import ChannelDesign, ChannelPhase, DVSChannel, TransitionTiming
 from .hardware import ControllerHardwareModel
 from .history import EWMAPredictor
 from .levels import VFOperatingPoint, VFTable
@@ -36,6 +36,7 @@ __all__ = [
     "LinkPowerModel",
     "RegulatorModel",
     "transition_energy",
+    "ChannelDesign",
     "ChannelPhase",
     "DVSChannel",
     "TransitionTiming",

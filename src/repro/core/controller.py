@@ -135,7 +135,7 @@ class PortDVSController:
         #: Per-action counts indexed by ``action._value_`` (negative values
         #: wrap), so counting hashes no enum member.
         self._action_counts = [0] * len(DVSAction)
-        self._max_level = channel.table.max_level
+        self._max_level = channel.design.max_level
         self._last_occupancy_integral = 0.0
 
     @property

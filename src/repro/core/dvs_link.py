@@ -19,6 +19,12 @@ voltage ramp spans ~50 history windows at the paper's parameters, so the
 controlling policy simply re-evaluates later. Multi-step retargets chain
 adjacent transitions automatically.
 
+Every channel of a network is built to one :class:`ChannelDesign`: the
+table, power model, regulator, lane count, router clock, transition
+timing and sleep parameters, with every per-level and per-transition
+constant derived from them once. A :class:`DVSChannel` holds that one
+reference plus its own state.
+
 The channel also owns its own energy bookkeeping: steady-state power is
 integrated over time at the phase-appropriate level (conservatively, the
 *higher* of the two voltages during a ramp) and each voltage ramp is
@@ -101,42 +107,84 @@ class TransitionTiming:
         )
 
 
-class LevelConstants:
-    """Per-level constants of one channel design, computed once.
+class ChannelDesign:
+    """The one design every DVS channel of a network shares.
 
-    Everything a phase boundary needs that depends on the level alone:
-    steady power, serialization and frequency-lock cycles per level, and
-    per adjacent pair ``(l, l + 1)`` the voltage-ramp power
+    The paper gives every channel the same hardware (Figures 1-2, Section
+    4.2): ``lanes`` serial links on one regulator and one clock, one V/F
+    table, fixed ramp and lock times and the Eq. (1) regulator energy.
+    This object holds those parts, validates them once, and derives once
+    every constant a phase boundary needs that depends on the level alone:
+    steady power, serialization and frequency-lock cycles per level; per
+    adjacent pair ``(l, l + 1)`` the voltage-ramp power
     ``lanes x P(f(l), V(l + 1))`` and regulator energy ``E(V(l), V(l + 1))``
-    (``l`` is the lower level of both up- and down-steps), plus the ramp
-    duration. Each is the float expression the channel used to evaluate
-    per transition, so sharing them changes no bit. The engine builds one
-    instance and hands it to every channel; a standalone channel builds
-    its own.
+    (``l`` is the lower level of both up- and down-steps); the ramp
+    duration; and for the sleep state below level 0 its leakage power, its
+    entry and wake energies and its wake duration. Each is the float
+    expression a channel used to evaluate per transition, so sharing them
+    changes no bit. :meth:`repro.config.LinkConfig.design` builds one per
+    network and the engine hands it to every channel.
     """
 
     __slots__ = (
-        "source",
+        "table",
+        "power_model",
+        "regulator",
+        "lanes",
+        "router_clock_hz",
+        "timing",
+        "retention_voltage_v",
+        "wake_lockout_cycles",
+        "max_level",
         "steady_power_w",
         "serialization_cycles",
         "lock_cycles",
         "ramp_power_w",
         "ramp_energy_fj",
         "ramp_cycles",
+        "sleep_power_w",
+        "sleep_energy_fj",
+        "wake_energy_fj",
+        "wake_cycles",
     )
 
     def __init__(
         self,
         table: VFTable,
         power_model: LinkPowerModel,
-        regulator: RegulatorModel,
+        regulator: RegulatorModel | None = None,
         *,
-        lanes: int,
-        router_clock_hz: float,
-        timing: TransitionTiming,
+        lanes: int = 8,
+        router_clock_hz: float = 1.0e9,
+        timing: TransitionTiming | None = None,
+        retention_voltage_v: float = 0.3,
+        wake_lockout_cycles: int = 0,
     ) -> None:
-        #: The parameters these constants were computed from.
-        self.source = (table, power_model, regulator, lanes, router_clock_hz, timing)
+        if lanes <= 0:
+            raise ConfigError("a channel needs at least one lane")
+        if router_clock_hz <= 0.0:
+            raise ConfigError("router clock must be positive")
+        if not 0.0 < retention_voltage_v < table.voltage(0):
+            raise ConfigError(
+                f"retention voltage {retention_voltage_v!r} must lie in "
+                f"(0, {table.voltage(0)!r}) below the level-0 rail"
+            )
+        if wake_lockout_cycles < 0:
+            raise ConfigError("wake lockout must be non-negative")
+        regulator = regulator if regulator is not None else RegulatorModel()
+        timing = timing if timing is not None else TransitionTiming()
+        self.table = table
+        self.power_model = power_model
+        self.regulator = regulator
+        self.lanes = lanes
+        self.router_clock_hz = router_clock_hz
+        self.timing = timing
+        #: Retention rail applied while asleep (leakage-only state).
+        self.retention_voltage_v = retention_voltage_v
+        #: Cycles after a wake completes during which re-sleep is refused.
+        self.wake_lockout_cycles = wake_lockout_cycles
+
+        self.max_level = table.max_level
         levels = range(len(table))
         self.steady_power_w = tuple(
             power_model.channel_power_w(table, level, lanes) for level in levels
@@ -168,10 +216,22 @@ class LevelConstants:
             for level in lower_levels
         )
         self.ramp_cycles = max(1, timing.voltage_cycles(router_clock_hz))
+        self.sleep_power_w = power_model.sleep_power_w(retention_voltage_v, lanes)
+        #: The rail's decay to the retention voltage, one Eq. (1) transition.
+        self.sleep_energy_fj = joules_to_femtojoules(
+            regulator.transition_energy_j(table.voltage(0), retention_voltage_v)
+        )
+        #: The rail's recharge to level 0, one Eq. (1) transition.
+        self.wake_energy_fj = joules_to_femtojoules(
+            regulator.transition_energy_j(retention_voltage_v, table.voltage(0))
+        )
+        #: Link-dead span of a wake: the recharge ramp, then a level-0 lock.
+        self.wake_cycles = self.ramp_cycles + self.lock_cycles[0]
 
 
 class DVSChannel:
-    """One DVS-capable channel: shared-regulator serial links plus state.
+    """One DVS-capable channel: the state of shared-regulator serial links
+    built to one :class:`ChannelDesign`.
 
     The simulator drives this object with three calls:
 
@@ -184,12 +244,7 @@ class DVSChannel:
     """
 
     __slots__ = (
-        "table",
-        "power_model",
-        "regulator",
-        "lanes",
-        "router_clock_hz",
-        "timing",
+        "design",
         "_level",
         "_voltage_level",
         "_target_level",
@@ -208,8 +263,6 @@ class DVSChannel:
         "_last_energy_cycle",
         "_serialization_cycles",
         "level_step_counts",
-        "retention_voltage_v",
-        "wake_lockout_cycles",
         "sleeping",
         "sleep_demand",
         "sleep_count",
@@ -218,58 +271,12 @@ class DVSChannel:
         "replay_energy_fj",
         "_sleep_lockout_until",
         "_sleep_started_cycle",
-        "_wake_duration",
-        "_constants",
     )
 
-    def __init__(
-        self,
-        table: VFTable,
-        power_model: LinkPowerModel,
-        regulator: RegulatorModel | None = None,
-        *,
-        lanes: int = 8,
-        router_clock_hz: float = 1.0e9,
-        timing: TransitionTiming | None = None,
-        initial_level: int | None = None,
-        retention_voltage_v: float = 0.3,
-        wake_lockout_cycles: int = 0,
-        constants: LevelConstants | None = None,
-    ) -> None:
-        if lanes <= 0:
-            raise ConfigError("a channel needs at least one lane")
-        if router_clock_hz <= 0.0:
-            raise ConfigError("router clock must be positive")
-        if not 0.0 < retention_voltage_v < table.voltage(0):
-            raise ConfigError(
-                f"retention voltage {retention_voltage_v!r} must lie in "
-                f"(0, {table.voltage(0)!r}) below the level-0 rail"
-            )
-        if wake_lockout_cycles < 0:
-            raise ConfigError("wake lockout must be non-negative")
-        self.table = table
-        self.power_model = power_model
-        self.regulator = regulator if regulator is not None else RegulatorModel()
-        self.lanes = lanes
-        self.router_clock_hz = router_clock_hz
-        self.timing = timing if timing is not None else TransitionTiming()
-        if constants is None:
-            constants = LevelConstants(
-                table,
-                power_model,
-                self.regulator,
-                lanes=lanes,
-                router_clock_hz=router_clock_hz,
-                timing=self.timing,
-            )
-        elif constants.source != (
-            table, power_model, self.regulator, lanes, router_clock_hz, self.timing
-        ):
-            raise ConfigError("level constants were built for a different channel design")
-        self._constants = constants
-
-        level = table.max_level if initial_level is None else initial_level
-        if not 0 <= level <= table.max_level:
+    def __init__(self, design: ChannelDesign, *, initial_level: int | None = None) -> None:
+        self.design = design
+        level = design.max_level if initial_level is None else initial_level
+        if not 0 <= level <= design.max_level:
             raise ConfigError(f"initial level {level} out of range")
         self._level = level
         self._voltage_level = level
@@ -292,16 +299,12 @@ class DVSChannel:
         self.transition_energy_fj = 0
         self.link_energy_fj = 0
         self.dead_cycles = 0
-        self._power_w = constants.steady_power_w[level]
+        self._power_w = design.steady_power_w[level]
         self._last_energy_cycle = 0
-        self._serialization_cycles = constants.serialization_cycles[level]
+        self._serialization_cycles = design.serialization_cycles[level]
         #: Count of completed adjacent steps up/down, for diagnostics.
         self.level_step_counts = {"up": 0, "down": 0}
 
-        #: Retention rail applied while asleep (leakage-only state).
-        self.retention_voltage_v = retention_voltage_v
-        #: Cycles after a wake completes during which re-sleep is refused.
-        self.wake_lockout_cycles = wake_lockout_cycles
         #: Fast-path mirror of ``phase is SLEEP`` (router blocked paths
         #: read this plain attribute to record wake demand).
         self.sleeping = False
@@ -315,7 +318,6 @@ class DVSChannel:
         self.replay_energy_fj = 0
         self._sleep_lockout_until = 0
         self._sleep_started_cycle = 0
-        self._wake_duration = 0
 
     # ------------------------------------------------------------------
     # State inspection
@@ -401,7 +403,7 @@ class DVSChannel:
         mid-transition and the request was dropped — the paper's policy
         simply retries at a later history window.
         """
-        target_level = self.table.clamp(target_level)
+        target_level = self.design.table.clamp(target_level)
         if not self.is_steady:
             return False
         if target_level == self._level:
@@ -435,20 +437,14 @@ class DVSChannel:
         if not self.sleep_permitted(now):
             return False
         self._accrue_energy(now)
-        self.transition_energy_fj += joules_to_femtojoules(
-            self.regulator.transition_energy_j(
-                self.table.voltage(0), self.retention_voltage_v
-            )
-        )
+        self.transition_energy_fj += self.design.sleep_energy_fj
         self.transition_count += 1
         self.sleep_count += 1
         self._phase = ChannelPhase.SLEEP
         self.locked = True
         self.sleeping = True
         self.sleep_demand = False
-        self._power_w = self.power_model.sleep_power_w(
-            self.retention_voltage_v, self.lanes
-        )
+        self._power_w = self.design.sleep_power_w
         self._phase_end_cycle = None
         self._sleep_started_cycle = now
         return True
@@ -465,32 +461,28 @@ class DVSChannel:
             return False
         self._accrue_energy(now)
         self.sleep_cycles += now - self._sleep_started_cycle
-        self.transition_energy_fj += joules_to_femtojoules(
-            self.regulator.transition_energy_j(
-                self.retention_voltage_v, self.table.voltage(0)
-            )
-        )
+        design = self.design
+        self.transition_energy_fj += design.wake_energy_fj
         self.transition_count += 1
         self._phase = ChannelPhase.WAKE
         self.locked = True
         self.sleeping = False
-        constants = self._constants
-        self._power_w = constants.steady_power_w[0]
-        self._wake_duration = constants.ramp_cycles + constants.lock_cycles[self._level]
-        self._phase_end_cycle = now + self._wake_duration
+        self._power_w = design.steady_power_w[0]
+        self._phase_end_cycle = now + design.wake_cycles
         return True
 
     def force_level(self, level: int, now: int = 0) -> None:
         """Jump instantaneously to *level* (initialization / tests only)."""
         if not self.is_steady:
             raise LinkStateError("cannot force a level during a transition")
-        level = self.table.clamp(level)
+        design = self.design
+        level = design.table.clamp(level)
         self._accrue_energy(now)
         self._level = level
         self._voltage_level = level
         self._target_level = level
-        self._serialization_cycles = self._constants.serialization_cycles[level]
-        self._power_w = self._constants.steady_power_w[level]
+        self._serialization_cycles = design.serialization_cycles[level]
+        self._power_w = design.steady_power_w[level]
 
     def on_phase_end(self, now: int) -> int | None:
         """Advance the state machine at a phase boundary.
@@ -518,7 +510,7 @@ class DVSChannel:
                 self._voltage_level = self._level
                 self._finish_step(now, step="down")
         elif self._phase is ChannelPhase.FREQUENCY_LOCK:
-            self.dead_cycles += self._constants.lock_cycles[self._level]
+            self.dead_cycles += self.design.lock_cycles[self._level]
             if going_up:
                 # Frequency now matches the already-raised voltage.
                 self._level += 1
@@ -526,15 +518,16 @@ class DVSChannel:
             else:
                 # Frequency dropped; ramp the voltage down (link functional).
                 self._level -= 1
-                self._serialization_cycles = self._constants.serialization_cycles[
+                self._serialization_cycles = self.design.serialization_cycles[
                     self._level
                 ]
                 self._start_voltage_ramp(now)
         elif self._phase is ChannelPhase.WAKE:
             # Rail recharged and receiver re-locked: back to steady level 0.
-            self.dead_cycles += self._wake_duration
-            self._sleep_lockout_until = now + self.wake_lockout_cycles
-            self._power_w = self._constants.steady_power_w[self._level]
+            design = self.design
+            self.dead_cycles += design.wake_cycles
+            self._sleep_lockout_until = now + design.wake_lockout_cycles
+            self._power_w = design.steady_power_w[self._level]
             self._phase = ChannelPhase.STEADY
             self.locked = False
             self._phase_end_cycle = None
@@ -591,7 +584,7 @@ class DVSChannel:
         self.busy_window += occupancy
         self.replay_count += flits
         energy_fj = joules_to_femtojoules(
-            self._power_w * (occupancy / self.router_clock_hz)
+            self._power_w * (occupancy / self.design.router_clock_hz)
         )
         self.replay_energy_fj += energy_fj
         self.link_energy_fj += energy_fj
@@ -622,7 +615,7 @@ class DVSChannel:
         if now <= 0:
             return self._power_w
         self.finalize(now)
-        return self.total_energy_j / (now / self.router_clock_hz)
+        return self.total_energy_j / (now / self.design.router_clock_hz)
 
     # ------------------------------------------------------------------
     # Internals
@@ -636,7 +629,7 @@ class DVSChannel:
         elapsed = now - self._last_energy_cycle
         if elapsed:
             self.link_energy_fj += joules_to_femtojoules(
-                self._power_w * (elapsed / self.router_clock_hz)
+                self._power_w * (elapsed / self.design.router_clock_hz)
             )
             self._last_energy_cycle = now
 
@@ -663,26 +656,27 @@ class DVSChannel:
         "very conservative assumptions").
         """
         self._accrue_energy(now)
-        constants = self._constants
+        design = self.design
         level = self._level
-        self.transition_energy_fj += constants.ramp_energy_fj[level]
+        self.transition_energy_fj += design.ramp_energy_fj[level]
         self.transition_count += 1
-        self._power_w = constants.ramp_power_w[level]
+        self._power_w = design.ramp_power_w[level]
         self._phase = ChannelPhase.VOLTAGE_RAMP
         self.locked = False
-        self._phase_end_cycle = now + constants.ramp_cycles
+        self._phase_end_cycle = now + design.ramp_cycles
 
     def _start_frequency_lock(self, now: int) -> None:
         self._accrue_energy(now)
         self._phase = ChannelPhase.FREQUENCY_LOCK
         self.locked = True
-        self._phase_end_cycle = now + self._constants.lock_cycles[self._level]
+        self._phase_end_cycle = now + self.design.lock_cycles[self._level]
 
     def _finish_step(self, now: int, step: str) -> None:
         self.level_step_counts[step] += 1
         self._voltage_level = self._level
-        self._serialization_cycles = self._constants.serialization_cycles[self._level]
-        self._power_w = self._constants.steady_power_w[self._level]
+        design = self.design
+        self._serialization_cycles = design.serialization_cycles[self._level]
+        self._power_w = design.steady_power_w[self._level]
         self._phase = ChannelPhase.STEADY
         self.locked = False
         if self._level != self._target_level:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import NamedTuple
 
 from ..errors import ConfigError
@@ -348,7 +349,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..config import DVSControlConfig
 
 
-_EWMA_KNOB = PolicyKnob(
+#: The EWMA history-weight knob every history-predicting policy declares;
+#: policies that pin it during knob sweeps use ``replace(EWMA_KNOB, sweep=())``.
+EWMA_KNOB = PolicyKnob(
     "ewma_weight",
     default=3.0,
     minimum=1e-9,
@@ -366,7 +369,7 @@ register_null_policy(
 @register_policy(
     "history",
     description="the paper's Algorithm 1: EWMA-predicted LU with BU litmus",
-    knobs=(_EWMA_KNOB,),
+    knobs=(EWMA_KNOB,),
     uses_thresholds=True,
 )
 def _build_history(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:
@@ -397,7 +400,7 @@ def _build_static(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPo
 @register_policy(
     "lu_only",
     description="Section 3.1 strawman: LU thresholds without the BU litmus",
-    knobs=(_EWMA_KNOB,),
+    knobs=(EWMA_KNOB,),
     uses_thresholds=True,
 )
 def _build_lu_only(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:
@@ -408,14 +411,7 @@ def _build_lu_only(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSP
 @register_policy(
     "adaptive_threshold",
     description="Section 4.4.2 extension: slowly adapting light-load pair",
-    knobs=(
-        PolicyKnob(
-            "ewma_weight",
-            default=3.0,
-            minimum=1e-9,
-            description="history weight W of the EWMA predictor (Eq. (5))",
-        ),
-    ),
+    knobs=(replace(EWMA_KNOB, sweep=()),),
     uses_thresholds=True,
 )
 def _build_adaptive(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:

@@ -26,12 +26,13 @@ in ``__init__`` from config, so runs are bit-identical across backends.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigError
 from .history import EWMAPredictor
 from .levels import PAPER_TABLE, VFTable
-from .policy import DVSAction, DVSPolicy, PolicyInputs
+from .policy import EWMA_KNOB, DVSAction, DVSPolicy, PolicyInputs
 from .registry import PolicyBuildContext, PolicyKnob, knob_values, register_policy
 from .thresholds import TABLE1_DEFAULT, ThresholdSet
 
@@ -319,12 +320,7 @@ def _build_error_correction(
     description="leakage-aware link shutdown: history policy plus a sleep "
     "state below level 0 with demand-driven wake",
     knobs=(
-        PolicyKnob(
-            "ewma_weight",
-            default=3.0,
-            minimum=1e-9,
-            description="history weight W of the EWMA predictor (Eq. (5))",
-        ),
+        replace(EWMA_KNOB, sweep=()),
         PolicyKnob(
             "sleep_lu",
             default=0.05,

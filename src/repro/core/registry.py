@@ -249,16 +249,20 @@ def describe_registry() -> str:
     return "\n".join(lines)
 
 
+def _raw_knob_value(dvs: "DVSControlConfig", knob: PolicyKnob) -> float:
+    """*knob*'s value for *dvs* as given: the ``params`` entry, then the
+    legacy config attribute of the same name, then the knob default."""
+    if knob.name in dvs.params:
+        return dvs.params[knob.name]
+    return getattr(dvs, knob.name, knob.default)
+
+
 def knob_values(dvs: "DVSControlConfig") -> dict[str, float]:
-    """Resolved knob values for *dvs*: ``params`` override, then the legacy
-    config attribute of the same name, then the knob default."""
-    spec = get_policy_spec(dvs.policy)
+    """Resolved knob values for *dvs* (see :func:`_raw_knob_value`), with
+    integer knobs cast to ``int`` and the rest to ``float``."""
     values: dict[str, float] = {}
-    for knob in spec.knobs:
-        if knob.name in dvs.params:
-            value = dvs.params[knob.name]
-        else:
-            value = getattr(dvs, knob.name, knob.default)
+    for knob in get_policy_spec(dvs.policy).knobs:
+        value = _raw_knob_value(dvs, knob)
         values[knob.name] = int(value) if knob.integer else float(value)
     return values
 
@@ -284,11 +288,7 @@ def validate_dvs_config(dvs: "DVSControlConfig", *, levels: int | None = None) -
     # Validate the raw values, not the resolved ones: knob_values()
     # int-casts integer knobs, which would let 2.5 truncate to 2 here.
     for knob in spec.knobs:
-        if knob.name in dvs.params:
-            value = dvs.params[knob.name]
-        else:
-            value = getattr(dvs, knob.name, knob.default)
-        knob.validate(dvs.policy, value, levels=levels)
+        knob.validate(dvs.policy, _raw_knob_value(dvs, knob), levels=levels)
 
 
 def build_policy(

@@ -322,7 +322,7 @@ def router_core_energy(scale: ExperimentScale = DEFAULT_SCALE) -> FigureResult:
         simulator.run()
         simulators[policy] = simulator
     base_w, dvs_w, change = core_energy_comparison(
-        simulators["none"], simulators["history"], scale.network().router_clock_hz
+        simulators["none"], simulators["history"]
     )
     return FigureResult(
         "Section 4.2",

@@ -34,8 +34,6 @@ def _sanitize_from_env() -> bool:
 def build_simulator(
     config: SimulationConfig,
     *,
-    traffic: Optional[object] = None,
-    series_window: int = 0,
     observers: Iterable[Observer] = (),
     sanitize: Optional[bool] = None,
 ) -> Simulator:
@@ -49,27 +47,12 @@ def build_simulator(
     """
     if sanitize is None:
         sanitize = _sanitize_from_env()
-    simulator = Simulator(
-        config, traffic=traffic, series_window=series_window, sanitize=sanitize
-    )
+    simulator = Simulator(config, sanitize=sanitize)
     for observer in observers:
         simulator.bus.attach(observer)
     return simulator
 
 
-def run_simulation(
-    config: SimulationConfig,
-    *,
-    traffic: Optional[object] = None,
-    series_window: int = 0,
-    observers: Iterable[Observer] = (),
-    sanitize: Optional[bool] = None,
-) -> SimulationResult:
+def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Build, warm up, measure, and summarize one simulation."""
-    return build_simulator(
-        config,
-        traffic=traffic,
-        series_window=series_window,
-        observers=observers,
-        sanitize=sanitize,
-    ).run()
+    return build_simulator(config).run()

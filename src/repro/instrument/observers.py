@@ -28,14 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class MeasurementMeter(Observer):
     """Offered/ejected counts and packet latencies for the measured phase.
 
-    Counts every ejected packet from cycle 0 (``total_ejected``); once
-    :meth:`begin` marks the start of the measurement phase it also counts
+    Once :meth:`begin` marks the start of the measurement phase it counts
     offered and ejected packets and records the latency of packets
     *created* inside the phase, per the paper's methodology.
     """
 
-    __slots__ = ("latency", "measuring", "measure_start", "offered", "ejected",
-                 "total_ejected")
+    __slots__ = ("latency", "measuring", "measure_start", "offered", "ejected")
 
     def __init__(self, latency: LatencyCollector | None = None) -> None:
         self.latency = latency if latency is not None else LatencyCollector()
@@ -43,7 +41,6 @@ class MeasurementMeter(Observer):
         self.measure_start = 0
         self.offered = 0
         self.ejected = 0
-        self.total_ejected = 0
 
     def begin(self, now: int) -> None:
         """Start (or restart) the measured phase at cycle *now*."""
@@ -58,7 +55,6 @@ class MeasurementMeter(Observer):
             self.offered += 1
 
     def on_packet_ejected(self, packet: Packet, now: int) -> None:
-        self.total_ejected += 1
         if self.measuring:
             self.ejected += 1
             if packet.created_cycle >= self.measure_start:
@@ -66,7 +62,7 @@ class MeasurementMeter(Observer):
 
 
 class SeriesObserver(Observer):
-    """Windowed network-wide time series (Figures 9 and 12 support).
+    """Windowed network-wide time series.
 
     Maintains the four standard series — ``offered_rate``,
     ``accepted_rate``, ``power_w``, ``mean_level`` — one sample per
@@ -80,15 +76,13 @@ class SeriesObserver(Observer):
     """
 
     __slots__ = ("window_cycles", "series", "_meter", "_channels", "_accountant",
-                 "_router_clock_hz", "_offered", "_ejected", "_opening",
-                 "_closed_at", "_last_energy")
+                 "_offered", "_ejected", "_opening", "_closed_at", "_last_energy")
 
     def __init__(
         self,
         window_cycles: int,
         channels: Sequence[NetworkChannel],
         accountant: PowerAccountant,
-        router_clock_hz: float,
         meter: MeasurementMeter,
     ) -> None:
         self.window_cycles = window_cycles
@@ -99,7 +93,6 @@ class SeriesObserver(Observer):
         self._meter = meter
         self._channels = channels
         self._accountant = accountant
-        self._router_clock_hz = router_clock_hz
         self._offered = 0
         self._ejected = 0
         #: Ejections at a boundary cycle before its close, for the window
@@ -138,7 +131,7 @@ class SeriesObserver(Observer):
         self.series["offered_rate"].append(self._offered / window)
         self.series["accepted_rate"].append(self._ejected / window)
         energy = self._total_energy(now)
-        window_s = window / self._router_clock_hz
+        window_s = window / self._accountant.design.router_clock_hz
         self.series["power_w"].append((energy - self._last_energy) / window_s)
         self.series["mean_level"].append(self._accountant.mean_level())
         self._last_energy = energy

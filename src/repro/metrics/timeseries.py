@@ -1,4 +1,5 @@
-"""Windowed time series (Figures 9 and 12 support)."""
+"""Windowed time series: the series a ``Simulator`` built with a
+``series_window`` records (no figure reads them)."""
 
 from __future__ import annotations
 

@@ -2,10 +2,13 @@
 
 :class:`SimulationEngine` owns exactly three things: topology construction
 (routers, DVS channels, per-port controllers, traffic), the event queue,
-and the per-cycle step. It holds **no measurement state** — every
-observable (latency, power, series, profiles, traces) attaches through the
-:class:`~repro.instrument.bus.InstrumentBus` passed at construction, and
-the measurement-phase facade lives in
+and the per-cycle step. Every DVS channel is built to the one
+:class:`~repro.core.dvs_link.ChannelDesign` the link config derives
+(``engine.design``), which also sizes the event ring. The engine holds
+**no measurement state** — every observable (latency, power, series,
+profiles, traces) attaches through its
+:class:`~repro.instrument.bus.InstrumentBus` (``engine.bus``), and the
+measurement-phase facade lives in
 :class:`~repro.network.simulator.Simulator`.
 
 Time base: the router clock (1 cycle = 1 ns at the paper's 1 GHz). Each
@@ -95,7 +98,7 @@ from bisect import insort
 
 from ..config import SimulationConfig
 from ..core.controller import PortDVSController
-from ..core.dvs_link import DVSChannel, LevelConstants
+from ..core.dvs_link import DVSChannel
 from ..core.registry import PolicyBuildContext, build_policy
 from ..errors import FlowControlError, SimulationError
 from ..instrument.bus import InstrumentBus, TransitionEvent
@@ -117,13 +120,11 @@ class SimulationEngine:
         self,
         config: SimulationConfig,
         *,
-        traffic=None,
-        bus: InstrumentBus | None = None,
         fast_forward: bool = True,
         sanitize: bool = False,
     ):
         self.config = config
-        self.bus = bus if bus is not None else InstrumentBus()
+        self.bus = InstrumentBus()
         #: Allow quiescence skipping (bit-identical either way; set False
         #: to force cycle-by-cycle stepping, e.g. for A/B benchmarks).
         self.fast_forward = fast_forward
@@ -135,32 +136,19 @@ class SimulationEngine:
         self.idle_cycles_skipped = 0
         self.idle_spans = 0
         net = config.network
-        link = config.link
 
         self.topology = Topology(net.radix, net.dimensions, wraparound=net.wraparound)
         self.routing = make_routing(net.routing, self.topology, net.vcs_per_port)
 
-        table = link.build_table()
-        power_model = link.build_power_model()
-        regulator = link.build_regulator()
-        timing = link.build_timing()
-        constants = LevelConstants(
-            table,
-            power_model,
-            regulator,
-            lanes=link.lanes,
-            router_clock_hz=net.router_clock_hz,
-            timing=timing,
-        )
+        #: The one design every DVS channel of this network is built to.
+        self.design = design = config.link.design(net.router_clock_hz)
 
         # Calendar queue: a ring slot per near-future cycle, spill dict
         # beyond. The ring covers the worst-case transport horizon —
         # pipeline latency plus level-0 serialization plus the credit
         # delay — so every event a router schedules lands in the ring
         # (routers write it directly; only DVS phase boundaries spill).
-        slowest_serialization = math.ceil(
-            table.serialization_ratio(0, net.router_clock_hz)
-        )
+        slowest_serialization = math.ceil(design.serialization_cycles[0])
         near_horizon = net.pipeline_latency + slowest_serialization + net.credit_delay
         ring_size = 32
         while ring_size <= near_horizon:
@@ -214,22 +202,11 @@ class SimulationEngine:
         if config.dvs.enabled and config.dvs.initial_level is not None:
             initial_level = config.dvs.initial_level
         else:
-            initial_level = table.max_level
+            initial_level = design.max_level
 
         self.channels: list[NetworkChannel] = []
         for spec in self.topology.channels:
-            dvs_channel = DVSChannel(
-                table,
-                power_model,
-                regulator,
-                lanes=link.lanes,
-                router_clock_hz=net.router_clock_hz,
-                timing=timing,
-                initial_level=initial_level,
-                retention_voltage_v=link.sleep_retention_voltage_v,
-                wake_lockout_cycles=link.sleep_wake_lockout_cycles,
-                constants=constants,
-            )
+            dvs_channel = DVSChannel(design, initial_level=initial_level)
             channel = NetworkChannel(spec, dvs_channel, net.pipeline_latency)
             self.routers[spec.src_node].attach_channel(
                 spec.src_port, channel, self.routers[spec.dst_node].in_vcs[spec.dst_port]
@@ -243,7 +220,7 @@ class SimulationEngine:
         #: over at least one cycle, so arrivals on it land in distinct
         #: cycles. With a faster link two flits can land in one cycle, and
         #: the step, which ejects one flit per VC per cycle, keeps them.
-        self._eject_at_dispatch = min(constants.serialization_cycles) >= 1
+        self._eject_at_dispatch = min(design.serialization_cycles) >= 1
         #: DVS channel -> topology channel id, for transition events.
         self._channel_ids = {
             id(channel.dvs): channel.spec.channel_id for channel in self.channels
@@ -257,7 +234,7 @@ class SimulationEngine:
                 if tracker is None:
                     raise SimulationError("network input port lacks a tracker")
                 context = PolicyBuildContext(
-                    table=table, channel_index=spec.channel_id
+                    table=design.table, channel_index=spec.channel_id
                 )
                 controller = PortDVSController(
                     channel.dvs,
@@ -271,11 +248,9 @@ class SimulationEngine:
                 controller.flight_cycles = channel.pipeline_latency
                 self.controllers.append(controller)
 
-        if traffic is None:
-            from ..traffic.base import make_traffic
+        from ..traffic.base import make_traffic
 
-            traffic = make_traffic(self.topology, config.workload)
-        self.traffic = traffic
+        self.traffic = make_traffic(self.topology, config.workload)
 
         #: The attached :class:`~repro.analysis.sanitizer.NetworkSanitizer`
         #: when ``sanitize=True``, else None. Lazily imported so the kernel

@@ -67,30 +67,13 @@ class DimensionOrderRouting(RoutingFunction):
 
     name = "dor"
 
-    #: Maximum (node, dst) entries in the route cache, which fills as
-    #: pairs are first asked for; oldest-inserted entries are evicted first
-    #: once full (dict preserves insert order).
-    _CACHE_LIMIT = 8192
-
     def __init__(self, topology: Topology, vcs_per_port: int):
         super().__init__(topology, vcs_per_port)
         if topology.wraparound and vcs_per_port < 2:
             raise ConfigError("torus dimension-order routing needs >= 2 VCs")
-        self._route_cache: dict[tuple[int, int], int] = {}
 
     def route_port(self, node: int, dst: int) -> int:
         """The unique dimension-order output port from *node* toward *dst*."""
-        cache = self._route_cache
-        key = (node, dst)
-        port = cache.get(key)
-        if port is None:
-            port = self._compute_route_port(node, dst)
-            if len(cache) >= self._CACHE_LIMIT:
-                del cache[next(iter(cache))]
-            cache[key] = port
-        return port
-
-    def _compute_route_port(self, node: int, dst: int) -> int:
         self._check(node, dst)
         topo = self.topology
         src_coords = topo.coords(node)
@@ -148,10 +131,6 @@ class MinimalAdaptiveRouting(RoutingFunction):
 
     name = "adaptive"
 
-    #: Maximum cached (node, dst) candidate tuples; oldest-inserted
-    #: entries are evicted first once full.
-    _CACHE_LIMIT = 8192
-
     def __init__(self, topology: Topology, vcs_per_port: int):
         super().__init__(topology, vcs_per_port)
         if topology.wraparound:
@@ -159,20 +138,8 @@ class MinimalAdaptiveRouting(RoutingFunction):
         if vcs_per_port < 2:
             raise ConfigError("minimal adaptive routing needs >= 2 VCs")
         self._dor = DimensionOrderRouting(topology, vcs_per_port)
-        self._candidate_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def candidates(self, node: int, dst: int) -> tuple[int, ...]:
-        cache = self._candidate_cache
-        cached = cache.get((node, dst))
-        if cached is not None:
-            return cached
-        result = self._compute_candidates(node, dst)
-        if len(cache) >= self._CACHE_LIMIT:
-            del cache[next(iter(cache))]
-        cache[(node, dst)] = result
-        return result
-
-    def _compute_candidates(self, node: int, dst: int) -> tuple[int, ...]:
         self._check(node, dst)
         topo = self.topology
         src_coords = topo.coords(node)

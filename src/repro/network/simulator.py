@@ -19,10 +19,10 @@ measured quantity is an observer on the engine's
 
 Extra observers (e.g. a
 :class:`~repro.instrument.trace.TraceRecorder`) attach through
-``simulator.bus`` without touching either layer. The facade preserves the
-pre-split public surface — ``simulator.latency``, ``.accountant``,
-``.series``, ``.total_ejected_packets`` and friends keep working — and its
-results are bit-identical to the monolithic simulator for a fixed seed.
+``simulator.bus`` without touching either layer. The meter is
+``simulator.meter``, the accountant ``simulator.accountant`` and the
+series ``simulator.series``; results are bit-identical to the monolithic
+simulator for a fixed seed.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 
 from ..config import SimulationConfig
 from ..errors import ConfigError, SimulationError
-from ..instrument.bus import InstrumentBus
 from ..instrument.observers import MeasurementMeter, SeriesObserver
-from ..metrics.latency import LatencyCollector, LatencyStats
+from ..metrics.latency import LatencyStats
 from ..metrics.timeseries import WindowedSeries
 from ..metrics.utilization import UtilizationProbe
 from ..power.accounting import PowerAccountant, PowerReport
@@ -68,65 +67,26 @@ class Simulator(SimulationEngine):
         self,
         config: SimulationConfig,
         *,
-        traffic=None,
         series_window: int = 0,
-        bus: InstrumentBus | None = None,
         fast_forward: bool = True,
         sanitize: bool = False,
     ):
         if series_window < 0:
             raise ConfigError("series window cannot be negative")
-        super().__init__(
-            config,
-            traffic=traffic,
-            bus=bus,
-            fast_forward=fast_forward,
-            sanitize=sanitize,
-        )
+        super().__init__(config, fast_forward=fast_forward, sanitize=sanitize)
         self.series_window = series_window
 
-        self.accountant = PowerAccountant(
-            [channel.dvs for channel in self.channels],
-            config.network.router_clock_hz,
-        )
+        self.accountant = PowerAccountant([channel.dvs for channel in self.channels])
         self.probes: list[UtilizationProbe] = []
 
-        self._meter = MeasurementMeter()
-        self.bus.attach(self._meter)
+        self.meter = MeasurementMeter()
+        self.bus.attach(self.meter)
         self._series_observer: SeriesObserver | None = None
         if series_window:
             self._series_observer = SeriesObserver(
-                series_window,
-                self.channels,
-                self.accountant,
-                config.network.router_clock_hz,
-                self._meter,
+                series_window, self.channels, self.accountant, self.meter
             )
             self.bus.attach(self._series_observer)
-
-    # ------------------------------------------------------------------
-    # Legacy measurement surface (pre-split attribute names)
-    # ------------------------------------------------------------------
-
-    @property
-    def latency(self) -> LatencyCollector:
-        return self._meter.latency
-
-    @property
-    def total_ejected_packets(self) -> int:
-        return self._meter.total_ejected
-
-    @property
-    def offered_measured(self) -> int:
-        return self._meter.offered
-
-    @property
-    def ejected_measured(self) -> int:
-        return self._meter.ejected
-
-    @property
-    def _measure_start(self) -> int:
-        return self._meter.measure_start
 
     @property
     def series(self) -> dict[str, WindowedSeries]:
@@ -177,7 +137,7 @@ class Simulator(SimulationEngine):
     def begin_measurement(self) -> None:
         """End warmup: reset collectors and start the measured phase."""
         now = self.now
-        self._meter.begin(now)
+        self.meter.begin(now)
         self.accountant.begin(now)
         if self._series_observer is not None:
             self._series_observer.begin(now)
@@ -195,7 +155,7 @@ class Simulator(SimulationEngine):
     def finish(self) -> SimulationResult:
         """Summarize the measurement phase ending now."""
         now = self.now
-        meter = self._meter
+        meter = self.meter
         if not meter.measuring:
             raise SimulationError("finish() before begin_measurement()")
         measure_cycles = now - meter.measure_start

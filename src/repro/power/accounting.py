@@ -6,7 +6,8 @@ Section 4.2). Each :class:`~repro.core.dvs_link.DVSChannel` already
 integrates its own energy (steady-state level power over time, transition
 overheads per Eq. (1)); the accountant differences those totals across a
 measurement window and normalizes against the all-channels-at-max
-baseline.
+baseline, which it reads, like the router clock, from the one
+:class:`~repro.core.dvs_link.ChannelDesign` its channels share.
 
 The accountant's internal arithmetic is **integer femtojoules** end to
 end: totals and phase-start snapshots are exact integers, so a phase
@@ -92,17 +93,15 @@ def derive_report(
 class PowerAccountant:
     """Tracks link energy of a set of channels across a measurement phase."""
 
-    def __init__(self, channels: list[DVSChannel], router_clock_hz: float):
+    def __init__(self, channels: list[DVSChannel]):
         if not channels:
             raise SimulationError("no channels to account for")
-        if router_clock_hz <= 0.0:
-            raise SimulationError("router clock must be positive")
+        design = channels[0].design
+        if any(channel.design is not design for channel in channels):
+            raise SimulationError("the accounted channels must share one design")
         self.channels = channels
-        self.router_clock_hz = router_clock_hz
-        first = channels[0]
-        self.baseline_power_w = len(channels) * first.power_model.channel_power_w(
-            first.table, first.table.max_level, first.lanes
-        )
+        self.design = design
+        self.baseline_power_w = len(channels) * design.steady_power_w[design.max_level]
         self._start_cycle: int | None = None
         self._start_link_energy_fj = 0
         self._start_transitions = 0
@@ -140,7 +139,7 @@ class PowerAccountant:
             transitions - self._start_transitions,
             self._start_cycle,
             now,
-            self.router_clock_hz,
+            self.design.router_clock_hz,
             self.baseline_power_w,
         )
 

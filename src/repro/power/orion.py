@@ -143,7 +143,7 @@ class RouterEnergyCounters:
         return switched + ejected + retries
 
 
-def core_energy_comparison(simulator_baseline, simulator_dvs, clock_hz: float):
+def core_energy_comparison(simulator_baseline, simulator_dvs):
     """Mean core power for two finished simulators (paper's Sec 4.2 claim).
 
     Returns ``(baseline_w, dvs_w, relative_change)`` — the change should
@@ -154,7 +154,7 @@ def core_energy_comparison(simulator_baseline, simulator_dvs, clock_hz: float):
     results = []
     for simulator in (simulator_baseline, simulator_dvs):
         counters = RouterEnergyCounters.from_simulator(simulator)
-        duration_s = simulator.now / clock_hz
+        duration_s = simulator.now / simulator.design.router_clock_hz
         if duration_s <= 0.0:
             raise ConfigError("simulator has not run")
         results.append(counters.energy_j(model) / duration_s)

@@ -71,6 +71,11 @@ def trace_simulator(
     return simulator
 
 
+def ejected_packets(simulator: Simulator) -> int:
+    """Packets ejected since cycle 0, counted by the routers."""
+    return sum(router.packets_ejected for router in simulator.routers)
+
+
 def subprocess_env() -> dict[str, str]:
     """The current environment, with this checkout's ``src`` importable
     by a child ``python -m repro ...`` or ``python -c ...``."""

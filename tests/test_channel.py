@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dvs_link import DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER
 from repro.errors import ConfigError
@@ -12,9 +12,7 @@ from repro.network.topology import ChannelSpec
 
 def make_network_channel(initial_level=9, pipeline_latency=12):
     dvs = DVSChannel(
-        PAPER_TABLE,
-        PAPER_LINK_POWER,
-        timing=TransitionTiming(0.5e-6, 5),
+        ChannelDesign(PAPER_TABLE, PAPER_LINK_POWER, timing=TransitionTiming(0.5e-6, 5)),
         initial_level=initial_level,
     )
     spec = ChannelSpec(0, src_node=0, src_port=0, dst_node=1, dst_port=1, )

@@ -10,7 +10,7 @@ satisfy basic stability properties whatever the rate.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.controller import PortDVSController
-from repro.core.dvs_link import DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.policy import HistoryDVSPolicy
 from repro.core.power_model import PAPER_LINK_POWER
@@ -24,9 +24,7 @@ class ConstantRateLoop:
         self.rate = rate_flits_per_cycle
         self.window = window
         self.channel = DVSChannel(
-            PAPER_TABLE,
-            PAPER_LINK_POWER,
-            timing=TransitionTiming(0.5e-6, 5),
+            ChannelDesign(PAPER_TABLE, PAPER_LINK_POWER, timing=TransitionTiming(0.5e-6, 5))
         )
         self._occupancy_total = 0.0
         #: OccupancySource: the scripted port holds no flit between windows.

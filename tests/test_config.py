@@ -64,6 +64,13 @@ class TestLinkConfig:
         timing = config.build_timing()
         assert timing.voltage_transition_s == 10.0e-6
         assert timing.frequency_transition_link_cycles == 100
+        design = config.design(1.0e9)
+        assert design.lanes == 8
+        assert design.router_clock_hz == 1.0e9
+        assert design.timing == timing
+        assert design.retention_voltage_v == config.sleep_retention_voltage_v
+        assert design.wake_lockout_cycles == config.sleep_wake_lockout_cycles
+        assert design.steady_power_w[9] == model.channel_power_w(table, 9, 8)
 
     def test_invalid_caught_at_construction(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.controller import PortDVSController
-from repro.core.dvs_link import DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.policy import DVSAction, HistoryDVSPolicy, StaticLevelPolicy
 from repro.core.power_model import PAPER_LINK_POWER
@@ -25,14 +25,14 @@ class FakeOccupancy:
 
 
 def make_channel(initial_level=9):
-    return DVSChannel(
+    design = ChannelDesign(
         PAPER_TABLE,
         PAPER_LINK_POWER,
         timing=TransitionTiming(
             voltage_transition_s=0.5e-6, frequency_transition_link_cycles=5
         ),
-        initial_level=initial_level,
     )
+    return DVSChannel(design, initial_level=initial_level)
 
 
 def make_controller(channel=None, policy=None, occupancy=None, window=200):

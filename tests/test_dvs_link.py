@@ -4,14 +4,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dvs_link import (
+    ChannelDesign,
     ChannelPhase,
     DVSChannel,
-    LevelConstants,
     TransitionTiming,
 )
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER, RegulatorModel
 from repro.errors import ConfigError, LinkStateError
+from repro.network.engine import SimulationEngine
+
+from .conftest import small_config
+
+
+def make_design(*, voltage_transition_s=1.0e-6, frequency_transition_link_cycles=10):
+    return ChannelDesign(
+        PAPER_TABLE,
+        PAPER_LINK_POWER,
+        RegulatorModel(),
+        lanes=8,
+        router_clock_hz=1.0e9,
+        timing=TransitionTiming(
+            voltage_transition_s=voltage_transition_s,
+            frequency_transition_link_cycles=frequency_transition_link_cycles,
+        ),
+    )
 
 
 def make_channel(
@@ -19,15 +36,9 @@ def make_channel(
     initial_level=None,
     voltage_transition_s=1.0e-6,
     frequency_transition_link_cycles=10,
-    lanes=8,
 ):
     return DVSChannel(
-        PAPER_TABLE,
-        PAPER_LINK_POWER,
-        RegulatorModel(),
-        lanes=lanes,
-        router_clock_hz=1.0e9,
-        timing=TransitionTiming(
+        make_design(
             voltage_transition_s=voltage_transition_s,
             frequency_transition_link_cycles=frequency_transition_link_cycles,
         ),
@@ -268,44 +279,46 @@ class TestEnergy:
         assert channel.total_energy_j == before
 
 
-class TestLevelConstants:
-    def test_shared_constants_must_match_the_channel(self):
-        reference = make_channel()
-        with pytest.raises(ConfigError, match="different channel design"):
-            DVSChannel(
-                PAPER_TABLE,
-                PAPER_LINK_POWER,
-                RegulatorModel(),
-                lanes=4,
-                constants=reference._constants,
-            )
+def design_parts(design):
+    """Every value a design holds but its table and power model (which
+    compare by identity): the derived constants and the other parts."""
+    return {
+        name: getattr(design, name)
+        for name in ChannelDesign.__slots__
+        if name not in ("table", "power_model")
+    }
 
-    def test_shared_constants_give_the_same_channel(self):
-        regulator = RegulatorModel()
-        timing = TransitionTiming(1.0e-6, 10)
-        constants = LevelConstants(
-            PAPER_TABLE,
-            PAPER_LINK_POWER,
-            regulator,
-            lanes=8,
-            router_clock_hz=1.0e9,
-            timing=timing,
-        )
-        shared = DVSChannel(
-            PAPER_TABLE, PAPER_LINK_POWER, regulator, timing=timing,
-            initial_level=6, constants=constants,
-        )
-        own = DVSChannel(
-            PAPER_TABLE, PAPER_LINK_POWER, regulator, timing=timing, initial_level=6
-        )
-        for channel in (shared, own):
+
+class TestChannelDesign:
+    def test_channels_of_one_design_equal_channels_of_equal_designs(self):
+        shared = make_design()
+        one = [DVSChannel(shared, initial_level=6) for _ in range(2)]
+        equal = [DVSChannel(make_design(), initial_level=6) for _ in range(2)]
+        assert design_parts(equal[0].design) == design_parts(shared)
+        for channel in one + equal:
             channel.request_level(0, 0)
             drive_to_completion(channel, 0)
             channel.request_level(9, channel._last_energy_cycle)
             drive_to_completion(channel, 0)
         for name in ("link_energy_fj", "transition_energy_fj", "dead_cycles",
                      "_last_energy_cycle", "_power_w", "_serialization_cycles"):
-            assert getattr(shared, name) == getattr(own, name)
+            values = {getattr(channel, name) for channel in one + equal}
+            assert len(values) == 1, name
+
+    def test_rejects_nonpositive_lanes_or_clock(self):
+        # Retention and wake lockout: test_sleep_state's validation test.
+        for bad in ({"lanes": 0}, {"lanes": -1}, {"router_clock_hz": 0.0}):
+            with pytest.raises(ConfigError):
+                ChannelDesign(PAPER_TABLE, PAPER_LINK_POWER, **bad)
+
+    def test_engine_channels_hold_the_config_design(self):
+        config = small_config(policy="history")
+        engine = SimulationEngine(config)
+        design = engine.design
+        assert all(channel.dvs.design is design for channel in engine.channels)
+        assert design_parts(design) == design_parts(
+            config.link.design(config.network.router_clock_hz)
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -90,15 +90,8 @@ class TestEngineDispatch:
     def test_engine_has_no_measurement_state(self):
         """The kernel must not own any collector — that's the facade's job."""
         engine = SimulationEngine(small_config(rate=0.1))
-        for legacy in (
-            "latency",
-            "accountant",
-            "series",
-            "probes",
-            "total_ejected_packets",
-            "offered_measured",
-        ):
-            assert not hasattr(engine, legacy)
+        for collector in ("meter", "accountant", "series", "probes"):
+            assert not hasattr(engine, collector)
         engine.run_cycles(200)  # runs fine with an empty bus
 
     def test_offered_and_ejected_hooks_see_packets(self):

@@ -87,7 +87,7 @@ class TestPaperClaim:
 
         dvs = Simulator(config.with_dvs(DVSControlConfig(policy="history")))
         dvs.run()
-        base_w, dvs_w, change = core_energy_comparison(baseline, dvs, 1.0e9)
+        base_w, dvs_w, change = core_energy_comparison(baseline, dvs)
         assert base_w > 0.0
         assert abs(change) < 0.25
 
@@ -95,4 +95,4 @@ class TestPaperClaim:
         config = small_config()
         fresh = Simulator(config)
         with pytest.raises(ConfigError):
-            core_energy_comparison(fresh, fresh, 1.0e9)
+            core_energy_comparison(fresh, fresh)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.dvs_link import DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER
 from repro.errors import ConfigError, SimulationError
@@ -10,26 +10,33 @@ from repro.power.accounting import PowerAccountant
 from repro.power.router_power import RouterPowerProfile
 
 
+DESIGN = ChannelDesign(
+    PAPER_TABLE, PAPER_LINK_POWER, timing=TransitionTiming(0.2e-6, 4)
+)
+
+
 def make_channels(count=4, initial_level=9):
-    return [
-        DVSChannel(
-            PAPER_TABLE,
-            PAPER_LINK_POWER,
-            timing=TransitionTiming(0.2e-6, 4),
-            initial_level=initial_level,
-        )
-        for _ in range(count)
-    ]
+    return [DVSChannel(DESIGN, initial_level=initial_level) for _ in range(count)]
 
 
 class TestPowerAccountant:
     def test_baseline(self):
-        accountant = PowerAccountant(make_channels(4), 1.0e9)
+        accountant = PowerAccountant(make_channels(4))
         assert accountant.baseline_power_w == pytest.approx(4 * 1.6)
+        # Read from the design, it is still the power model's own
+        # top-level channel power, bit for bit.
+        assert accountant.baseline_power_w == 4 * PAPER_LINK_POWER.channel_power_w(
+            PAPER_TABLE, PAPER_TABLE.max_level, 8
+        )
+
+    def test_channels_must_share_one_design(self):
+        other = ChannelDesign(PAPER_TABLE, PAPER_LINK_POWER, lanes=4)
+        with pytest.raises(SimulationError, match="one design"):
+            PowerAccountant(make_channels(2) + [DVSChannel(other)])
 
     def test_steady_max_power_normalized_one(self):
         channels = make_channels(4)
-        accountant = PowerAccountant(channels, 1.0e9)
+        accountant = PowerAccountant(channels)
         accountant.begin(0)
         for channel in channels:
             channel.finalize(10_000)
@@ -40,14 +47,14 @@ class TestPowerAccountant:
 
     def test_low_level_savings(self):
         channels = make_channels(4, initial_level=0)
-        accountant = PowerAccountant(channels, 1.0e9)
+        accountant = PowerAccountant(channels)
         accountant.begin(0)
         report = accountant.report(10_000)
         assert report.savings_factor == pytest.approx(200.0 / 23.6, rel=1e-6)
 
     def test_transitions_counted_in_phase(self):
         channels = make_channels(2)
-        accountant = PowerAccountant(channels, 1.0e9)
+        accountant = PowerAccountant(channels)
         channels[0].request_level(8, 0)  # before measurement
         while channels[0].pending_event_cycle is not None:
             channels[0].on_phase_end(channels[0].pending_event_cycle)
@@ -60,29 +67,29 @@ class TestPowerAccountant:
         assert report.transition_energy_j > 0.0
 
     def test_report_before_begin(self):
-        accountant = PowerAccountant(make_channels(1), 1.0e9)
+        accountant = PowerAccountant(make_channels(1))
         with pytest.raises(SimulationError):
             accountant.report(100)
 
     def test_zero_length_phase(self):
-        accountant = PowerAccountant(make_channels(1), 1.0e9)
+        accountant = PowerAccountant(make_channels(1))
         accountant.begin(10)
         with pytest.raises(SimulationError):
             accountant.report(10)
 
     def test_needs_channels(self):
         with pytest.raises(SimulationError):
-            PowerAccountant([], 1.0e9)
+            PowerAccountant([])
 
     def test_mean_level(self):
         channels = make_channels(2, initial_level=9) + make_channels(
             2, initial_level=5
         )
-        accountant = PowerAccountant(channels, 1.0e9)
+        accountant = PowerAccountant(channels)
         assert accountant.mean_level() == pytest.approx(7.0)
 
     def test_instantaneous_power(self):
-        accountant = PowerAccountant(make_channels(3), 1.0e9)
+        accountant = PowerAccountant(make_channels(3))
         assert accountant.instantaneous_power_w() == pytest.approx(3 * 1.6)
 
 

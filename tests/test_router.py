@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.dvs_link import DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER
 from repro.errors import ConfigError, FlowControlError, SimulationError
@@ -29,14 +29,13 @@ from repro.network.topology import Topology
 from repro.network.vc import UNROUTED, InputVC
 
 
+#: The design of every harness port's DVS channel.
+DESIGN = ChannelDesign(PAPER_TABLE, PAPER_LINK_POWER, timing=TransitionTiming(0.2e-6, 4))
+
+
 def make_dvs(level=None):
     """The DVS channel every harness port gets (level None = the top)."""
-    return DVSChannel(
-        PAPER_TABLE,
-        PAPER_LINK_POWER,
-        timing=TransitionTiming(0.2e-6, 4),
-        initial_level=level,
-    )
+    return DVSChannel(DESIGN, initial_level=level)
 
 
 def flits_of(packet):

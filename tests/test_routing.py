@@ -63,11 +63,8 @@ class TestMeshDOR:
     def test_large_topology_routes_lazily(self):
         topology = Topology(6, 4)  # 1296 nodes
         routing = DimensionOrderRouting(topology, 2)
-        assert routing._route_cache == {}  # nothing computed up front
         src, dst = 0, topology.node_count - 1
         assert walk_route(routing, topology, src, dst) == topology.distance(src, dst)
-        # One cached answer per hop asked about, not a node x node table.
-        assert len(routing._route_cache) == topology.distance(src, dst)
 
 
 class TestTorusDOR:
@@ -110,33 +107,6 @@ class TestTorusDOR:
         topology = Topology(4, 2, wraparound=True)
         with pytest.raises(ConfigError):
             DimensionOrderRouting(topology, 1)
-
-
-class TestRouteCache:
-    """DOR answers from one lazily filled cache; every answer it gives,
-    on first ask and from the cache, is the direct computation's."""
-
-    @pytest.mark.parametrize(
-        "topology",
-        [Topology(8, 2), Topology(4, 2, wraparound=True)],
-        ids=["mesh8x8", "torus4x4"],
-    )
-    def test_cached_answers_equal_direct_computation(self, topology):
-        routing = DimensionOrderRouting(topology, 2)
-        reference = DimensionOrderRouting(topology, 2)
-        pairs = [
-            (src, dst)
-            for src in range(topology.node_count)
-            for dst in range(topology.node_count)
-            if src != dst
-        ]
-        for _sweep in range(2):  # the first fills the cache, the second reads it
-            for src, dst in pairs:
-                assert routing.route_port(src, dst) == (
-                    reference._compute_route_port(src, dst)
-                )
-        assert len(routing._route_cache) == len(pairs)
-        assert reference._route_cache == {}
 
 
 class TestMinimalAdaptive:
@@ -195,66 +165,3 @@ class TestFactory:
     def test_unknown(self):
         with pytest.raises(ConfigError):
             make_routing("magic", Topology(4, 2), 2)
-
-
-class TestBoundedCaches:
-    """The per-query caches honor their documented size bound: querying
-    more pairs than the limit evicts rather than growing without bound,
-    and every answer (cached, evicted-then-recomputed) stays correct."""
-
-    def test_dor_cache_respects_limit(self, monkeypatch):
-        monkeypatch.setattr(DimensionOrderRouting, "_CACHE_LIMIT", 4)
-        topology = Topology(3, 2)
-        routing = DimensionOrderRouting(topology, 2)
-        pairs = [
-            (src, dst)
-            for src in range(topology.node_count)
-            for dst in range(topology.node_count)
-            if src != dst
-        ]
-        assert len(pairs) > 4
-        reference = DimensionOrderRouting(Topology(3, 2), 2)
-        for _sweep in range(2):  # second sweep re-queries evicted pairs
-            for src, dst in pairs:
-                assert routing.route_port(src, dst) == (
-                    reference._compute_route_port(src, dst)
-                )
-                assert len(routing._route_cache) <= 4
-
-    def test_dor_cache_hits_do_not_evict(self, monkeypatch):
-        monkeypatch.setattr(DimensionOrderRouting, "_CACHE_LIMIT", 4)
-        routing = DimensionOrderRouting(Topology(3, 2), 2)
-        for _ in range(10):
-            routing.route_port(0, 1)
-        assert len(routing._route_cache) == 1
-
-    def test_adaptive_candidate_cache_respects_limit(self, monkeypatch):
-        monkeypatch.setattr(MinimalAdaptiveRouting, "_CACHE_LIMIT", 4)
-        topology = Topology(3, 2)
-        routing = MinimalAdaptiveRouting(topology, 2)
-        reference = MinimalAdaptiveRouting(Topology(3, 2), 2)
-        pairs = [
-            (src, dst)
-            for src in range(topology.node_count)
-            for dst in range(topology.node_count)
-            if src != dst
-        ]
-        for _sweep in range(2):
-            for src, dst in pairs:
-                assert routing.candidates(src, dst) == (
-                    reference._compute_candidates(src, dst)
-                )
-                assert len(routing._candidate_cache) <= 4
-
-    def test_full_simulation_under_tiny_cache_limits(self, monkeypatch):
-        """Bit-identity sanity: eviction pressure never changes routes."""
-        from repro.harness.serialization import to_json
-        from repro.network.simulator import Simulator
-
-        from .conftest import small_config
-
-        config = small_config(rate=0.3, warmup=200, measure=600)
-        baseline = to_json(Simulator(config).run())
-        monkeypatch.setattr(DimensionOrderRouting, "_CACHE_LIMIT", 2)
-        squeezed = to_json(Simulator(config).run())
-        assert squeezed == baseline

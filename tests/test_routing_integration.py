@@ -3,7 +3,7 @@
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceReplaySource
 
-from .conftest import small_config
+from .conftest import ejected_packets, small_config
 
 
 def run_with_trace(config, trace, cycles):
@@ -42,7 +42,7 @@ class TestAdaptiveVsDeterministic:
         for routing in ("dor", "adaptive"):
             config = small_config(radix=radix, routing=routing, rate=0.001)
             simulator = run_with_trace(config, list(trace), 3_000)
-            latencies[routing] = simulator.latency.stats().mean
+            latencies[routing] = simulator.meter.latency.stats().mean
         assert latencies["adaptive"] <= latencies["dor"] * 1.05
 
     def test_both_deliver_everything(self):
@@ -51,7 +51,7 @@ class TestAdaptiveVsDeterministic:
         for routing in ("dor", "adaptive"):
             config = small_config(radix=radix, routing=routing, rate=0.001)
             simulator = run_with_trace(config, list(trace), 2_000)
-            assert simulator.total_ejected_packets == len(trace)
+            assert ejected_packets(simulator) == len(trace)
 
 
 class TestTorusVsMesh:
@@ -67,7 +67,7 @@ class TestTorusVsMesh:
             1_500,
         )
         # Mesh distance 6 hops; torus distance 2 hops.
-        assert torus.latency.stats().mean < mesh.latency.stats().mean
+        assert torus.meter.latency.stats().mean < mesh.meter.latency.stats().mean
 
 
 class TestSaturationBehaviour:

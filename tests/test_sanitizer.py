@@ -9,6 +9,8 @@ zero violations and is bit-identical with the sanitizer attached.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -23,7 +25,7 @@ from repro.harness.serialization import to_json
 from repro.network.simulator import Simulator
 from repro.traffic.base import TrafficSource
 
-from .conftest import small_config
+from .conftest import FAST_LINK, small_config
 
 
 class TestMutationKernels:
@@ -227,6 +229,24 @@ class TestCleanRun:
         simulator.run()
         assert checker.violations == []
         assert checker.checks > 0
+
+
+class TestCadence:
+    def test_clamp_adds_a_ramp_that_rounds_to_zero_cycles(self):
+        # A 0.4 ns voltage ramp rounds to 0 router cycles. The clamp is one
+        # full transition as timed, 0 plus the top-level lock; the channel's
+        # ramp phase, which lasts at least one cycle, would raise it.
+        link = replace(FAST_LINK, voltage_transition_s=0.4e-9)
+        config = replace(small_config(policy="history"), link=link)
+        checker = DVSTransitionSanitizer(Simulator(config), check_every=64)
+        timing = link.build_timing()
+        table = link.build_table()
+        clock = config.network.router_clock_hz
+        assert timing.voltage_cycles(clock) == 0
+        expected = timing.voltage_cycles(clock) + max(
+            1, timing.frequency_cycles(table.frequency(table.max_level), clock)
+        )
+        assert checker.check_every == expected == 4
 
 
 class TestWiring:

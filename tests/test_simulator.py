@@ -9,7 +9,7 @@ from repro.network.engine import SimulationEngine
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceReplaySource
 
-from .conftest import small_config, trace_simulator
+from .conftest import ejected_packets, small_config, trace_simulator
 
 
 class TestSinglePacket:
@@ -19,8 +19,8 @@ class TestSinglePacket:
         simulator = trace_simulator([(0, 0, 1)])
         simulator.begin_measurement()
         simulator.drain()
-        assert simulator.total_ejected_packets == 1
-        stats = simulator.latency.stats()
+        assert ejected_packets(simulator) == 1
+        stats = simulator.meter.latency.stats()
         pipeline = simulator.config.network.pipeline_depth
         flits = simulator.config.network.flits_per_packet
         assert stats.mean == pipeline + flits
@@ -34,13 +34,13 @@ class TestSinglePacket:
         far.begin_measurement()
         far.drain()
         pipeline = config.network.pipeline_depth
-        assert far.latency.stats().mean == one.latency.stats().mean + pipeline
+        assert far.meter.latency.stats().mean == one.meter.latency.stats().mean + pipeline
 
     def test_flits_arrive_in_order(self):
         simulator = trace_simulator([(0, 0, 4)])
         simulator.begin_measurement()
         simulator.drain()
-        assert simulator.total_ejected_packets == 1
+        assert ejected_packets(simulator) == 1
 
 
 class TestConservation:
@@ -63,7 +63,7 @@ class TestConservation:
             simulator.topology, config.workload, []
         )
         simulator.drain(max_cycles=50_000)
-        assert simulator.total_ejected_packets == offered
+        assert ejected_packets(simulator) == offered
         assert simulator.flits_in_network() == 0
 
     def test_conservation_with_dvs_enabled(self):
@@ -74,7 +74,7 @@ class TestConservation:
         offered = simulator.traffic.packets_offered
         simulator.traffic = TraceReplaySource(simulator.topology, config.workload, [])
         simulator.drain(max_cycles=100_000)
-        assert simulator.total_ejected_packets == offered
+        assert ejected_packets(simulator) == offered
 
     def test_conservation_adaptive_routing(self):
         config = small_config(routing="adaptive", rate=0.5, measure=3_000)
@@ -83,7 +83,7 @@ class TestConservation:
         offered = simulator.traffic.packets_offered
         simulator.traffic = TraceReplaySource(simulator.topology, config.workload, [])
         simulator.drain(max_cycles=100_000)
-        assert simulator.total_ejected_packets == offered
+        assert ejected_packets(simulator) == offered
 
     def test_conservation_torus_dateline(self):
         config = small_config(wraparound=True, rate=0.5, measure=3_000, radix=4)
@@ -92,7 +92,7 @@ class TestConservation:
         offered = simulator.traffic.packets_offered
         simulator.traffic = TraceReplaySource(simulator.topology, config.workload, [])
         simulator.drain(max_cycles=100_000)
-        assert simulator.total_ejected_packets == offered
+        assert ejected_packets(simulator) == offered
 
 
 class TestSingleVCOrdering:
@@ -186,16 +186,16 @@ class TestSeries:
         simulator.run_cycles(400)
         simulator.begin_measurement()
         simulator.run_cycles(300)
-        first_offered = simulator.offered_measured
+        first_offered = simulator.meter.offered
         assert first_offered > 0
         simulator.begin_measurement()  # restart: counters reset, clock rebased
-        assert simulator.offered_measured == 0
-        assert simulator.ejected_measured == 0
-        assert simulator._measure_start == 700
+        assert simulator.meter.offered == 0
+        assert simulator.meter.ejected == 0
+        assert simulator.meter.measure_start == 700
         simulator.run_cycles(300)
         result = simulator.finish()
         assert result.measure_cycles == 300
-        assert result.offered_packets == simulator.offered_measured
+        assert result.offered_packets == simulator.meter.offered
 
 
 class TestDVSIntegration:

@@ -3,16 +3,17 @@
 import pytest
 
 from repro.config import DVSControlConfig
-from repro.core.dvs_link import ChannelPhase, DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, ChannelPhase, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER, RegulatorModel
 from repro.errors import ConfigError
 from repro.harness.runner import build_simulator
 from repro.harness.scales import SMOKE_SCALE
+from repro.units import joules_to_femtojoules
 
 
-def make_channel(*, initial_level=0, wake_lockout_cycles=0, retention=0.3):
-    return DVSChannel(
+def make_design(*, wake_lockout_cycles=0, retention=0.3):
+    return ChannelDesign(
         PAPER_TABLE,
         PAPER_LINK_POWER,
         RegulatorModel(),
@@ -22,9 +23,15 @@ def make_channel(*, initial_level=0, wake_lockout_cycles=0, retention=0.3):
             voltage_transition_s=1.0e-6,
             frequency_transition_link_cycles=10,
         ),
-        initial_level=initial_level,
         retention_voltage_v=retention,
         wake_lockout_cycles=wake_lockout_cycles,
+    )
+
+
+def make_channel(*, initial_level=0, wake_lockout_cycles=0):
+    return DVSChannel(
+        make_design(wake_lockout_cycles=wake_lockout_cycles),
+        initial_level=initial_level,
     )
 
 
@@ -85,24 +92,20 @@ class TestSleepLegality:
         assert channel.request_sleep(end + 500)  # lockout expired
 
     def test_retention_voltage_validation(self):
+        # The design validates the sleep parameters, once per network.
         with pytest.raises(ConfigError):
-            make_channel(retention=0.0)
+            make_design(retention=0.0)
         with pytest.raises(ConfigError):
-            make_channel(retention=PAPER_TABLE.voltage(0))
+            make_design(retention=PAPER_TABLE.voltage(0))
         with pytest.raises(ConfigError):
-            DVSChannel(
-                PAPER_TABLE,
-                PAPER_LINK_POWER,
-                wake_lockout_cycles=-1,
-            )
+            make_design(wake_lockout_cycles=-1)
 
 
 class TestSleepEnergy:
     def test_sleep_power_is_retention_leakage(self):
         channel = make_channel()
         channel.request_sleep(100)
-        expected = PAPER_LINK_POWER.sleep_power_w(0.3, 8)
-        assert channel.power_w == pytest.approx(expected)
+        assert channel.power_w == PAPER_LINK_POWER.sleep_power_w(0.3, 8)
         # Far below the level-0 operating power.
         assert channel.power_w < PAPER_LINK_POWER.channel_power_w(
             PAPER_TABLE, 0, 8
@@ -110,15 +113,15 @@ class TestSleepEnergy:
 
     def test_sleep_entry_and_wake_each_charge_one_transition(self):
         channel = make_channel()
-        regulator = channel.regulator
+        regulator = RegulatorModel()
         v0 = PAPER_TABLE.voltage(0)
-        base = channel.transition_energy_j
+        base = channel.transition_energy_fj
         channel.request_sleep(100)
-        entry = regulator.transition_energy_j(v0, 0.3)
-        assert channel.transition_energy_j == pytest.approx(base + entry)
+        entry = joules_to_femtojoules(regulator.transition_energy_j(v0, 0.3))
+        assert channel.transition_energy_fj == base + entry
         channel.request_wake(200)
-        wake = regulator.transition_energy_j(0.3, v0)
-        assert channel.transition_energy_j == pytest.approx(base + entry + wake)
+        wake = joules_to_femtojoules(regulator.transition_energy_j(0.3, v0))
+        assert channel.transition_energy_fj == base + entry + wake
         assert channel.transition_count == 2
 
     def test_asleep_span_billed_at_leakage(self):
@@ -209,9 +212,10 @@ class TestEndToEnd:
             },
         )
         simulator = build_simulator(config)
-        channel = simulator.controllers[0].channel
-        assert channel.retention_voltage_v == 0.25
-        assert channel.wake_lockout_cycles == 123
+        design = simulator.controllers[0].channel.design
+        assert design is simulator.design
+        assert design.retention_voltage_v == 0.25
+        assert design.wake_lockout_cycles == 123
 
     def test_non_sleep_policies_never_sleep(self):
         config = SMOKE_SCALE.simulation(0.05, policy="history")

@@ -10,13 +10,13 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
-from repro.core.dvs_link import DVSChannel, TransitionTiming
+from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
 from repro.core.power_model import PAPER_LINK_POWER
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceReplaySource
 
-from .conftest import FAST_LINK
+from .conftest import FAST_LINK, ejected_packets
 
 
 def build(network, rate=0.3, policy="none", measure=2_000, **wl):
@@ -43,7 +43,7 @@ class TestUnusualTopologies:
             simulator.topology, simulator.config.workload, []
         )
         simulator.drain(max_cycles=50_000)
-        assert simulator.total_ejected_packets == offered
+        assert ejected_packets(simulator) == offered
 
     def test_3d_cube_delivers(self):
         network = NetworkConfig(radix=3, dimensions=3, buffers_per_port=16)
@@ -54,7 +54,7 @@ class TestUnusualTopologies:
             simulator.topology, simulator.config.workload, []
         )
         simulator.drain(max_cycles=50_000)
-        assert simulator.total_ejected_packets == offered
+        assert ejected_packets(simulator) == offered
 
     def test_3d_cube_with_dvs(self):
         network = NetworkConfig(radix=3, dimensions=3, buffers_per_port=16)
@@ -118,9 +118,9 @@ class TestChannelBandwidthProperty:
         """Offering a flit every cycle, a channel at any level delivers
         its rated 1/serialization flits per cycle (staging register)."""
         channel = DVSChannel(
-            PAPER_TABLE,
-            PAPER_LINK_POWER,
-            timing=TransitionTiming(0.2e-6, 4),
+            ChannelDesign(
+                PAPER_TABLE, PAPER_LINK_POWER, timing=TransitionTiming(0.2e-6, 4)
+            ),
             initial_level=level,
         )
         horizon = 2_000
@@ -136,9 +136,9 @@ class TestChannelBandwidthProperty:
     @given(level=st.integers(min_value=0, max_value=9))
     def test_busy_time_never_exceeds_horizon(self, level):
         channel = DVSChannel(
-            PAPER_TABLE,
-            PAPER_LINK_POWER,
-            timing=TransitionTiming(0.2e-6, 4),
+            ChannelDesign(
+                PAPER_TABLE, PAPER_LINK_POWER, timing=TransitionTiming(0.2e-6, 4)
+            ),
             initial_level=level,
         )
         horizon = 1_000
