@@ -11,14 +11,14 @@ from .common import archive
 
 def test_workload_comparison(benchmark):
     figure = archive(benchmark, "workloads")
-    results = figure.extras["results"]
+    points = figure.extras["points"]
     # Every workload still saves power under DVS.
-    for name, result in results.items():
-        assert result.power.normalized < 0.9, name
+    for name, point in points.items():
+        assert point.normalized_power < 0.9, name
     # The flow-structured workloads (two-level, permutation) leave more
     # links idle than uniform traffic at equal offered load, so they save
     # at least as much power.
     assert (
-        results["two_level"].power.normalized
-        <= results["uniform"].power.normalized * 1.25
+        points["two_level"].normalized_power
+        <= points["uniform"].normalized_power * 1.25
     )

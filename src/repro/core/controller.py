@@ -102,8 +102,8 @@ class PortDVSController:
         policy: DVSPolicy,
         occupancy_source: OccupancySource,
         *,
-        window_cycles: int = 200,
-        buffer_capacity: int = 128,
+        window_cycles: int,
+        buffer_capacity: int,
     ) -> None:
         if window_cycles <= 0:
             raise ConfigError("history window must be positive")

@@ -19,6 +19,11 @@ Policies provided:
   Section 3.1 argues against: LU thresholds only, no congestion litmus.
 * :class:`AdaptiveThresholdPolicy` — the dynamic-threshold extension the
   paper points to in Section 4.4.2.
+
+Each class registers itself with :func:`~repro.core.registry.register_policy`
+and is built by :func:`~repro.core.registry.build_policy` as
+``Cls(context, **knobs)``: its keyword-only parameters are its declared
+knobs, whose defaults and bounds live in the declaration alone.
 """
 
 from __future__ import annotations
@@ -28,9 +33,13 @@ from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import NamedTuple
 
-from ..errors import ConfigError
 from .history import EWMAPredictor
-from .thresholds import TABLE1_DEFAULT, ThresholdSet
+from .registry import (
+    PolicyBuildContext,
+    PolicyKnob,
+    register_null_policy,
+    register_policy,
+)
 
 
 class DVSAction(enum.Enum):
@@ -119,6 +128,28 @@ class DVSPolicy(ABC):
         )
 
 
+#: The EWMA history-weight knob every history-predicting policy declares;
+#: policies that pin it during knob sweeps use ``replace(EWMA_KNOB, sweep=())``.
+EWMA_KNOB = PolicyKnob(
+    "ewma_weight",
+    default=3.0,
+    minimum=1e-9,
+    sweep=(1.0, 3.0, 7.0),
+    description="history weight W of the EWMA predictor (Eq. (5))",
+)
+
+
+register_null_policy(
+    "none",
+    description="no DVS control: links pinned at the top level (paper baseline)",
+)
+
+
+@register_policy(
+    "history",
+    description="the paper's Algorithm 1: EWMA-predicted LU with BU litmus",
+    knobs=(EWMA_KNOB,),
+)
 class HistoryDVSPolicy(DVSPolicy):
     """The paper's history-based DVS policy (Algorithm 1).
 
@@ -135,15 +166,10 @@ class HistoryDVSPolicy(DVSPolicy):
     higher threshold pair lets the link slow down even at moderate LU.
     """
 
-    def __init__(
-        self,
-        thresholds: ThresholdSet = TABLE1_DEFAULT,
-        *,
-        weight: float = 3.0,
-    ) -> None:
-        self.thresholds = thresholds
-        self._lu_predictor = EWMAPredictor(weight)
-        self._bu_predictor = EWMAPredictor(weight)
+    def __init__(self, context: PolicyBuildContext, *, ewma_weight: float) -> None:
+        self.thresholds = context.thresholds
+        self._lu_predictor = EWMAPredictor(ewma_weight)
+        self._bu_predictor = EWMAPredictor(ewma_weight)
 
     @property
     def predicted_link_utilization(self) -> float:
@@ -180,6 +206,21 @@ class HistoryDVSPolicy(DVSPolicy):
         self._bu_predictor.skip_idle(count)
 
 
+@register_policy(
+    "static",
+    description="offline-chosen fixed level (variable-frequency links baseline)",
+    knobs=(
+        PolicyKnob(
+            "static_level",
+            default=0,
+            minimum=0,
+            integer=True,
+            level_indexed=True,
+            sweep=(0, 3, 6, 9),
+            description="the pinned V/F level (0 = slowest)",
+        ),
+    ),
+)
 class StaticLevelPolicy(DVSPolicy):
     """Hold the channel at one fixed, offline-chosen level.
 
@@ -188,13 +229,11 @@ class StaticLevelPolicy(DVSPolicy):
     expected workload and never tracks it.
     """
 
-    def __init__(self, level: int) -> None:
-        if level < 0:
-            raise ConfigError(f"static level must be non-negative, got {level}")
-        self.level = level
+    def __init__(self, context: PolicyBuildContext, *, static_level: int) -> None:
+        self.static_level = static_level
 
     def decide(self, inputs: PolicyInputs) -> DVSAction:
-        target = min(self.level, inputs.max_level)
+        target = min(self.static_level, inputs.max_level)
         if inputs.level < target:
             return DVSAction.STEP_UP
         if inputs.level > target:
@@ -209,6 +248,11 @@ class StaticLevelPolicy(DVSPolicy):
         pass
 
 
+@register_policy(
+    "lu_only",
+    description="Section 3.1 strawman: LU thresholds without the BU litmus",
+    knobs=(EWMA_KNOB,),
+)
 class LinkUtilizationOnlyPolicy(DVSPolicy):
     """Ablation: Algorithm 1 without the buffer-utilization litmus.
 
@@ -218,14 +262,9 @@ class LinkUtilizationOnlyPolicy(DVSPolicy):
     ablation benches to quantify what the litmus buys.
     """
 
-    def __init__(
-        self,
-        thresholds: ThresholdSet = TABLE1_DEFAULT,
-        *,
-        weight: float = 3.0,
-    ) -> None:
-        self.thresholds = thresholds
-        self._lu_predictor = EWMAPredictor(weight)
+    def __init__(self, context: PolicyBuildContext, *, ewma_weight: float) -> None:
+        self.thresholds = context.thresholds
+        self._lu_predictor = EWMAPredictor(ewma_weight)
 
     @property
     def predicted_link_utilization(self) -> float:
@@ -248,6 +287,11 @@ class LinkUtilizationOnlyPolicy(DVSPolicy):
         self._lu_predictor.skip_idle(count)
 
 
+@register_policy(
+    "adaptive_threshold",
+    description="Section 4.4.2 extension: slowly adapting light-load pair",
+    knobs=(replace(EWMA_KNOB, sweep=()),),
+)
 class AdaptiveThresholdPolicy(DVSPolicy):
     """Extension: Algorithm 1 with a slowly adapting light-load pair.
 
@@ -261,38 +305,24 @@ class AdaptiveThresholdPolicy(DVSPolicy):
     high thresholds.
     """
 
-    def __init__(
-        self,
-        base: ThresholdSet = TABLE1_DEFAULT,
-        *,
-        weight: float = 3.0,
-        step: float = 0.05,
-        gap: float = 0.1,
-        floor_low: float = 0.2,
-        ceiling_low: float = 0.5,
-        patience: int = 8,
-        comfort_bu: float = 0.2,
-        danger_bu: float = 0.4,
-    ) -> None:
-        if step <= 0.0 or gap <= 0.0:
-            raise ConfigError("step and gap must be positive")
-        if not 0.0 <= floor_low < ceiling_low <= 1.0 - gap:
-            raise ConfigError("need 0 <= floor_low < ceiling_low <= 1 - gap")
-        if patience <= 0:
-            raise ConfigError("patience must be positive")
-        if not 0.0 <= comfort_bu < danger_bu <= 1.0:
-            raise ConfigError("need 0 <= comfort_bu < danger_bu <= 1")
-        self._base = base
-        self._lu_predictor = EWMAPredictor(weight)
-        self._bu_predictor = EWMAPredictor(weight)
-        self.step = step
-        self.gap = gap
-        self.floor_low = floor_low
-        self.ceiling_low = ceiling_low
-        self.patience = patience
-        self.comfort_bu = comfort_bu
-        self.danger_bu = danger_bu
-        self._low = base.low_uncongested
+    #: Adaptation constants (no knob declares them): the low threshold
+    #: moves by ``step`` within ``[floor_low, ceiling_low]`` and its high
+    #: partner sits ``gap`` above it. ``patience`` windows with BU_pred at
+    #: most ``comfort_bu`` raise it; BU_pred of ``danger_bu`` or more
+    #: lowers it at once.
+    step = 0.05
+    gap = 0.1
+    floor_low = 0.2
+    ceiling_low = 0.5
+    patience = 8
+    comfort_bu = 0.2
+    danger_bu = 0.4
+
+    def __init__(self, context: PolicyBuildContext, *, ewma_weight: float) -> None:
+        self._base = context.thresholds
+        self._lu_predictor = EWMAPredictor(ewma_weight)
+        self._bu_predictor = EWMAPredictor(ewma_weight)
+        self._low = self._base.low_uncongested
         self._calm_windows = 0
 
     @property
@@ -324,96 +354,3 @@ class AdaptiveThresholdPolicy(DVSPolicy):
         if lu_pred > t_high:
             return DVSAction.STEP_UP
         return DVSAction.HOLD
-
-
-# ---------------------------------------------------------------------------
-# Registry entries for the paper's policies.
-#
-# Factories receive the resolved DVSControlConfig plus a PolicyBuildContext
-# and must read their knob values through ``knob_values`` so that both the
-# legacy config attributes (``ewma_weight``, ``static_level``) and the
-# generic ``params`` mapping work, with identical precedence everywhere.
-# ---------------------------------------------------------------------------
-
-from typing import TYPE_CHECKING  # noqa: E402
-
-from .registry import (  # noqa: E402
-    PolicyBuildContext,
-    PolicyKnob,
-    knob_values,
-    register_null_policy,
-    register_policy,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..config import DVSControlConfig
-
-
-#: The EWMA history-weight knob every history-predicting policy declares;
-#: policies that pin it during knob sweeps use ``replace(EWMA_KNOB, sweep=())``.
-EWMA_KNOB = PolicyKnob(
-    "ewma_weight",
-    default=3.0,
-    minimum=1e-9,
-    sweep=(1.0, 3.0, 7.0),
-    description="history weight W of the EWMA predictor (Eq. (5))",
-)
-
-
-register_null_policy(
-    "none",
-    description="no DVS control: links pinned at the top level (paper baseline)",
-)
-
-
-@register_policy(
-    "history",
-    description="the paper's Algorithm 1: EWMA-predicted LU with BU litmus",
-    knobs=(EWMA_KNOB,),
-    uses_thresholds=True,
-)
-def _build_history(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:
-    values = knob_values(dvs)
-    return HistoryDVSPolicy(dvs.thresholds, weight=values["ewma_weight"])
-
-
-@register_policy(
-    "static",
-    description="offline-chosen fixed level (variable-frequency links baseline)",
-    knobs=(
-        PolicyKnob(
-            "static_level",
-            default=0,
-            minimum=0,
-            integer=True,
-            level_indexed=True,
-            sweep=(0, 3, 6, 9),
-            description="the pinned V/F level (0 = slowest)",
-        ),
-    ),
-)
-def _build_static(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:
-    values = knob_values(dvs)
-    return StaticLevelPolicy(int(values["static_level"]))
-
-
-@register_policy(
-    "lu_only",
-    description="Section 3.1 strawman: LU thresholds without the BU litmus",
-    knobs=(EWMA_KNOB,),
-    uses_thresholds=True,
-)
-def _build_lu_only(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:
-    values = knob_values(dvs)
-    return LinkUtilizationOnlyPolicy(dvs.thresholds, weight=values["ewma_weight"])
-
-
-@register_policy(
-    "adaptive_threshold",
-    description="Section 4.4.2 extension: slowly adapting light-load pair",
-    knobs=(replace(EWMA_KNOB, sweep=()),),
-    uses_thresholds=True,
-)
-def _build_adaptive(dvs: "DVSControlConfig", context: PolicyBuildContext) -> DVSPolicy:
-    values = knob_values(dvs)
-    return AdaptiveThresholdPolicy(dvs.thresholds, weight=values["ewma_weight"])

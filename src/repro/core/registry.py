@@ -3,9 +3,10 @@
 Every policy the simulator can run is described by one
 :class:`PolicySpec`: a name, a human-readable description, a tuple of
 :class:`PolicyKnob` parameter declarations (bounds, defaults and the
-knob-sweep grid the Pareto explorer uses), and a factory that builds the
-per-port policy object from a :class:`~repro.config.DVSControlConfig`
-plus a :class:`PolicyBuildContext`.
+knob-sweep grid the Pareto explorer uses), and the policy class, which
+:func:`build_policy` calls as ``Cls(context, **knob_values(dvs))``. Each
+knob is declared once, here: the class takes exactly the knob names as
+keyword-only parameters and re-checks no bound.
 
 The registry is the single source of truth for "which policies exist":
 
@@ -29,6 +30,7 @@ import cycles with :mod:`repro.config`.
 
 Third-party plugins register the same way::
 
+    from repro.core.policy import DVSPolicy
     from repro.core.registry import PolicyKnob, register_policy
 
     @register_policy(
@@ -36,8 +38,12 @@ Third-party plugins register the same way::
         description="...",
         knobs=(PolicyKnob("gain", default=1.0, minimum=0.0, sweep=(0.5, 2.0)),),
     )
-    def _build_my_policy(dvs, context):
-        return MyPolicy(gain=knob_values(dvs)["gain"])
+    class MyPolicy(DVSPolicy):
+        def __init__(self, context, *, gain):
+            self.gain = gain
+
+        def decide(self, inputs):
+            ...
 
 See ``docs/policies.md`` for the full plugin how-to, including the purity
 rules enforced by lint rule R8.
@@ -45,8 +51,8 @@ rules enforced by lint rule R8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from ..errors import ConfigError
 
@@ -54,6 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..config import DVSControlConfig
     from .levels import VFTable
     from .policy import DVSPolicy
+    from .thresholds import ThresholdSet
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,33 +135,36 @@ class PolicyBuildContext:
     """What the engine knows at policy-construction time.
 
     Attributes:
-        table: The channel's V/F table (``None`` in table-free unit tests;
-            factories needing it must handle the fallback).
+        thresholds: The config's threshold set
+            (``DVSControlConfig.thresholds``).
+        table: The channel's V/F table.
         channel_index: Topology channel id of the port this policy will
             control — lets seeded policies decorrelate their streams per
             port while staying deterministic across backends.
     """
 
-    table: "VFTable | None" = None
-    channel_index: int = 0
+    thresholds: "ThresholdSet"
+    table: "VFTable"
+    channel_index: int
 
 
-PolicyFactory = Callable[["DVSControlConfig", PolicyBuildContext], "DVSPolicy"]
+#: A policy class, called as ``factory(context, **knob_values)``.
+PolicyFactory = Callable[..., "DVSPolicy"]
+_FactoryT = TypeVar("_FactoryT", bound=PolicyFactory)
 
 
 @dataclass(frozen=True, slots=True)
 class PolicySpec:
-    """Registry entry describing one DVS policy plugin."""
+    """Registry entry describing one DVS policy plugin.
+
+    ``factory`` is the policy class, or ``None`` for a policy that builds
+    no controller (``none``).
+    """
 
     name: str
     description: str
     knobs: tuple[PolicyKnob, ...] = ()
     factory: PolicyFactory | None = None
-    #: Whether the policy reads ``DVSControlConfig.thresholds``.
-    uses_thresholds: bool = False
-    #: Whether the policy may issue SLEEP/WAKE actions (the CI smoke runs
-    #: these under the sanitizer's sleep-state checks).
-    controls_sleep: bool = False
 
     def knob(self, name: str) -> PolicyKnob | None:
         for knob in self.knobs:
@@ -176,17 +186,19 @@ def register_policy(
     *,
     description: str,
     knobs: tuple[PolicyKnob, ...] = (),
-    uses_thresholds: bool = False,
-    controls_sleep: bool = False,
-) -> Callable[[PolicyFactory], PolicyFactory]:
-    """Decorator registering *factory* as the builder for policy *name*."""
+) -> Callable[[_FactoryT], _FactoryT]:
+    """Class decorator registering the policy class for *name*.
+
+    :func:`build_policy` calls the class as ``cls(context, **knobs)``, so
+    its keyword-only parameters are exactly the names in *knobs*.
+    """
     seen = set()
     for knob in knobs:
         if knob.name in seen:
             raise ConfigError(f"policy {name!r} declares knob {knob.name!r} twice")
         seen.add(knob.name)
 
-    def decorate(factory: PolicyFactory) -> PolicyFactory:
+    def decorate(factory: _FactoryT) -> _FactoryT:
         existing = _REGISTRY.get(name)
         if existing is not None and existing.factory is not factory:
             qual = getattr(factory, "__qualname__", None)
@@ -194,12 +206,7 @@ def register_policy(
             if qual is None or qual != existing_qual:
                 raise ConfigError(f"policy {name!r} is already registered")
         _REGISTRY[name] = PolicySpec(
-            name=name,
-            description=description,
-            knobs=knobs,
-            factory=factory,
-            uses_thresholds=uses_thresholds,
-            controls_sleep=controls_sleep,
+            name=name, description=description, knobs=knobs, factory=factory
         )
         return factory
 
@@ -291,17 +298,13 @@ def validate_dvs_config(dvs: "DVSControlConfig", *, levels: int | None = None) -
         knob.validate(dvs.policy, _raw_knob_value(dvs, knob), levels=levels)
 
 
-def build_policy(
-    dvs: "DVSControlConfig",
-    context: PolicyBuildContext | None = None,
-) -> "DVSPolicy":
-    """Build the per-port policy object for *dvs* via its registered factory."""
+def build_policy(dvs: "DVSControlConfig", context: PolicyBuildContext) -> "DVSPolicy":
+    """Build the per-port policy object for *dvs*: its registered class,
+    called with *context* and the resolved knob values as keywords."""
     spec = get_policy_spec(dvs.policy)
     if spec.factory is None:
         raise ConfigError(f"policy {dvs.policy!r} builds no controller")
-    if context is None:
-        context = PolicyBuildContext()
-    return spec.factory(dvs, context)
+    return spec.factory(context, **knob_values(dvs))
 
 
 def policy_label(dvs: "DVSControlConfig") -> str:
@@ -345,9 +348,6 @@ def policy_sweep_grid(name: str) -> list[dict[str, float]]:
     return grid
 
 
-# ``field`` is re-exported for plugin modules that declare knob tuples in
-# dataclasses of their own; referencing it here also keeps linters honest
-# about the import.
 __all__ = [
     "PolicyKnob",
     "PolicyBuildContext",
@@ -363,5 +363,4 @@ __all__ = [
     "build_policy",
     "policy_label",
     "policy_sweep_grid",
-    "field",
 ]

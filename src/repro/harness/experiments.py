@@ -30,7 +30,6 @@ from ..power.orion import RouterEnergyModel, core_energy_comparison
 from ..power.router_power import RouterPowerProfile
 from ..traffic.base import make_traffic
 from . import serialization
-from .backends import default_backend
 from .paper import HEADLINE_CLAIMS
 from .runner import build_simulator
 from .scales import DEFAULT_SCALE, ExperimentScale
@@ -124,10 +123,7 @@ def utilization_profiles(
             )
             for spec in simulator.topology.channels
         ]
-        simulator.run_cycles(config.warmup_cycles)
-        simulator.begin_measurement()
-        simulator.run_cycles(config.measure_cycles)
-        result = simulator.finish()
+        result = simulator.run()
 
         # The paper profiles one link *and* the input buffers downstream of
         # it; score by LU + BU so the tracked link is both busy and, at
@@ -615,27 +611,18 @@ def fig15_pareto_curve(
 ) -> FigureResult:
     """Figure 15: latency vs power savings across thresholds at one rate."""
     settings = settings if settings is not None else TABLE2_SETTINGS
-    results = default_backend().map_configs(
-        scale.simulation(
-            rate,
-            dvs=DVSControlConfig(policy="history", thresholds=thresholds),
-            workload_overrides={"average_tasks": 100},
+    sweeps = threshold_sweeps(scale, (rate,), settings)
+    points = {name: sweep[0] for name, sweep in sweeps.items()}
+    rows = [
+        (
+            name,
+            thresholds.low_uncongested,
+            thresholds.high_uncongested,
+            round(points[name].mean_latency, 1),
+            round(points[name].savings_factor, 2),
         )
-        for thresholds in settings.values()
-    )
-    rows = []
-    points = {}
-    for (name, thresholds), result in zip(settings.items(), results, strict=True):
-        points[name] = result
-        rows.append(
-            (
-                name,
-                thresholds.low_uncongested,
-                thresholds.high_uncongested,
-                round(result.latency.mean, 1),
-                round(result.power.savings_factor, 2),
-            )
-        )
+        for name, thresholds in settings.items()
+    ]
     return FigureResult(
         "Figure 15",
         f"latency vs dynamic power savings at {rate} packets/cycle",
@@ -801,30 +788,33 @@ def workload_comparison(
         "uniform": {"kind": "uniform"},
         "permutation": {"kind": "permutation", "permutation": "transpose"},
     }
-    batch = default_backend().map_configs(
-        scale.simulation(rate, workload_overrides={"average_tasks": 100, **overrides})
-        for overrides in workloads.values()
-    )
-    rows = []
-    results = {}
-    for name, result in zip(workloads, batch, strict=True):
-        results[name] = result
-        rows.append(
-            (
-                name,
-                round(result.offered_rate, 3),
-                round(result.accepted_rate, 3),
-                round(result.latency.mean, 1),
-                round(result.power.normalized, 3),
-                round(result.power.savings_factor, 2),
+    sweeps = named_sweeps(
+        {
+            name: scale.simulation(
+                rate, workload_overrides={"average_tasks": 100, **overrides}
             )
+            for name, overrides in workloads.items()
+        },
+        (rate,),
+    )
+    points = {name: sweep[0] for name, sweep in sweeps.items()}
+    rows = [
+        (
+            name,
+            round(point.offered_rate, 3),
+            round(point.accepted_rate, 3),
+            round(point.mean_latency, 1),
+            round(point.normalized_power, 3),
+            round(point.savings_factor, 2),
         )
+        for name, point in points.items()
+    ]
     return FigureResult(
         "Workloads",
         f"history-based DVS under different workloads at {rate} pkt/cycle",
         ["workload", "offered", "accepted", "latency", "norm_power", "savings"],
         rows,
-        extras={"results": results},
+        extras={"points": points},
     )
 
 

@@ -35,8 +35,8 @@ class MeasurementMeter(Observer):
 
     __slots__ = ("latency", "measuring", "measure_start", "offered", "ejected")
 
-    def __init__(self, latency: LatencyCollector | None = None) -> None:
-        self.latency = latency if latency is not None else LatencyCollector()
+    def __init__(self) -> None:
+        self.latency = LatencyCollector()
         self.measuring = False
         self.measure_start = 0
         self.offered = 0

@@ -39,8 +39,8 @@ class UtilizationProbe(Observer):
         channel: DVSChannel,
         tracker: OccupancyTracker,
         *,
-        window_cycles: int = 50,
-        buffer_capacity: int = 128,
+        window_cycles: int,
+        buffer_capacity: int,
     ):
         if window_cycles <= 0:
             raise ConfigError("probe window must be positive")

@@ -234,7 +234,9 @@ class SimulationEngine:
                 if tracker is None:
                     raise SimulationError("network input port lacks a tracker")
                 context = PolicyBuildContext(
-                    table=design.table, channel_index=spec.channel_id
+                    thresholds=config.dvs.thresholds,
+                    table=design.table,
+                    channel_index=spec.channel_id,
                 )
                 controller = PortDVSController(
                     channel.dvs,

@@ -15,6 +15,9 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
+from repro.core.levels import PAPER_TABLE
+from repro.core.policy import DVSPolicy
+from repro.core.registry import PolicyBuildContext, build_policy
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceReplaySource
 
@@ -55,6 +58,19 @@ def small_config(
         ),
         warmup_cycles=warmup,
         measure_cycles=measure,
+    )
+
+
+def make_policy(
+    policy: str = "history", *, channel_index: int = 0, **knobs: float
+) -> DVSPolicy:
+    """Policy *policy* built the way the engine builds it: through
+    ``build_policy`` from a config whose ``params`` hold *knobs*, for a
+    channel of the paper's V/F table. Out-of-bound knobs raise
+    :class:`~repro.errors.ConfigError` when the config is built."""
+    dvs = DVSControlConfig(policy=policy, params=knobs)
+    return build_policy(
+        dvs, PolicyBuildContext(dvs.thresholds, PAPER_TABLE, channel_index)
     )
 
 

@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.controller import PortDVSController
 from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
-from repro.core.policy import HistoryDVSPolicy
 from repro.core.power_model import PAPER_LINK_POWER
 from repro.core.thresholds import TABLE1_DEFAULT
+
+from .conftest import make_policy
 
 
 class ConstantRateLoop:
@@ -31,7 +32,7 @@ class ConstantRateLoop:
         self.occupied = 0
         self.controller = PortDVSController(
             self.channel,
-            HistoryDVSPolicy(),
+            make_policy("history"),
             self,
             window_cycles=window,
             buffer_capacity=128,

@@ -5,9 +5,11 @@ import pytest
 from repro.core.controller import PortDVSController
 from repro.core.dvs_link import ChannelDesign, DVSChannel, TransitionTiming
 from repro.core.levels import PAPER_TABLE
-from repro.core.policy import DVSAction, HistoryDVSPolicy, StaticLevelPolicy
+from repro.core.policy import DVSAction
 from repro.core.power_model import PAPER_LINK_POWER
 from repro.errors import ConfigError
+
+from .conftest import make_policy
 
 
 class FakeOccupancy:
@@ -37,7 +39,7 @@ def make_channel(initial_level=9):
 
 def make_controller(channel=None, policy=None, occupancy=None, window=200):
     channel = channel if channel is not None else make_channel()
-    policy = policy if policy is not None else HistoryDVSPolicy()
+    policy = policy if policy is not None else make_policy("history")
     occupancy = occupancy if occupancy is not None else FakeOccupancy()
     return (
         PortDVSController(
@@ -113,7 +115,7 @@ class TestActuation:
     def test_static_policy_drives_to_level(self):
         channel = make_channel(initial_level=9)
         controller, _, _ = make_controller(
-            channel=channel, policy=StaticLevelPolicy(7)
+            channel=channel, policy=make_policy("static", static_level=7)
         )
         now = 0
         for _ in range(40):
@@ -184,14 +186,19 @@ class TestValidation:
     def test_bad_window(self):
         with pytest.raises(ConfigError):
             PortDVSController(
-                make_channel(), HistoryDVSPolicy(), FakeOccupancy(), window_cycles=0
+                make_channel(),
+                make_policy("history"),
+                FakeOccupancy(),
+                window_cycles=0,
+                buffer_capacity=128,
             )
 
     def test_bad_capacity(self):
         with pytest.raises(ConfigError):
             PortDVSController(
                 make_channel(),
-                HistoryDVSPolicy(),
+                make_policy("history"),
                 FakeOccupancy(),
+                window_cycles=200,
                 buffer_capacity=0,
             )

@@ -34,18 +34,13 @@ from repro.config import DVSControlConfig, LinkConfig
 from repro.core.controller import PortDVSController
 from repro.core.levels import PAPER_TABLE
 from repro.core.policy import DVSPolicy, PolicyInputs
-from repro.core.registry import (
-    PolicyBuildContext,
-    build_policy,
-    get_policy_spec,
-    registered_policies,
-)
+from repro.core.registry import get_policy_spec, registered_policies
 from repro.core.thresholds import TABLE2_SETTINGS
 from repro.harness.scales import DEFAULT_SCALE
 from repro.harness.serialization import to_json
 from repro.network.simulator import Simulator
 
-from .conftest import FAST_LINK, small_config
+from .conftest import FAST_LINK, make_policy, small_config
 
 
 def _policy_classes() -> list[type]:
@@ -270,8 +265,7 @@ class TestPolicyContract:
         [name for name in registered_policies() if get_policy_spec(name).factory],
     )
     def test_idle_action_is_the_fixpoint_of_idle_windows(self, name):
-        context = PolicyBuildContext(table=PAPER_TABLE, channel_index=3)
-        policy = build_policy(DVSControlConfig(policy=name), context)
+        policy = make_policy(name, channel_index=3)
         rng = random.Random(7)
         declared = 0
         for window in range(1, 120):
@@ -303,10 +297,7 @@ class TestPolicyContract:
         """``skip_idle`` reproduces ``update(0.0)`` bit for bit, down to
         the subnormal range and zero."""
         for weight in (1.0, 3.0, 7.0, 2.5):
-            policy = build_policy(
-                DVSControlConfig(policy="history", ewma_weight=weight),
-                PolicyBuildContext(table=PAPER_TABLE),
-            )
+            policy = make_policy("history", ewma_weight=weight)
             policy.decide(PolicyInputs(0.29, 0.7, 4, 9, 200))
             stepped = copy.deepcopy(policy)
             for _ in range(2_000):

@@ -1,10 +1,13 @@
 """The policy plugin registry: listing, validation, labels, sweep grids."""
 
+import inspect
+from pathlib import Path
+
 import pytest
 
-from repro.config import DVSControlConfig, LinkConfig, SimulationConfig
+from repro.config import DVSControlConfig, SimulationConfig
 from repro.core.levels import PAPER_TABLE
-from repro.core.policy import HistoryDVSPolicy, PolicyInputs, StaticLevelPolicy
+from repro.core.policy import DVSPolicy, HistoryDVSPolicy, PolicyInputs, StaticLevelPolicy
 from repro.core.policy_zoo import ErrorCorrectionPolicy, OraclePolicy
 from repro.core.registry import (
     PolicyBuildContext,
@@ -17,7 +20,15 @@ from repro.core.registry import (
     policy_sweep_grid,
     registered_policies,
 )
+from repro.core.thresholds import TABLE2_SETTINGS
 from repro.errors import ConfigError
+
+from .conftest import make_policy
+
+#: Registered policies that build a controller (every one but ``none``).
+BUILT = [name for name in registered_policies() if get_policy_spec(name).factory]
+
+POLICIES_DOC = Path(__file__).resolve().parent.parent / "docs" / "policies.md"
 
 
 class TestListing:
@@ -47,11 +58,55 @@ class TestListing:
         assert "sleep_lu" in text
         assert "headroom" in text
 
-    def test_spec_flags(self):
-        assert get_policy_spec("history").uses_thresholds
-        assert get_policy_spec("link_shutdown").controls_sleep
-        assert not get_policy_spec("oracle").controls_sleep
+    def test_roster_table_names_every_policy_and_knob(self):
+        """docs/policies.md's roster has a row per registered policy that
+        names each of its knobs: a policy or knob added without docs fails."""
+        text = POLICIES_DOC.read_text(encoding="utf-8")
+        roster = text.split("## The builtin roster", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in roster.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 3:
+                rows[cells[0].strip("`")] = cells[2]
+        for name in registered_policies():
+            assert name in rows, f"docs/policies.md roster lacks {name!r}"
+            for knob in get_policy_spec(name).knobs:
+                assert f"`{knob.name}`" in rows[name], (name, knob.name)
+
+
+class TestOneDeclarationPerKnob:
+    """Each knob is declared once, as a PolicyKnob: the registered class
+    takes exactly the knob names, and ``build_policy`` hands it their
+    resolved values."""
+
+    def test_every_entry_but_none_is_its_policy_class(self):
         assert get_policy_spec("none").factory is None
+        for name in BUILT:
+            factory = get_policy_spec(name).factory
+            assert isinstance(factory, type) and issubclass(factory, DVSPolicy)
+
+    @pytest.mark.parametrize("name", BUILT)
+    def test_keyword_only_parameters_are_the_knobs_without_defaults(self, name):
+        spec = get_policy_spec(name)
+        parameters = inspect.signature(spec.factory).parameters.values()
+        keyword_only = [p for p in parameters if p.kind is p.KEYWORD_ONLY]
+        assert [p.name for p in parameters if p.kind is not p.KEYWORD_ONLY] == [
+            "context"
+        ]
+        assert [p.name for p in keyword_only] == [knob.name for knob in spec.knobs]
+        assert all(p.default is p.empty for p in keyword_only)
+
+    @pytest.mark.parametrize("name", BUILT)
+    def test_builds_at_every_grid_assignment_holding_its_values(self, name):
+        for assignment in policy_sweep_grid(name):
+            policy = make_policy(name, **assignment)
+            assert type(policy) is get_policy_spec(name).factory
+            for knob, value in assignment.items():
+                if knob == "ewma_weight":
+                    held = policy._lu_predictor.weight
+                else:
+                    held = getattr(policy, knob)
+                assert held == value, (knob, assignment)
 
 
 class TestConfigValidation:
@@ -126,20 +181,21 @@ class TestKnobResolution:
 
 class TestBuildPolicy:
     def test_history_factory_matches_config(self):
-        dvs = DVSControlConfig(policy="history", ewma_weight=5.0)
-        policy = build_policy(dvs, PolicyBuildContext())
+        dvs = DVSControlConfig(
+            policy="history", ewma_weight=5.0, thresholds=TABLE2_SETTINGS["VI"]
+        )
+        policy = build_policy(dvs, PolicyBuildContext(dvs.thresholds, PAPER_TABLE, 0))
         assert isinstance(policy, HistoryDVSPolicy)
+        assert policy.thresholds is TABLE2_SETTINGS["VI"]
+        assert policy._lu_predictor.weight == 5.0
 
     def test_static_factory_pins_level(self):
-        dvs = DVSControlConfig(policy="static", params={"static_level": 4})
-        policy = build_policy(dvs, PolicyBuildContext())
+        policy = make_policy("static", static_level=4)
         assert isinstance(policy, StaticLevelPolicy)
+        assert policy.static_level == 4
 
     def test_oracle_factory_uses_context_table(self):
-        policy = build_policy(
-            DVSControlConfig(policy="oracle"),
-            PolicyBuildContext(table=PAPER_TABLE),
-        )
+        policy = make_policy("oracle")
         assert isinstance(policy, OraclePolicy)
         assert policy.table is PAPER_TABLE
 
@@ -147,9 +203,8 @@ class TestBuildPolicy:
         """Channels 0 and 1 of one config draw different error streams:
         under identical inputs where the error model fires about half the
         time (LU 0.9, five levels of undervolt), their decisions differ."""
-        dvs = DVSControlConfig(policy="error_correction")
-        a = build_policy(dvs, PolicyBuildContext(channel_index=0))
-        b = build_policy(dvs, PolicyBuildContext(channel_index=1))
+        a = make_policy("error_correction", channel_index=0)
+        b = make_policy("error_correction", channel_index=1)
         assert isinstance(a, ErrorCorrectionPolicy)
         window = PolicyInputs(
             link_utilization=0.9,
@@ -165,7 +220,7 @@ class TestBuildPolicy:
 
     def test_none_builds_no_controller(self):
         with pytest.raises(ConfigError, match="builds no controller"):
-            build_policy(DVSControlConfig(policy="none"))
+            make_policy("none")
 
 
 class TestPolicyLabel:
